@@ -26,9 +26,9 @@ for G in (2, 3, 5, 10):
     table = pc.run_size_experiment(spec, threads=None)
     print(
         f"{G:>3} "
-        f"{table.rate('unit', 'nofe'):>10.4f} "
-        f"{table.rate('unit', 'fe'):>10.4f} "
-        f"{table.rate('stratum', 'fe'):>11.4f} "
+        f"{table.cell('unit', 'nofe').rejection_rate:>10.4f} "
+        f"{table.cell('unit', 'fe').rejection_rate:>10.4f} "
+        f"{table.cell('stratum', 'fe').rejection_rate:>11.4f} "
         f"{table.cell('unit', 'fe').mean_se_ratio:>9.4f} "
         f"{math.sqrt((G - 1) / G):>14.4f}"
     )

@@ -120,12 +120,15 @@ def _cmd_simulate(args) -> int:
         cfg_kwargs = dict(G=g, P=args.P, n_gp=args.n, sigma2_gamma=args.sigma2_gamma)
         if effect is not None:
             cfg_kwargs["effect_profile"] = effect
-        spec = SizeExperimentSpec(
-            dgp=DGPConfig(**cfg_kwargs),
-            reps=args.reps,
-            master_seed=Seed(args.seed),
-            level=args.level,
-        )
+        try:
+            spec = SizeExperimentSpec(
+                dgp=DGPConfig(**cfg_kwargs),
+                reps=args.reps,
+                master_seed=Seed(args.seed),
+                level=args.level,
+            )
+        except ValueError as exc:  # an out-of-range flag value
+            raise _UsageError(str(exc)) from None
         table = run_size_experiment(spec, threads=args.threads)
         tables.append(table)
         cells.extend(table.cells)

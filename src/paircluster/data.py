@@ -166,6 +166,17 @@ class _Layout:
     def unit_means(self) -> np.ndarray:
         return self.unit_sums / self.unit_sizes
 
+    @property
+    def centred_unit_sums(self) -> np.ndarray:
+        """Unit sums of the outcomes minus their global mean.
+
+        Centring each observation, not the sums, keeps full precision under a
+        large common offset.  Block means would not do: the no-FE fit is not
+        invariant to per-block shifts.
+        """
+        centred = self.outcomes - self.outcomes.mean()
+        return np.bincount(self.obs_unit, weights=centred, minlength=self.n_units)
+
 
 @dataclass(frozen=True, eq=False)
 class ExperimentData:
@@ -301,11 +312,6 @@ class PotentialData:
         lay = data.layout()
         y = self.y1 if d == 1 else self.y0
         return np.bincount(lay.obs_unit, weights=y, minlength=lay.n_units) / lay.unit_sizes
-
-    def pair_means(self, data: ExperimentData, d: int) -> np.ndarray:
-        lay = data.layout()
-        y = self.y1 if d == 1 else self.y0
-        return np.bincount(lay.obs_pair, weights=y, minlength=lay.n_pairs) / lay.pair_sizes
 
 
 def validate_dataset(

@@ -87,3 +87,7 @@ class ReplicationError(PairClusterError, RuntimeError):
         self.index = index
         self.cause = cause
         super().__init__(f"replication {index} failed: {cause}")
+
+    def __reduce__(self):
+        # Rebuilt from both fields, so the error survives the trip back from a worker.
+        return type(self), (self.index, self.cause)

@@ -2,16 +2,18 @@
 
 Each replication draws a fresh experiment, fits both models, forms the
 four cluster-robust t-tests, and tallies rejections of the true null.
-Replications carry their own sub-seeds and are reduced in fixed chunk
-order, so results are bit-identical for any worker count.
+Replication i draws from the i-th child of the master seed, which the
+worker rebuilds itself; chunks are reduced in fixed order, so results
+are bit-identical for any worker count.
 
-The per-replication statistics depend on the data only through per-unit
-outcome sums, unit sizes, and the assignment, so the engine draws unit
-sums directly (the sum of n iid standard normals is sqrt(n) times one);
-the sampling distribution of every tallied statistic is exactly that of
-the observation-level generator.  Block scores reduce to the paired
-closed forms when each block has two units, and to the general sandwich
-otherwise.
+One chunk worker serves both experiments.  It takes a draw object that
+returns each replication's unit sums and assignment, and passes them to
+``variance.unit_sum_stats``, the kernel that ``variance_set`` and
+``analyze`` use too.  The statistics depend on the data only through
+per-unit outcome sums, unit sizes, and the assignment, so the synthetic
+generator draws unit sums directly (the sum of n iid standard normals is
+sqrt(n) times one); the sampling distribution of every tallied
+statistic is exactly that of the observation-level generator.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,17 +29,11 @@ from scipy.special import ndtri
 
 from .data import ExperimentData
 from .dgp import DGPConfig, ZeroEffect, normal_draws
-from .errors import (
-    DegeneratePair,
-    NotPaired,
-    NoVariationInTreatment,
-    ReplicationError,
-    ZeroVariance,
-)
+from .errors import NotPaired, ReplicationError, ZeroVariance
 from .randomize import Seed
+from .variance import UnitStats, unit_sum_stats
 
 __all__ = [
-    "TEST_KEYS",
     "SizeExperimentSpec",
     "SizeCell",
     "SizeTable",
@@ -47,7 +43,9 @@ __all__ = [
 
 # (clustering, model) in output order; "block" is the pair/stratum level.
 _INTERNAL_TESTS = (("unit", "nofe"), ("unit", "fe"), ("block", "nofe"), ("block", "fe"))
-TEST_KEYS = _INTERNAL_TESTS
+# Columns of ``UnitStats`` holding each test's estimate and variance.
+_TAU_COLS = [UnitStats._fields.index(f"tau_{model}") for _, model in _INTERNAL_TESTS]
+_VAR_COLS = [UnitStats._fields.index(f"{c}_{model}") for c, model in _INTERNAL_TESTS]
 
 _CHUNK = 256
 _CSV_HEADER = "test,model,G,reps,rejection_rate,mc_se,mean_se_ratio"
@@ -64,164 +62,95 @@ def _software_factor(n_clusters: int, n_obs: int, n_params: int) -> float:
     return (n_clusters / (n_clusters - 1.0)) * ((n_obs - 1.0) / (n_obs - n_params))
 
 
-def _unit_level_stats(sums, sizes, treated, block, n_blocks, n_obs):
-    """Both fits and all four raw clustered variances from unit sums.
+class _StratifiedDraw:
+    """Unit sums and a stratified assignment from the synthetic generator."""
 
-    Returns (tau_nofe, tau_fe, v_unit_nofe, v_block_nofe, v_unit_fe, v_block_fe).
-    """
-    tf = treated.astype(float)
-    T = float(sizes @ tf)
-    C = n_obs - T
-    if T == 0 or C == 0:
-        raise NoVariationInTreatment("all units share one treatment status")
-    total = float(sums.sum())
-    sum_t = float(sums @ tf)
-    alpha = (total - sum_t) / C
-    tau = sum_t / T - alpha
+    def __init__(self, cfg: DGPConfig):
+        profile = cfg.effect_profile
+        self.taus = (
+            None if isinstance(profile, ZeroEffect)
+            else np.asarray(profile.stratum_effects(cfg.P), dtype=float)
+        )
+        self.G, self.P, self.n_gp, self.sigma2 = cfg.G, cfg.P, cfg.n_gp, cfg.sigma2_gamma
+        self.block = np.repeat(np.arange(cfg.P), cfg.G)
+        self.rows = np.arange(cfg.P)[:, None]
+        self.n_blocks = cfg.P
+        self.sizes = np.full(cfg.n_units, float(cfg.n_gp))
+        self.n_obs = cfg.n_obs
 
-    resid = sums - sizes * (alpha + tau * tf)
-    x = tf - T / n_obs
-    denom = T * C / n_obs
-    scores = x * resid
-    v_unit_nofe = float(scores @ scores) / denom**2
-    block_scores = np.bincount(block, weights=scores, minlength=n_blocks)
-    v_block_nofe = float(block_scores @ block_scores) / denom**2
-
-    treated_b = np.bincount(block, weights=sizes * tf, minlength=n_blocks)
-    size_b = np.bincount(block, weights=sizes, minlength=n_blocks)
-    if np.any(treated_b == 0) or np.any(treated_b == size_b):
-        raise DegeneratePair("a block lacks a treated/control contrast")
-    x_fe = tf - (treated_b / size_b)[block]
-    denom_fe = float(sizes @ (x_fe * x_fe))
-    tau_fe = float(x_fe @ sums) / denom_fe
-    mean_b = np.bincount(block, weights=sums, minlength=n_blocks) / size_b
-    resid_fe = sums - sizes * (mean_b[block] + tau_fe * x_fe)
-    scores_fe = x_fe * resid_fe
-    v_unit_fe = float(scores_fe @ scores_fe) / denom_fe**2
-    block_scores_fe = np.bincount(block, weights=scores_fe, minlength=n_blocks)
-    v_block_fe = float(block_scores_fe @ block_scores_fe) / denom_fe**2
-
-    return tau, tau_fe, v_unit_nofe, v_block_nofe, v_unit_fe, v_block_fe
+    def __call__(self, rng):
+        P, G, n_gp = self.P, self.G, self.n_gp
+        order = np.argsort(rng.random((P, G)), axis=1)
+        treated2d = np.zeros((P, G), dtype=bool)
+        treated2d[self.rows, order[:, : G // 2]] = True
+        treated = treated2d.ravel()
+        sums = math.sqrt(n_gp) * normal_draws(rng, P * G)
+        if self.sigma2 > 0.0:
+            gamma = normal_draws(rng, P) * math.sqrt(self.sigma2)
+            sums += n_gp * gamma[self.block]
+        if self.taus is not None:
+            sums += n_gp * self.taus[self.block] * treated
+        return sums, treated
 
 
-def _tally_rep(stats, z_crit, factors, accum, idx, collect):
-    """Score one replication's four tests plus the FE standard-error ratio."""
-    tau, tau_fe, v_un, v_bn, v_uf, v_bf = stats
-    variances = (v_un, v_uf, v_bn, v_bf)
-    taus = (tau, tau_fe, tau, tau_fe)
-    if min(variances) <= 0.0:
-        raise ZeroVariance("a clustered variance estimate is zero")
-    for j in range(4):
-        t = taus[j] / math.sqrt(variances[j])
-        if abs(t) > z_crit:
-            accum["rej"][j] += 1
-        if abs(t) / math.sqrt(factors[j]) > z_crit:
-            accum["rej_adj"][j] += 1
-        if collect:
-            accum["tstats"][idx, j] = t
-    ratio = math.sqrt(v_uf / v_bf)
-    accum["ratio_sum"] += ratio
-    accum["ratio_adj_sum"] += ratio * accum["ratio_mult"]
-    if collect:
-        accum["ratios"][idx] = ratio
+class _PairedResample:
+    """Fixed unit sums of a paired dataset under a fresh coin-flip assignment."""
+
+    def __init__(self, data: ExperimentData):
+        lay = data.layout()
+        self.sums = lay.centred_unit_sums
+        self.sizes = lay.unit_sizes.astype(float)
+        self.block = lay.unit_pair
+        self.n_blocks = lay.n_pairs
+        self.n_obs = lay.n
+
+    def __call__(self, rng):
+        first = rng.random(self.n_blocks) < 0.5
+        treated = np.empty(self.sums.size, dtype=bool)
+        treated[0::2] = first
+        treated[1::2] = ~first
+        return self.sums, treated
 
 
-def _new_accum(n_reps, ratio_mult, collect):
-    return {
-        "rej": np.zeros(4, dtype=np.int64),
-        "rej_adj": np.zeros(4, dtype=np.int64),
-        "ratio_sum": 0.0,
-        "ratio_adj_sum": 0.0,
-        "ratio_mult": ratio_mult,
-        "tstats": np.empty((n_reps, 4)) if collect else None,
-        "ratios": np.empty(n_reps) if collect else None,
-    }
-
-
-def _sim_chunk(args):
-    (G, P, n_gp, sigma2, taus, level, seeds, start, collect) = args
-    z_crit = _critical_value(level)
-    n_units = P * G
-    n_obs = n_units * n_gp
-    block = np.repeat(np.arange(P), G)
-    sizes = np.full(n_units, float(n_gp))
-    m = G // 2
-    sqrt_n = math.sqrt(n_gp)
-    k_fe = P + 1
-    factors = (
-        _software_factor(n_units, n_obs, 2),
-        _software_factor(n_units, n_obs, k_fe),
-        _software_factor(P, n_obs, 2),
-        _software_factor(P, n_obs, k_fe),
-    )
-    ratio_mult = math.sqrt(factors[1] / factors[3])
-    accum = _new_accum(len(seeds), ratio_mult, collect)
-    rows = np.arange(P)[:, None]
-    for i, child in enumerate(seeds):
+def _run_chunk(args):
+    """Tally replications ``start .. start + count - 1`` of one experiment."""
+    draw, master, start, count, z_crit, factors, collect = args
+    stats = np.empty((count, len(UnitStats._fields)))
+    for i in range(count):
         try:
-            rng = np.random.default_rng(child)
-            order = np.argsort(rng.random((P, G)), axis=1)
-            treated2d = np.zeros((P, G), dtype=bool)
-            treated2d[rows, order[:, :m]] = True
-            treated = treated2d.ravel()
-            sums = sqrt_n * normal_draws(rng, n_units)
-            if sigma2 > 0.0:
-                gamma = normal_draws(rng, P) * math.sqrt(sigma2)
-                sums += n_gp * gamma[block]
-            if taus is not None:
-                sums += n_gp * taus[block] * treated
-            stats = _unit_level_stats(sums, sizes, treated, block, P, n_obs)
-            _tally_rep(stats, z_crit, factors, accum, i, collect)
+            # The (start + i)-th child of Seed(master).spawn(), without its siblings.
+            child = np.random.SeedSequence(master, spawn_key=(start + i,))
+            sums, treated = draw(np.random.default_rng(child))
+            rep = unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs)
+            if min(rep[2:]) <= 0.0:  # the four variances
+                raise ZeroVariance("a clustered variance estimate is zero")
+            stats[i] = rep
         except Exception as exc:  # noqa: BLE001 - annotate with replication index
             raise ReplicationError(start + i, exc) from exc
-    return accum
-
-
-def _resample_chunk(args):
-    (sums, sizes, n_obs, level, seeds, start, collect) = args
-    z_crit = _critical_value(level)
-    n_units = sums.size
-    P = n_units // 2
-    block = np.repeat(np.arange(P), 2)
-    k_fe = P + 1
-    factors = (
-        _software_factor(n_units, n_obs, 2),
-        _software_factor(n_units, n_obs, k_fe),
-        _software_factor(P, n_obs, 2),
-        _software_factor(P, n_obs, k_fe),
-    )
-    ratio_mult = math.sqrt(factors[1] / factors[3])
-    accum = _new_accum(len(seeds), ratio_mult, collect)
-    treated = np.empty(n_units, dtype=bool)
-    for i, child in enumerate(seeds):
-        try:
-            rng = np.random.default_rng(child)
-            first = rng.random(P) < 0.5
-            treated[0::2] = first
-            treated[1::2] = ~first
-            stats = _unit_level_stats(sums, sizes, treated, block, P, n_obs)
-            _tally_rep(stats, z_crit, factors, accum, i, collect)
-        except Exception as exc:  # noqa: BLE001
-            raise ReplicationError(start + i, exc) from exc
-    return accum
+    variances = stats[:, _VAR_COLS]
+    t = stats[:, _TAU_COLS] / np.sqrt(variances)
+    ratios = np.sqrt(variances[:, 1] / variances[:, 3])  # unit over block, FE
+    return {
+        "rej": np.count_nonzero(np.abs(t) > z_crit, axis=0),
+        "rej_adj": np.count_nonzero(np.abs(t) / np.sqrt(factors) > z_crit, axis=0),
+        "ratio_sum": float(ratios.sum()),
+        "tstats": t if collect else None,
+        "ratios": ratios if collect else None,
+    }
 
 
 @dataclass(frozen=True)
 class SizeExperimentSpec:
-    """One size experiment: a generator, a replication count, and the tests."""
+    """One size experiment: a generator, a replication count, and a test level."""
 
     dgp: DGPConfig
     reps: int
     master_seed: Seed
     level: float = 0.05
-    tests: tuple = _INTERNAL_TESTS
 
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        for key in self.tests:
-            if tuple(key) not in _INTERNAL_TESTS:
-                raise ValueError(f"unknown test {key!r}")
 
 
 @dataclass
@@ -272,39 +201,14 @@ class SizeTable:
             "design": self.design,
             "level": self.level,
             "seed": self.seed,
-            "cells": [
-                {
-                    "test": c.test,
-                    "model": c.model,
-                    "G": c.G,
-                    "reps": c.reps,
-                    "rejections": c.rejections,
-                    "rejection_rate": c.rejection_rate,
-                    "mc_se": c.mc_se,
-                    "mean_se_ratio": c.mean_se_ratio,
-                    "rejection_rate_dof": c.rejection_rate_dof,
-                    "mean_se_ratio_raw": c.mean_se_ratio_raw,
-                }
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
         }
-
-    def rate(self, test: str, model: str) -> float:
-        for c in self.cells:
-            if c.test == test and c.model == model:
-                return c.rejection_rate
-        raise KeyError((test, model))
 
     def cell(self, test: str, model: str) -> SizeCell:
         for c in self.cells:
             if c.test == test and c.model == model:
                 return c
         raise KeyError((test, model))
-
-
-def _chunk_seeds(seed: Seed, reps: int):
-    children = seed.spawn(reps)
-    return [(start, children[start : start + _CHUNK]) for start in range(0, reps, _CHUNK)]
 
 
 def _run_chunks(worker, arg_list, threads):
@@ -316,39 +220,25 @@ def _run_chunks(worker, arg_list, threads):
         return list(pool.map(worker, arg_list))
 
 
-def _reduce(results, reps, collect):
-    rej = np.zeros(4, dtype=np.int64)
-    rej_adj = np.zeros(4, dtype=np.int64)
-    ratio_sum = 0.0
-    ratio_adj_sum = 0.0
-    tstats = [] if collect else None
-    ratios = [] if collect else None
-    for res in results:
-        rej += res["rej"]
-        rej_adj += res["rej_adj"]
-        ratio_sum += res["ratio_sum"]
-        ratio_adj_sum += res["ratio_adj_sum"]
-        if collect:
-            tstats.append(res["tstats"])
-            ratios.append(res["ratios"])
-    out = {
-        "rej": rej,
-        "rej_adj": rej_adj,
-        "mean_ratio_raw": ratio_sum / reps,
-        "mean_ratio_adj": ratio_adj_sum / reps,
-    }
-    if collect:
-        out["tstats"] = np.concatenate(tstats, axis=0)
-        out["ratios"] = np.concatenate(ratios)
-    return out
-
-
-def _build_cells(reduced, tests, reps, G, block_label):
+def _size_table(draw, reps, level, seed, threads, collect, G, block_label, design):
+    """Run ``reps`` replications of ``draw`` in chunks and tabulate them."""
+    z_crit = _critical_value(level)
+    n_units, n_blocks, n_obs = draw.sizes.size, draw.n_blocks, draw.n_obs
+    factors = np.array(  # in the order of _INTERNAL_TESTS
+        [_software_factor(c, n_obs, k) for c in (n_units, n_blocks) for k in (2, n_blocks + 1)]
+    )
+    args = [
+        (draw, seed.master, start, min(_CHUNK, reps - start), z_crit, factors, collect)
+        for start in range(0, reps, _CHUNK)
+    ]
+    results = _run_chunks(_run_chunk, args, threads)
+    rej = sum(res["rej"] for res in results)
+    rej_adj = sum(res["rej_adj"] for res in results)
+    ratio_raw = sum(res["ratio_sum"] for res in results) / reps
+    ratio_adj = ratio_raw * math.sqrt(factors[1] / factors[3])
     cells = []
-    for cluster, model in tests:
-        j = _INTERNAL_TESTS.index((cluster, model))
-        rejections = int(reduced["rej"][j])
-        rate = rejections / reps
+    for j, (cluster, model) in enumerate(_INTERNAL_TESTS):
+        rate = int(rej[j]) / reps
         is_fe = model == "fe"
         cells.append(
             SizeCell(
@@ -356,15 +246,20 @@ def _build_cells(reduced, tests, reps, G, block_label):
                 model=model,
                 G=G,
                 reps=reps,
-                rejections=rejections,
+                rejections=int(rej[j]),
                 rejection_rate=rate,
                 mc_se=math.sqrt(rate * (1.0 - rate) / reps),
-                mean_se_ratio=reduced["mean_ratio_adj"] if is_fe else None,
-                rejection_rate_dof=int(reduced["rej_adj"][j]) / reps,
-                mean_se_ratio_raw=reduced["mean_ratio_raw"] if is_fe else None,
+                mean_se_ratio=ratio_adj if is_fe else None,
+                rejection_rate_dof=int(rej_adj[j]) / reps,
+                mean_se_ratio_raw=ratio_raw if is_fe else None,
             )
         )
-    return cells
+    table = SizeTable(cells=cells, level=level, seed=seed.master, design=design)
+    if collect:
+        tstats = np.concatenate([res["tstats"] for res in results])
+        table.t_stats = {key: tstats[:, j] for j, key in enumerate(_INTERNAL_TESTS)}
+        table.se_ratios = np.concatenate([res["ratios"] for res in results])
+    return table
 
 
 def run_size_experiment(
@@ -380,30 +275,11 @@ def run_size_experiment(
     ratio.  Deterministic given the master seed, for any thread count.
     """
     cfg = spec.dgp
-    profile = cfg.effect_profile
-    if isinstance(profile, ZeroEffect):
-        taus = None
-    else:
-        taus = np.asarray(profile.stratum_effects(cfg.P), dtype=float)
-    args = [
-        (cfg.G, cfg.P, cfg.n_gp, cfg.sigma2_gamma, taus, spec.level, seeds, start, collect_tstats)
-        for start, seeds in _chunk_seeds(spec.master_seed, spec.reps)
-    ]
-    results = _run_chunks(_sim_chunk, args, threads)
-    reduced = _reduce(results, spec.reps, collect_tstats)
-    cells = _build_cells(reduced, spec.tests, spec.reps, cfg.G, "stratum")
-    table = SizeTable(
-        cells=cells,
-        level=spec.level,
-        seed=spec.master_seed.master,
-        design=f"stratified(G={cfg.G},P={cfg.P},n_gp={cfg.n_gp})",
+    return _size_table(
+        _StratifiedDraw(cfg), spec.reps, spec.level, spec.master_seed, threads,
+        collect_tstats, cfg.G, "stratum",
+        f"stratified(G={cfg.G},P={cfg.P},n_gp={cfg.n_gp})",
     )
-    if collect_tstats:
-        table.t_stats = {
-            key: reduced["tstats"][:, j] for j, key in enumerate(_INTERNAL_TESTS)
-        }
-        table.se_ratios = reduced["ratios"]
-    return table
 
 
 def resampling_size_experiment(
@@ -425,22 +301,7 @@ def resampling_size_experiment(
     lay = data.layout()
     if np.any(lay.pair_unit_counts != 2):
         raise NotPaired("resampling experiments need exactly 2 units per pair")
-    args = [
-        (lay.unit_sums, lay.unit_sizes.astype(float), lay.n, level, seeds, start, collect_tstats)
-        for start, seeds in _chunk_seeds(seed, reps)
-    ]
-    results = _run_chunks(_resample_chunk, args, threads)
-    reduced = _reduce(results, reps, collect_tstats)
-    cells = _build_cells(reduced, _INTERNAL_TESTS, reps, 2, "pair")
-    table = SizeTable(
-        cells=cells,
-        level=level,
-        seed=seed.master,
-        design=f"resampled(P={lay.n_pairs})",
+    return _size_table(
+        _PairedResample(data), reps, level, seed, threads, collect_tstats, 2, "pair",
+        f"resampled(P={lay.n_pairs})",
     )
-    if collect_tstats:
-        table.t_stats = {
-            key: reduced["tstats"][:, j] for j, key in enumerate(_INTERNAL_TESTS)
-        }
-        table.se_ratios = reduced["ratios"]
-    return table

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .errors import ZeroResiduals
-from .estimators import diff_in_means, fe_estimate, pair_effects
+from .estimators import pair_effects
 from .inference import STANDARD_NORMAL, TestResult, t_test
-from .variance import VarianceSet, fe_variance_ratio, variance_set
+from .variance import VarianceSet, dataset_stats
 
 __all__ = ["AnalysisReport", "analyze"]
 
@@ -124,14 +123,16 @@ def analyze(
         raise ValueError("fe must be 'on', 'off', or 'both'")
 
     lay = data.layout()
-    fit_nofe = diff_in_means(data, assignment)
-    fit_fe = fe_estimate(data, assignment)
-    variances = variance_set(data, assignment)
-    try:
-        decomposition = fe_variance_ratio(data, fit_fe)
-        ratio = decomposition.ratio
-        m_range = (float(decomposition.m_p.min()), float(decomposition.m_p.max()))
-    except ZeroResiduals:
+    # Two units per pair are checked first: the diagnostics below are paired-only.
+    effects = pair_effects(data, assignment)
+    stats = dataset_stats(data, assignment)
+    variances = VarianceSet.from_stats(data, stats)
+    sizes = lay.unit_sizes.reshape(-1, 2).astype(float)
+    if stats.block_fe > 0.0:
+        ratio = stats.unit_fe / stats.block_fe
+        m_p = np.sum((sizes / sizes.sum(axis=1, keepdims=True)) ** 2, axis=1)
+        m_range = (float(m_p.min()), float(m_p.max()))
+    else:
         ratio = None
         m_range = None
 
@@ -140,7 +141,7 @@ def analyze(
     tests: dict[tuple[str, str], TestResult] = {}
     for c in clusters:
         for m in models:
-            tau = fit_fe.tau_hat if m == "fe" else fit_nofe.tau_hat
+            tau = stats.tau_fe if m == "fe" else stats.tau_nofe
             tests[(c, m)] = t_test(
                 tau,
                 variances.value(c, m),
@@ -149,7 +150,6 @@ def analyze(
                 reference=STANDARD_NORMAL,
             )
 
-    sizes = lay.unit_sizes.reshape(-1, 2).astype(float)
     within_ratio = np.maximum(sizes[:, 0] / sizes[:, 1], sizes[:, 1] / sizes[:, 0])
     dataset = {
         "P": lay.n_pairs,
@@ -159,14 +159,11 @@ def analyze(
         "unit_size_max": int(lay.unit_sizes.max()),
         "max_within_pair_size_ratio": float(within_ratio.max()),
         "balanced_within_pairs": bool(np.all(sizes[:, 0] == sizes[:, 1])),
+        "pair_effect_spread": float(np.ptp(effects.tau_p)),
     }
-    # pair_effects double-checks the paired structure; its weighted mean
-    # must reproduce the FE estimate.
-    effects = pair_effects(data, assignment)
-    dataset["pair_effect_spread"] = float(np.ptp(effects.tau_p))
     return AnalysisReport(
-        tau_nofe=fit_nofe.tau_hat,
-        tau_fe=fit_fe.tau_hat,
+        tau_nofe=stats.tau_nofe,
+        tau_fe=stats.tau_fe,
         variances=variances,
         ratio=ratio,
         ratio_m_range=m_range,

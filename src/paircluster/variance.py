@@ -1,9 +1,17 @@
-"""Cluster-robust variance estimators for paired experiments.
+"""Cluster-robust variance estimators for paired and stratified experiments.
 
-The generic sandwich ``cluster_robust_covariance`` works for any design
-matrix and clustering level (including singleton clusters, i.e. the
-heteroskedasticity-robust case).  For paired designs with exactly two
-units per pair, closed forms replace the matrix algebra:
+Every statistic the package reports or tallies comes from one kernel,
+``unit_sum_stats``: both fits and all four clustered variances from
+per-unit outcome sums, unit sizes and the assignment, for any number of
+units per block and unequal unit sizes.  ``variance_set``, ``analyze``
+and the Monte Carlo engine all call it.
+
+The rest of this module is independent reference implementations that
+the tests check the kernel against.  The generic sandwich
+``cluster_robust_covariance`` works for any design matrix and clustering
+level (including singleton clusters, i.e. the heteroskedasticity-robust
+case).  For paired designs with exactly two units per pair, closed forms
+replace the matrix algebra:
 
 no fixed effects, clustering by pair      sum_p (SET_p/T - SEU_p/C)^2
 no fixed effects, clustering by unit      sum_p (SET_p^2/T^2 + SEU_p^2/C^2)
@@ -19,20 +27,26 @@ weights.  All estimators are the raw cluster-robust forms; use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Assignment, ExperimentData
 from .errors import (
     DegenerateDOF,
+    DegeneratePair,
     NotPaired,
+    NoVariationInTreatment,
     RankDeficient,
     ShapeMismatch,
     ZeroResiduals,
 )
-from .estimators import FitResult, PairEffects, diff_in_means, fe_estimate
+from .estimators import FitResult, PairEffects
 
 __all__ = [
+    "UnitStats",
+    "unit_sum_stats",
+    "dataset_stats",
     "VarianceSet",
     "RatioDecomposition",
     "cluster_robust_covariance",
@@ -43,6 +57,72 @@ __all__ = [
     "fe_variance_ratio",
     "variance_set",
 ]
+
+
+class UnitStats(NamedTuple):
+    """Both effect estimates and the four raw variances; a block is a pair or stratum."""
+
+    tau_nofe: float
+    tau_fe: float
+    unit_nofe: float
+    block_nofe: float
+    unit_fe: float
+    block_fe: float
+
+
+def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
+    """Both fits and all four raw clustered variances from unit sums.
+
+    ``sums`` and ``sizes`` are each unit's outcome sum and observation
+    count, ``treated`` its treatment, ``block`` its block index in
+    ``range(n_blocks)``, and ``n_obs`` the total observation count.  The
+    fits and the cluster scores depend on the data only through these, so
+    any number of units per block and any unit sizes are handled.
+    """
+    tf = treated.astype(float)
+    T = float(sizes @ tf)
+    C = n_obs - T
+    if T == 0 or C == 0:
+        raise NoVariationInTreatment("all units share one treatment status")
+    total = float(sums.sum())
+    sum_t = float(sums @ tf)
+    alpha = (total - sum_t) / C
+    tau = sum_t / T - alpha
+
+    resid = sums - sizes * (alpha + tau * tf)
+    x = tf - T / n_obs
+    denom = T * C / n_obs
+    scores = x * resid
+    v_unit_nofe = float(scores @ scores) / denom**2
+    block_scores = np.bincount(block, weights=scores, minlength=n_blocks)
+    v_block_nofe = float(block_scores @ block_scores) / denom**2
+
+    treated_b = np.bincount(block, weights=sizes * tf, minlength=n_blocks)
+    size_b = np.bincount(block, weights=sizes, minlength=n_blocks)
+    degenerate = (treated_b == 0) | (treated_b == size_b)
+    if np.any(degenerate):
+        raise DegeneratePair(
+            f"block {int(np.argmax(degenerate))} lacks a treated/control contrast"
+        )
+    x_fe = tf - (treated_b / size_b)[block]
+    denom_fe = float(sizes @ (x_fe * x_fe))
+    tau_fe = float(x_fe @ sums) / denom_fe
+    mean_b = np.bincount(block, weights=sums, minlength=n_blocks) / size_b
+    resid_fe = sums - sizes * (mean_b[block] + tau_fe * x_fe)
+    scores_fe = x_fe * resid_fe
+    v_unit_fe = float(scores_fe @ scores_fe) / denom_fe**2
+    block_scores_fe = np.bincount(block, weights=scores_fe, minlength=n_blocks)
+    v_block_fe = float(block_scores_fe @ block_scores_fe) / denom_fe**2
+
+    return UnitStats(tau, tau_fe, v_unit_nofe, v_block_nofe, v_unit_fe, v_block_fe)
+
+
+def dataset_stats(data: ExperimentData, assignment: Assignment) -> UnitStats:
+    """``unit_sum_stats`` of a dataset under an assignment, blocks being pairs."""
+    lay = data.layout()
+    treated = assignment.unit_vector(data)
+    sizes = lay.unit_sizes.astype(float)
+    return unit_sum_stats(lay.centred_unit_sums, sizes, treated, lay.unit_pair, lay.n_pairs, lay.n)
 
 
 def cluster_robust_covariance(design, residuals, cluster_ids) -> np.ndarray:
@@ -222,27 +302,30 @@ class VarianceSet:
     def value(self, cluster: str, model: str) -> float:
         return getattr(self, f"{cluster}_{model}")
 
+    @classmethod
+    def from_stats(cls, data: ExperimentData, stats: UnitStats) -> "VarianceSet":
+        """The four variances of ``dataset_stats(data, ...)`` with their factors."""
+        lay = data.layout()
+        n = lay.n
+        dof_nofe, dof_fe = (n / (n - k) if n > k else float("nan") for k in (2, lay.n_pairs + 1))
+        return cls(
+            pair_nofe=stats.block_nofe,
+            unit_nofe=stats.unit_nofe,
+            pair_fe=stats.block_fe,
+            unit_fe=stats.unit_fe,
+            dof_factors={
+                "pair_nofe": dof_nofe,
+                "unit_nofe": dof_nofe,
+                "pair_fe": dof_fe,
+                "unit_fe": dof_fe,
+            },
+            pair_small_sample_factor=lay.n_pairs / (lay.n_pairs - 1)
+            if lay.n_pairs > 1
+            else float("nan"),
+            cluster_counts={"pair": lay.n_pairs, "unit": lay.n_units, "observation": n},
+        )
+
 
 def variance_set(data: ExperimentData, assignment: Assignment) -> VarianceSet:
-    """Fit both models and compute the four closed-form variance estimators."""
-    lay = data.layout()
-    fit_nofe = diff_in_means(data, assignment)
-    fit_fe = fe_estimate(data, assignment)
-    n = lay.n
-    factors = {
-        "pair_nofe": n / (n - fit_nofe.K),
-        "unit_nofe": n / (n - fit_nofe.K),
-        "pair_fe": n / (n - fit_fe.K) if n > fit_fe.K else float("nan"),
-        "unit_fe": n / (n - fit_fe.K) if n > fit_fe.K else float("nan"),
-    }
-    return VarianceSet(
-        pair_nofe=pair_clustered_variance(data, assignment, fit_nofe),
-        unit_nofe=unit_clustered_variance(data, assignment, fit_nofe),
-        pair_fe=pair_clustered_variance(data, assignment, fit_fe),
-        unit_fe=unit_clustered_variance(data, assignment, fit_fe),
-        dof_factors=factors,
-        pair_small_sample_factor=lay.n_pairs / (lay.n_pairs - 1)
-        if lay.n_pairs > 1
-        else float("nan"),
-        cluster_counts={"pair": lay.n_pairs, "unit": lay.n_units, "observation": n},
-    )
+    """The four clustered variance estimators, for any block size."""
+    return VarianceSet.from_stats(data, dataset_stats(data, assignment))

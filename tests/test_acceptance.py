@@ -123,8 +123,8 @@ def test_criterion_3_table_reproduction_full():
     fe_rates = {}
     for G, (paper_ucve_fe, paper_scve) in PANEL_A.items():
         table = _panel_a_table(G, reps=10_000, seed=30_000 + G)
-        r_fe = table.rate("unit", "fe")
-        r_scve = table.rate("stratum", "fe")
+        r_fe = table.cell("unit", "fe").rejection_rate
+        r_scve = table.cell("stratum", "fe").rejection_rate
         ratio = table.cell("unit", "fe").mean_se_ratio
         target_ratio = math.sqrt((G - 1) / G)
         ok &= abs(r_fe - paper_ucve_fe) <= 0.015
@@ -147,8 +147,8 @@ def test_criterion_3_table_reproduction_smoke():
     details = []
     for G, (paper_ucve_fe, paper_scve) in PANEL_A.items():
         table = _panel_a_table(G, reps=2_000, seed=31_000 + G)
-        r_fe = table.rate("unit", "fe")
-        r_scve = table.rate("stratum", "fe")
+        r_fe = table.cell("unit", "fe").rejection_rate
+        r_scve = table.cell("stratum", "fe").rejection_rate
         ratio = table.cell("unit", "fe").mean_se_ratio
         ok &= abs(r_fe - paper_ucve_fe) <= 0.03
         ok &= abs(r_scve - paper_scve) <= 0.03
@@ -166,8 +166,8 @@ def test_criterion_4_asymptotic_size_targets():
         master_seed=Seed(404),
     )
     table = run_size_experiment(spec, threads=THREADS)
-    pcve_rate = table.rate("stratum", "nofe")
-    ucve_fe_rate = table.rate("unit", "fe")
+    pcve_rate = table.cell("stratum", "nofe").rejection_rate
+    ucve_fe_rate = table.cell("unit", "fe").rejection_rate
     ok = abs(pcve_rate - 0.05) <= 0.01 and abs(ucve_fe_rate - 0.165) <= 0.015
     _report(
         "4 asymptotic size targets",
@@ -183,8 +183,8 @@ def test_criterion_5_stratum_shock_conservativeness():
         master_seed=Seed(505),
     )
     table = run_size_experiment(spec, threads=THREADS)
-    ucve_nofe_rate = table.rate("unit", "nofe")
-    scve_rate = table.rate("stratum", "fe")
+    ucve_nofe_rate = table.cell("unit", "nofe").rejection_rate
+    scve_rate = table.cell("stratum", "fe").rejection_rate
     ok = ucve_nofe_rate <= 0.02 and abs(scve_rate - 0.05) <= 0.012
     _report(
         "5 stratum-shock panel",

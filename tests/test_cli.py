@@ -99,6 +99,17 @@ def test_analyze_degenerate_pair(tmp_path):
     assert main(["analyze", "--data", str(path)]) == 2
 
 
+def test_analyze_stratified_is_not_paired(tmp_path, capsys):
+    path = tmp_path / "strat.csv"
+    path.write_text(
+        "pair_id,unit_id,treatment,outcome\n"
+        "s1,a,1,1.0\ns1,b,0,2.0\ns1,c,0,3.0\ns2,d,1,4.0\ns2,e,0,5.0\n",
+        encoding="utf-8",
+    )
+    assert main(["analyze", "--data", str(path)]) == 2
+    assert "exactly 2 units" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_csv(capsys):
     argv = [
         "simulate", "--design", "paired", "--P", "20", "--n", "2",
@@ -164,3 +175,17 @@ def test_simulate_effect_flag(capsys):
     by_key = {(r["test"], r["model"]): float(r["rejection_rate"]) for r in rows}
     # a huge true effect is rejected essentially always under every test
     assert by_key[("stratum", "nofe")] > 0.9
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--P", "1"), ("--seed", "-1"), ("--n", "0"), ("--sigma2-gamma", "-1")],
+)
+def test_simulate_out_of_range_values_are_usage_errors(flag, value, capsys):
+    args = {"--P": "10", "--n": "1", "--seed": "1", "--sigma2-gamma": "0"}
+    args[flag] = value
+    argv = ["simulate", "--design", "paired", "--reps", "5", "--threads", "1"]
+    for name, text in args.items():
+        argv += [name, text]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

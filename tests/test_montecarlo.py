@@ -19,7 +19,7 @@ from paircluster import (
     validate_dataset,
 )
 from paircluster.errors import ReplicationError, ZeroVariance
-from paircluster.montecarlo import _unit_level_stats
+from paircluster.variance import unit_sum_stats
 from helpers import paired_rows, random_paired
 
 
@@ -68,7 +68,7 @@ def test_engine_matches_public_estimators():
     cfg = DGPConfig(G=4, P=6, n_gp=3, sigma2_gamma=0.4)
     data, assignment, _ = simulate_strata(cfg, Seed(21))
     lay = data.layout()
-    stats = _unit_level_stats(
+    stats = unit_sum_stats(
         lay.unit_sums,
         lay.unit_sizes.astype(float),
         assignment.unit_vector(data),
@@ -84,7 +84,7 @@ def test_engine_matches_public_estimators():
     # paired case: the engine's block formulas are the closed forms
     data2, assign2 = random_paired(np.random.default_rng(2), P=8, max_size=4)
     lay2 = data2.layout()
-    s2 = _unit_level_stats(
+    s2 = unit_sum_stats(
         lay2.unit_sums,
         lay2.unit_sizes.astype(float),
         assign2.unit_vector(data2),
@@ -114,18 +114,19 @@ def test_zero_variance_data_reports_failing_replication():
     assert isinstance(err.value.cause, ZeroVariance)
 
 
-def test_requested_tests_filter_cells():
-    spec = SizeExperimentSpec(
-        dgp=DGPConfig(G=2, P=20, n_gp=2),
-        reps=50,
-        master_seed=Seed(2),
-        tests=(("block", "fe"),),
-    )
-    table = run_size_experiment(spec)
-    assert len(table.cells) == 1
-    assert table.cells[0].test == "stratum"
-    assert table.cells[0].model == "fe"
-    assert table.cells[0].mean_se_ratio is not None
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_failing_replication_in_a_later_chunk(threads):
+    # Nine identical pairs: a replication fails, with every variance zero,
+    # exactly when all nine coin flips agree.
+    rows = [(f"p{p}", u, int(u == "a"), float(u == "a")) for p in range(9) for u in "ab"]
+    data, _ = validate_dataset(rows)
+    flips = [np.random.default_rng(child).random(9) < 0.5 for child in Seed(1).spawn(800)]
+    expected = next(i for i, f in enumerate(flips) if f.all() or not f.any())
+    assert expected > 512  # past the first two chunks
+    with pytest.raises(ReplicationError) as err:
+        resampling_size_experiment(data, reps=800, level=0.05, seed=Seed(1), threads=threads)
+    assert err.value.index == expected
+    assert isinstance(err.value.cause, ZeroVariance)
 
 
 def test_csv_shape():
@@ -155,7 +156,8 @@ def test_liberal_ucve_monotone_in_G():
         spec = SizeExperimentSpec(
             dgp=DGPConfig(G=G, P=100, n_gp=20), reps=2500, master_seed=Seed(77)
         )
-        rates.append(run_size_experiment(spec, threads=2).rate("unit", "fe"))
+        table = run_size_experiment(spec, threads=2)
+        rates.append(table.cell("unit", "fe").rejection_rate)
     assert rates[0] > rates[1] > rates[2]
 
 
@@ -213,10 +215,3 @@ def test_resampling_determinism_and_outcomes_untouched():
 def test_bad_spec_rejected():
     with pytest.raises(ValueError):
         SizeExperimentSpec(dgp=DGPConfig(G=2, P=5, n_gp=1), reps=0, master_seed=Seed(1))
-    with pytest.raises(ValueError):
-        SizeExperimentSpec(
-            dgp=DGPConfig(G=2, P=5, n_gp=1),
-            reps=5,
-            master_seed=Seed(1),
-            tests=(("village", "fe"),),
-        )

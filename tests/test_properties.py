@@ -1,0 +1,124 @@
+"""Property tests of ``variance_set`` on generated designs.
+
+Outcomes are multiples of 1/8 in [-8, 8], so shifted and scaled copies
+are exact in float64 and every difference below is rounding in the
+estimator, not in the data.  A variance whose true value is zero comes
+out as rounding noise, so comparisons are relative to the larger value
+or, if both are tiny, to the scale of a mean's variance, var(y)/n.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from paircluster import (
+    cluster_robust_covariance,
+    diff_in_means,
+    fe_estimate,
+    validate_dataset,
+    variance_set,
+)
+from helpers import dense_designs
+
+TOL = 1e-10
+KEYS = ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe")
+
+# Fixed examples: the suite must give the same verdict on every run.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def designs(draw, max_units=2, balanced=False):
+    """Rows of a blocked design: 2..max_units units per block, sizes 1-4.
+
+    Each block has at least one treated and one control unit.  With
+    ``balanced`` every unit of a block has the same size.
+    """
+    rows = []
+    for p in range(draw(st.integers(2, 6))):
+        G = draw(st.integers(2, max_units))
+        n_treated = draw(st.integers(1, G - 1))
+        block_size = draw(st.integers(1, 4))
+        for g in range(G):
+            n = block_size if balanced else draw(st.integers(1, 4))
+            ys = draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n))
+            rows += [(f"p{p}", f"u{g}", int(g < n_treated), y / 8.0) for y in ys]
+    return rows
+
+
+def _floor(rows):
+    y = np.array([r[3] for r in rows])
+    return float(np.var(y)) / y.size
+
+
+def _close(a, b, floor):
+    return abs(a - b) <= TOL * max(abs(a), abs(b), floor)
+
+
+def _variances(rows):
+    vs = variance_set(*validate_dataset(rows))
+    return {key: getattr(vs, key) for key in KEYS}
+
+
+@PROPERTY
+@given(designs(), st.integers(-(10**9), 10**9))
+def test_shift_invariance(rows, shift):
+    base = _variances(rows)
+    shifted = _variances([(p, u, w, y + shift) for p, u, w, y in rows])
+    floor = _floor(rows)
+    assert all(_close(shifted[k], base[k], floor) for k in KEYS), (base, shifted)
+
+
+@PROPERTY
+@given(designs(), st.integers(-40, 40))
+def test_scale_equivariance(rows, log2_c):
+    c = 1.5 * 2.0**log2_c
+    base = _variances(rows)
+    scaled = _variances([(p, u, w, c * y) for p, u, w, y in rows])
+    floor = c**2 * _floor(rows)
+    assert all(_close(scaled[k], c**2 * base[k], floor) for k in KEYS), (base, scaled)
+
+
+@PROPERTY
+@given(designs().flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+def test_row_order_invariance(pair):
+    rows, permuted = pair
+    base, other = _variances(rows), _variances(permuted)
+    floor = _floor(rows)
+    assert all(_close(other[k], base[k], floor) for k in KEYS), (base, other)
+
+
+@PROPERTY
+@given(designs(balanced=True))
+def test_balanced_pair_identities(rows):
+    v = _variances(rows)
+    floor = _floor(rows)
+    assert _close(v["pair_nofe"], v["pair_fe"], floor)
+    assert _close(v["pair_nofe"], 2.0 * v["unit_fe"], floor)
+
+
+@PROPERTY
+@given(designs())
+def test_fe_ratio_bounds(rows):
+    v = _variances(rows)
+    assume(v["pair_fe"] > _floor(rows) * 1e-6)
+    ratio = v["unit_fe"] / v["pair_fe"]
+    assert 0.5 - TOL <= ratio <= 1.0 + TOL
+
+
+@PROPERTY
+@given(designs(max_units=6))
+def test_matches_sandwich_for_any_block_size(rows):
+    data, assignment = validate_dataset(rows)
+    x_nofe, x_fe, obs_pair, obs_unit = dense_designs(data, assignment)
+    fit = diff_in_means(data, assignment)
+    fe = fe_estimate(data, assignment)
+    oracle = {
+        "pair_nofe": cluster_robust_covariance(x_nofe, fit.residuals, obs_pair)[1, 1],
+        "unit_nofe": cluster_robust_covariance(x_nofe, fit.residuals, obs_unit)[1, 1],
+        "pair_fe": cluster_robust_covariance(x_fe, fe.residuals, obs_pair)[0, 0],
+        "unit_fe": cluster_robust_covariance(x_fe, fe.residuals, obs_unit)[0, 0],
+    }
+    got = _variances(rows)
+    floor = _floor(rows)
+    assert all(_close(got[k], oracle[k], floor) for k in KEYS), (got, oracle)

@@ -306,3 +306,34 @@ def test_stratified_sandwich_path():
     set_p = np.bincount(lay.obs_pair, weights=fit.residuals * w_obs)
     seu_p = np.bincount(lay.obs_pair, weights=fit.residuals * ~w_obs)
     assert rel_err(v_strat, np.sum((set_p / T - seu_p / C) ** 2)) <= 1e-10
+
+
+def _acceptance_inputs():
+    """The paired datasets of acceptance criteria 1, 2 and 6, in their order."""
+    rng = np.random.default_rng(101)
+    for _ in range(200):
+        P, size = int(rng.integers(2, 21)), int(rng.integers(1, 11))
+        yield random_paired(rng, P=P, uniform_size=size)
+    rng = np.random.default_rng(202)
+    for i in range(200):
+        P = int(rng.integers(2, 9))
+        yield random_paired(rng, P=P, max_size=5, max_ratio=2 if i >= 100 else None)
+    rng = np.random.default_rng(606)
+    for _ in range(100):
+        yield random_paired(rng, P=int(rng.integers(2, 31)), uniform_size=1)
+
+
+def test_variance_set_matches_closed_forms():
+    worst = 0.0
+    for data, assignment in _acceptance_inputs():
+        vs = variance_set(data, assignment)
+        fit = diff_in_means(data, assignment)
+        fe = fe_estimate(data, assignment)
+        worst = max(
+            worst,
+            rel_err(vs.pair_nofe, pair_clustered_variance(data, assignment, fit)),
+            rel_err(vs.unit_nofe, unit_clustered_variance(data, assignment, fit)),
+            rel_err(vs.pair_fe, pair_clustered_variance(data, assignment, fe)),
+            rel_err(vs.unit_fe, unit_clustered_variance(data, assignment, fe)),
+        )
+    assert worst <= 1e-10
