@@ -38,8 +38,7 @@ print(f"unit inclusion frequency over {draws} draws: "
 # ---------------------------------------------------------------------------
 big = pc.DGPConfig(G=2, P=2000, n_gp=50, sigma2_gamma=0.05)
 data2, assignment2, potentials2 = pc.simulate_strata(big, pc.Seed(7))
-lay = data2.layout()
-unit_means = (lay.unit_sums / lay.unit_sizes).reshape(big.P, 2)
+unit_means = (data2.unit_sums / data2.unit_sizes).reshape(big.P, 2)
 cov = np.cov(unit_means[:, 0], unit_means[:, 1])[0, 1]
 print(f"\ncovariance of within-stratum unit means: {cov:.4f} (sigma2_gamma = 0.05)")
 print(f"variance of a unit mean: {unit_means.var(ddof=1):.4f} "

@@ -12,9 +12,7 @@ from . import errors
 from .data import (
     Assignment,
     ExperimentData,
-    PairBlock,
     PotentialData,
-    UnitBlock,
     subset_pairs,
     validate_dataset,
 )
@@ -63,9 +61,7 @@ __all__ = [
     "errors",
     "Assignment",
     "ExperimentData",
-    "PairBlock",
     "PotentialData",
-    "UnitBlock",
     "subset_pairs",
     "validate_dataset",
     "read_csv",

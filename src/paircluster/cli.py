@@ -68,9 +68,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
-    data, assignment = read_csv(args.data)
     if not 0.0 < args.level < 1.0:
         raise _UsageError("--level must be in (0, 1)")
+    data, assignment = read_csv(args.data)
     report = analyze(data, assignment, cluster=args.cluster, fe=args.fe, level=args.level)
     sys.stdout.write(report.to_text())
     if args.json_out:
@@ -96,6 +96,8 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--reps must be >= 1")
     if not 0.0 < args.level < 1.0:
         raise _UsageError("--level must be in (0, 1)")
+    if args.threads is not None and args.threads < 1:
+        raise _UsageError("--threads must be >= 1")
     if args.design == "paired":
         if args.scan_G:
             raise _UsageError("--scan-G applies to the stratified design only")
@@ -113,14 +115,13 @@ def _cmd_simulate(args) -> int:
             raise _UsageError("--G must be >= 2")
         g_values = [args.G]
 
-    effect = ConstantEffect(args.effect) if args.effect != 0.0 else None
     cells = []
     tables = []
     for g in g_values:
         cfg_kwargs = dict(G=g, P=args.P, n_gp=args.n, sigma2_gamma=args.sigma2_gamma)
-        if effect is not None:
-            cfg_kwargs["effect_profile"] = effect
         try:
+            if args.effect != 0.0:
+                cfg_kwargs["effect_profile"] = ConstantEffect(args.effect)
             spec = SizeExperimentSpec(
                 dgp=DGPConfig(**cfg_kwargs),
                 reps=args.reps,

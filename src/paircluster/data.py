@@ -1,16 +1,20 @@
 """Experiment data model.
 
 A dataset is a collection of pairs (or strata) of randomization units,
-each unit holding one or more observed outcomes.  Construction
-canonicalizes order: pairs sorted lexicographically by id, units sorted
-within each pair, so results never depend on input row order.  All types
-are immutable after construction and safe to share across threads.
+each unit holding one or more observed outcomes.  It is stored as flat
+arrays in canonical order: pairs sorted by id, units sorted by id within
+each pair, and each unit's outcomes in input order, so results never
+depend on input row order.  ``validate_dataset`` and ``read_csv`` build
+it in bulk through one canonicalizer.  All types are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,8 +27,6 @@ from .errors import (
 )
 
 __all__ = [
-    "UnitBlock",
-    "PairBlock",
     "ExperimentData",
     "Assignment",
     "PotentialData",
@@ -32,139 +34,120 @@ __all__ = [
     "subset_pairs",
 ]
 
+_NUMBER = (int, float, np.bool_, np.integer, np.floating)
 
-def _as_binary(value, context: str) -> int:
-    if isinstance(value, (bool, np.bool_)):
+
+def _binary_code(value) -> int:
+    """0 or 1 for a binary treatment value (bools and numbers equal to 0/1), else -1."""
+    if isinstance(value, _NUMBER) and (value == 0 or value == 1):
         return int(value)
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        if value == 0:
-            return 0
-        if value == 1:
-            return 1
-    raise NonBinaryTreatment(f"treatment must be 0 or 1, got {value!r} ({context})")
+    return -1
+
+
+def _frozen(values, dtype=None) -> np.ndarray:
+    arr = np.array(values, dtype=dtype).reshape(-1)
+    arr.setflags(write=False)
+    return arr
+
+
+_FIELDS = (
+    ("outcomes", float),
+    ("unit_pair", np.intp),
+    ("unit_sizes", np.int64),
+    ("pair_ids", object),
+    ("unit_ids", object),
+)
 
 
 @dataclass(frozen=True, eq=False)
-class UnitBlock:
-    """One randomization unit: an opaque id and its observed outcomes."""
+class ExperimentData:
+    """Canonical dataset as flat arrays.
 
-    unit_id: str
+    ``outcomes`` holds every observation, unit after unit in canonical
+    order; ``unit_sizes`` and ``unit_pair`` give each unit's observation
+    count and pair index; ``pair_ids`` and ``unit_ids`` are the ids of the
+    pairs and of the units (a unit id is unique within its pair only).
+    The per-observation indexes and the per-unit and per-pair totals are
+    derived on first use.  ``validate_dataset`` and ``read_csv`` build it;
+    direct construction checks that the arrays are canonical.
+    """
+
     outcomes: np.ndarray
+    unit_pair: np.ndarray
+    unit_sizes: np.ndarray
+    pair_ids: np.ndarray
+    unit_ids: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.outcomes, dtype=float, copy=True).reshape(-1)
-        if arr.size == 0:
-            raise ValueError(f"unit {self.unit_id!r} has no outcomes")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"unit {self.unit_id!r} has non-finite outcomes")
-        arr.setflags(write=False)
-        object.__setattr__(self, "outcomes", arr)
+        for name, dtype in _FIELDS:
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        P, pair = self.P, self.unit_pair
+        if P == 0:
+            raise EmptyInput("dataset has no pairs")
+        if not (pair.size == self.unit_sizes.size == self.unit_ids.size):
+            raise ValueError("unit_pair, unit_sizes and unit_ids need one entry per unit")
+        if np.any(np.diff(pair) < 0) or np.any((pair < 0) | (pair >= P)):
+            raise ValueError("unit_pair must be nondecreasing pair indexes below P")
+        if np.any(self.pair_ids[:-1] >= self.pair_ids[1:]):
+            raise ValueError("pair ids must be distinct and sorted")
+        same = pair[1:] == pair[:-1]
+        if np.any(self.unit_ids[:-1][same] >= self.unit_ids[1:][same]):
+            raise ValueError("unit ids must be distinct and sorted within each pair")
+        counts = self.pair_unit_counts
+        if np.any(counts < 2):
+            p = int(np.argmax(counts < 2))
+            raise ValueError(f"pair {self.pair_ids[p]!r} has {counts[p]} unit(s); need at least 2")
+        if np.any(self.unit_sizes < 1):
+            u = int(np.argmax(self.unit_sizes < 1))
+            raise ValueError(f"unit {self.unit_ids[u]!r} has no outcomes")
+        if self.outcomes.size != self.unit_sizes.sum():
+            raise ValueError("unit sizes do not add up to the number of outcomes")
+        finite = np.isfinite(self.outcomes)
+        if not finite.all():
+            u = self.obs_unit[int(np.argmin(finite))]
+            raise ValueError(f"unit {self.unit_ids[u]!r} has non-finite outcomes")
 
     @property
-    def n_obs(self) -> int:
-        return int(self.outcomes.size)
-
-    @property
-    def mean(self) -> float:
-        return float(self.outcomes.mean())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnitBlock)
-            and self.unit_id == other.unit_id
-            and np.array_equal(self.outcomes, other.outcomes)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class PairBlock:
-    """A pair (or stratum) of randomization units sharing one block id."""
-
-    pair_id: str
-    units: tuple[UnitBlock, ...]
-
-    def __post_init__(self):
-        units = tuple(sorted(self.units, key=lambda u: u.unit_id))
-        if not units:
-            raise ValueError(f"pair {self.pair_id!r} has no units")
-        ids = [u.unit_id for u in units]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"pair {self.pair_id!r} has duplicate unit ids")
-        object.__setattr__(self, "units", units)
+    def P(self) -> int:
+        """Number of pairs/strata."""
+        return int(self.pair_ids.size)
 
     @property
     def n_units(self) -> int:
-        return len(self.units)
+        return int(self.unit_sizes.size)
 
     @property
-    def n_obs(self) -> int:
-        return sum(u.n_obs for u in self.units)
+    def n_total(self) -> int:
+        return int(self.outcomes.size)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PairBlock)
-            and self.pair_id == other.pair_id
-            and self.units == other.units
-        )
+    @cached_property
+    def obs_unit(self) -> np.ndarray:
+        """Unit index of each observation."""
+        return _frozen(np.repeat(np.arange(self.n_units), self.unit_sizes), np.intp)
 
+    @cached_property
+    def obs_pair(self) -> np.ndarray:
+        """Pair index of each observation."""
+        return _frozen(self.unit_pair[self.obs_unit])
 
-class _Layout:
-    """Flat array view of a dataset, computed once and cached.
-
-    Everything downstream (estimators, variances, simulation) consumes
-    these arrays; the nested blocks are the user-facing form only.
-    """
-
-    __slots__ = (
-        "outcomes",
-        "obs_unit",
-        "obs_pair",
-        "unit_pair",
-        "unit_sizes",
-        "unit_sums",
-        "pair_sizes",
-        "pair_unit_counts",
-        "unit_keys",
-        "pair_ids",
-        "n",
-        "n_units",
-        "n_pairs",
-    )
-
-    def __init__(self, data: "ExperimentData"):
-        unit_keys: list[tuple[str, str]] = []
-        unit_pair: list[int] = []
-        sizes: list[int] = []
-        chunks: list[np.ndarray] = []
-        pair_unit_counts: list[int] = []
-        for ip, pair in enumerate(data.pairs):
-            pair_unit_counts.append(pair.n_units)
-            for unit in pair.units:
-                unit_keys.append((pair.pair_id, unit.unit_id))
-                unit_pair.append(ip)
-                sizes.append(unit.n_obs)
-                chunks.append(unit.outcomes)
-        self.unit_keys = unit_keys
-        self.pair_ids = [p.pair_id for p in data.pairs]
-        self.unit_pair = np.asarray(unit_pair, dtype=np.intp)
-        self.unit_sizes = np.asarray(sizes, dtype=np.int64)
-        self.pair_unit_counts = np.asarray(pair_unit_counts, dtype=np.int64)
-        self.outcomes = np.concatenate(chunks)
-        self.n = int(self.outcomes.size)
-        self.n_units = len(unit_keys)
-        self.n_pairs = len(data.pairs)
-        self.obs_unit = np.repeat(np.arange(self.n_units, dtype=np.intp), self.unit_sizes)
-        self.obs_pair = self.unit_pair[self.obs_unit]
-        self.unit_sums = np.bincount(
-            self.obs_unit, weights=self.outcomes, minlength=self.n_units
-        )
-        self.pair_sizes = np.bincount(
-            self.unit_pair, weights=self.unit_sizes, minlength=self.n_pairs
-        ).astype(np.int64)
+    @cached_property
+    def unit_sums(self) -> np.ndarray:
+        return _frozen(np.bincount(self.obs_unit, weights=self.outcomes, minlength=self.n_units))
 
     @property
     def unit_means(self) -> np.ndarray:
         return self.unit_sums / self.unit_sizes
+
+    @cached_property
+    def pair_sizes(self) -> np.ndarray:
+        """Observations per pair."""
+        sizes = np.bincount(self.unit_pair, weights=self.unit_sizes, minlength=self.P)
+        return _frozen(sizes, np.int64)
+
+    @cached_property
+    def pair_unit_counts(self) -> np.ndarray:
+        """Units per pair."""
+        return _frozen(np.bincount(self.unit_pair, minlength=self.P), np.int64)
 
     @property
     def centred_unit_sums(self) -> np.ndarray:
@@ -177,96 +160,52 @@ class _Layout:
         centred = self.outcomes - self.outcomes.mean()
         return np.bincount(self.obs_unit, weights=centred, minlength=self.n_units)
 
-
-@dataclass(frozen=True, eq=False)
-class ExperimentData:
-    """Canonical in-memory dataset: sorted pairs of units with outcomes."""
-
-    pairs: tuple[PairBlock, ...]
-
-    def __post_init__(self):
-        pairs = tuple(sorted(self.pairs, key=lambda p: p.pair_id))
-        if not pairs:
-            raise EmptyInput("dataset has no pairs")
-        ids = [p.pair_id for p in pairs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate pair ids")
-        for pair in pairs:
-            if pair.n_units < 2:
-                raise ValueError(
-                    f"pair {pair.pair_id!r} has {pair.n_units} unit(s); need at least 2"
-                )
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def P(self) -> int:
-        """Number of pairs/strata."""
-        return len(self.pairs)
-
-    @property
-    def n_total(self) -> int:
-        return sum(p.n_obs for p in self.pairs)
-
-    @property
-    def n_units(self) -> int:
-        return sum(p.n_units for p in self.pairs)
-
-    def layout(self) -> _Layout:
-        cached = getattr(self, "_layout", None)
-        if cached is None:
-            cached = _Layout(self)
-            object.__setattr__(self, "_layout", cached)
-        return cached
-
-    def unit_ids(self) -> list[tuple[str, str]]:
-        """(pair_id, unit_id) keys in canonical order."""
-        return list(self.layout().unit_keys)
-
     def __eq__(self, other):
-        return isinstance(other, ExperimentData) and self.pairs == other.pairs
+        return isinstance(other, ExperimentData) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _FIELDS
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class Assignment:
-    """One draw of the treatment: (pair_id, unit_id) -> 0/1 indicator."""
+    """One draw of the treatment: one boolean per unit, in canonical unit order.
 
-    treated: Mapping[tuple[str, str], int]
+    Accepts booleans, or numbers equal to 0 or 1.
+    """
+
+    treated: np.ndarray
 
     def __post_init__(self):
-        clean = {}
-        for key, value in dict(self.treated).items():
-            pair_id, unit_id = key
-            clean[(str(pair_id), str(unit_id))] = _as_binary(
-                value, f"unit {unit_id!r} in pair {pair_id!r}"
-            )
-        object.__setattr__(self, "treated", clean)
+        raw = np.asarray(self.treated).reshape(-1)
+        if raw.dtype != bool:
+            values = raw.tolist()
+            codes = np.fromiter(map(_binary_code, values), np.int8, len(values))
+            if np.any(codes < 0):
+                k = int(np.argmax(codes < 0))
+                raise NonBinaryTreatment(
+                    f"treatment must be 0 or 1, got {values[k]!r} (unit {k})"
+                )
+            raw = codes
+        object.__setattr__(self, "treated", _frozen(raw, bool))
 
     def unit_vector(self, data: ExperimentData) -> np.ndarray:
-        """Boolean indicator aligned with the dataset's canonical unit order."""
-        keys = data.layout().unit_keys
-        if len(self.treated) != len(keys):
+        """The treatment vector, checked to have one entry per unit of ``data``."""
+        if self.treated.size != data.n_units:
             raise AssignmentMismatch(
-                f"assignment covers {len(self.treated)} units, dataset has {len(keys)}"
+                f"assignment covers {self.treated.size} units, dataset has {data.n_units}"
             )
-        try:
-            return np.fromiter(
-                (bool(self.treated[k]) for k in keys), dtype=bool, count=len(keys)
-            )
-        except KeyError as missing:
-            raise AssignmentMismatch(f"assignment missing unit {missing.args[0]!r}") from None
+        return self.treated
 
     def observation_vector(self, data: ExperimentData) -> np.ndarray:
-        lay = data.layout()
-        return self.unit_vector(data)[lay.obs_unit]
+        return self.unit_vector(data)[data.obs_unit]
 
     def per_pair_counts(self, data: ExperimentData) -> tuple[np.ndarray, np.ndarray]:
         """(treated, control) observation counts per pair, canonical order."""
-        lay = data.layout()
         w = self.unit_vector(data)
         t_p = np.bincount(
-            lay.unit_pair, weights=lay.unit_sizes * w, minlength=lay.n_pairs
+            data.unit_pair, weights=data.unit_sizes * w, minlength=data.P
         ).astype(np.int64)
-        return t_p, lay.pair_sizes - t_p
+        return t_p, data.pair_sizes - t_p
 
     def totals(self, data: ExperimentData) -> tuple[int, int]:
         """(treated, control) observation counts over the whole dataset."""
@@ -274,12 +213,12 @@ class Assignment:
         return int(t_p.sum()), int(c_p.sum())
 
     def __eq__(self, other):
-        return isinstance(other, Assignment) and self.treated == other.treated
+        return isinstance(other, Assignment) and np.array_equal(self.treated, other.treated)
 
 
 @dataclass(frozen=True, eq=False)
 class PotentialData:
-    """Per-observation potential outcomes aligned with a dataset's layout.
+    """Per-observation potential outcomes aligned with a dataset's outcomes.
 
     ``y0``/``y1`` are what each observation would record under control and
     treatment; their difference is the observation-level treatment effect.
@@ -289,12 +228,9 @@ class PotentialData:
     y1: np.ndarray
 
     def __post_init__(self):
-        y0 = np.array(self.y0, dtype=float, copy=True).reshape(-1)
-        y1 = np.array(self.y1, dtype=float, copy=True).reshape(-1)
+        y0, y1 = _frozen(self.y0, float), _frozen(self.y1, float)
         if y0.shape != y1.shape:
             raise ValueError("y0 and y1 must have identical shapes")
-        y0.setflags(write=False)
-        y1.setflags(write=False)
         object.__setattr__(self, "y0", y0)
         object.__setattr__(self, "y1", y1)
 
@@ -302,16 +238,63 @@ class PotentialData:
         return self.y1 - self.y0
 
     def observed(self, data: ExperimentData, assignment: Assignment) -> np.ndarray:
-        lay = data.layout()
-        if self.y0.size != lay.n:
+        if self.y0.size != data.n_total:
             raise ValueError("potential outcomes do not match the dataset size")
         w_obs = assignment.observation_vector(data)
         return np.where(w_obs, self.y1, self.y0)
 
-    def unit_means(self, data: ExperimentData, d: int) -> np.ndarray:
-        lay = data.layout()
-        y = self.y1 if d == 1 else self.y0
-        return np.bincount(lay.obs_unit, weights=y, minlength=lay.n_units) / lay.unit_sizes
+
+def _sorted_codes(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids of a column in sorted order, and each row's index into them."""
+    ids = sorted(set(column))
+    index = dict(zip(ids, range(len(ids))))
+    codes = np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+    return np.array(ids, dtype=object), codes
+
+
+def canonicalize(pair_col, unit_col, treated, outcomes, treatment_value):
+    """Sort, check and pack rows given as columns into a dataset and assignment.
+
+    ``pair_col``/``unit_col`` hold each row's ids, ``treated`` its
+    treatment coded 0, 1, or -1 for a value that is not binary, and
+    ``outcomes`` its outcome; ``treatment_value(k)`` is row k's treatment
+    as given, for the error message.  Errors name the offending pair or
+    unit; of the treatment errors, the one raised is the one a row-by-row
+    pass would meet first.
+    """
+    pair_ids, pair_code = _sorted_codes(pair_col)
+    names, name_code = _sorted_codes(unit_col)
+    # Units are (pair, unit id) keys, sorted by pair and then by unit id.
+    keys, row_unit = np.unique(pair_code * len(names) + name_code, return_inverse=True)
+    del pair_code, name_code
+    order = np.argsort(row_unit, kind="stable")  # keeps input order within a unit
+    unit_sizes = np.bincount(row_unit, minlength=keys.size)
+    unit_pair = keys // len(names)
+    unit_ids = names[keys % len(names)]
+
+    unit_w = treated[order[np.cumsum(unit_sizes) - unit_sizes]]  # each unit's first row
+    bad = np.flatnonzero((treated < 0) | (treated != unit_w[row_unit]))
+    if bad.size:
+        k = int(bad[0])
+        u = row_unit[k]
+        context = f"unit {unit_ids[u]!r} in pair {pair_ids[unit_pair[u]]!r}"
+        if treated[k] < 0:
+            raise NonBinaryTreatment(
+                f"treatment must be 0 or 1, got {treatment_value(k)!r} ({context})"
+            )
+        raise MixedTreatmentWithinUnit(f"{context} has both treated and control rows")
+
+    treated_units = np.bincount(unit_pair, weights=unit_w, minlength=pair_ids.size)
+    units = np.bincount(unit_pair, minlength=pair_ids.size)
+    degenerate = (treated_units == 0) | (treated_units == units)
+    if np.any(degenerate):
+        p = int(np.argmax(degenerate))
+        raise DegeneratePair(
+            f"pair {pair_ids[p]!r} has no treated/control contrast "
+            f"(treatments: {[int(treated_units[p] > 0)]}, units: {units[p]})"
+        )
+    data = ExperimentData(outcomes[order], unit_pair, unit_sizes, pair_ids, unit_ids)
+    return data, Assignment(unit_w.astype(bool))
 
 
 def validate_dataset(
@@ -326,47 +309,18 @@ def validate_dataset(
     rows = list(rows)
     if not rows:
         raise EmptyInput("no data rows")
-
-    outcomes: dict[tuple[str, str], list[float]] = {}
-    treatment: dict[tuple[str, str], int] = {}
-    pair_units: dict[str, list[str]] = {}
-    for row in rows:
-        try:
-            pair_id, unit_id, w_raw, y_raw = row
-        except ValueError:
-            raise ValueError(f"expected 4 fields per row, got {row!r}") from None
-        pair_id = str(pair_id)
-        unit_id = str(unit_id)
-        key = (pair_id, unit_id)
-        w = _as_binary(w_raw, f"unit {unit_id!r} in pair {pair_id!r}")
-        if key in treatment:
-            if treatment[key] != w:
-                raise MixedTreatmentWithinUnit(
-                    f"unit {unit_id!r} in pair {pair_id!r} has both treated and control rows"
-                )
-        else:
-            treatment[key] = w
-            pair_units.setdefault(pair_id, []).append(unit_id)
-        outcomes.setdefault(key, []).append(float(y_raw))
-
-    pairs = []
-    for pair_id in sorted(pair_units):
-        unit_ids = sorted(pair_units[pair_id])
-        statuses = {treatment[(pair_id, uid)] for uid in unit_ids}
-        if statuses != {0, 1}:
-            raise DegeneratePair(
-                f"pair {pair_id!r} has no treated/control contrast "
-                f"(treatments: {sorted(statuses)}, units: {len(unit_ids)})"
-            )
-        units = tuple(
-            UnitBlock(uid, np.asarray(outcomes[(pair_id, uid)], dtype=float))
-            for uid in unit_ids
-        )
-        pairs.append(PairBlock(pair_id, units))
-
-    data = ExperimentData(tuple(pairs))
-    assignment = Assignment(dict(treatment))
-    return data, assignment
+    bad = next((row for row in rows if len(row) != 4), None)
+    if bad is not None:
+        raise ValueError(f"expected 4 fields per row, got {bad!r}")
+    pair_col, unit_col, w_col, y_col = (map(itemgetter(j), rows) for j in range(4))
+    n = len(rows)
+    return canonicalize(
+        list(map(str, pair_col)),
+        list(map(str, unit_col)),
+        np.fromiter(map(_binary_code, w_col), np.int8, n),
+        np.fromiter(map(float, y_col), float, n),
+        lambda k: rows[k][2],
+    )
 
 
 def subset_pairs(
@@ -374,12 +328,16 @@ def subset_pairs(
 ) -> tuple[ExperimentData, Assignment]:
     """Restrict a dataset and its assignment to the given pair ids."""
     keep = set(pair_ids)
-    missing = keep - {p.pair_id for p in data.pairs}
+    missing = keep - set(data.pair_ids)
     if missing:
         raise ValueError(f"unknown pair ids: {sorted(missing)}")
-    pairs = tuple(p for p in data.pairs if p.pair_id in keep)
-    sub = ExperimentData(pairs)
-    treated = {
-        key: value for key, value in assignment.treated.items() if key[0] in keep
-    }
-    return sub, Assignment(treated)
+    pair_mask = np.fromiter((p in keep for p in data.pair_ids), bool, data.P)
+    unit_mask = pair_mask[data.unit_pair]
+    sub = ExperimentData(
+        data.outcomes[unit_mask[data.obs_unit]],
+        (np.cumsum(pair_mask) - 1)[data.unit_pair[unit_mask]],
+        data.unit_sizes[unit_mask],
+        data.pair_ids[pair_mask],
+        data.unit_ids[unit_mask],
+    )
+    return sub, Assignment(assignment.unit_vector(data)[unit_mask])

@@ -4,14 +4,22 @@ Input is long format, one row per observation, header
 ``pair_id,unit_id,treatment,outcome`` with treatment in {0,1}.  Row
 order never affects results; writing uses the canonical order, so a
 write/read round trip reproduces the structure exactly.
+
+Reading is one ``csv.reader`` pass into four columns of strings, which
+are then converted and canonicalized in bulk.  Line numbers are worked
+out only when a row is rejected.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_right
 from pathlib import Path
 
-from .data import Assignment, ExperimentData, validate_dataset
+import numpy as np
+
+from .data import Assignment, ExperimentData, _binary_code, canonicalize
 from .errors import EmptyInput, ParseError
 
 __all__ = ["CSV_HEADER", "read_csv", "write_csv"]
@@ -19,9 +27,34 @@ __all__ = ["CSV_HEADER", "read_csv", "write_csv"]
 CSV_HEADER = ["pair_id", "unit_id", "treatment", "outcome"]
 
 
-def read_csv(path) -> tuple[ExperimentData, Assignment]:
-    """Parse and validate an experiment CSV file."""
-    rows = []
+def _first_parse_error(treatments, outcomes, line) -> ParseError | None:
+    """The error of the first row whose treatment or outcome does not parse, if any."""
+    for k, (w_text, y_text) in enumerate(zip(treatments, outcomes)):
+        w_text, y_text = w_text.strip(), y_text.strip()
+        try:
+            int(w_text)
+        except ValueError:
+            return ParseError(f"treatment {w_text!r} is not an integer", line=line(k))
+        try:
+            outcome = float(y_text)
+        except ValueError:
+            return ParseError(f"outcome {y_text!r} is not a number", line=line(k))
+        if not math.isfinite(outcome):
+            return ParseError(f"outcome {y_text!r} is not finite", line=line(k))
+    return None
+
+
+def _read_columns(path):
+    """One pass over the file into columns: stripped ids and the raw number texts.
+
+    Also returns ``line(k)``, the file line of data row k.
+    """
+    pairs, units, treatments, outcomes = [], [], [], []
+    blanks = []  # the number of data rows read before each skipped blank line
+
+    def line(k):  # the line of data row k: the header, k rows and the blanks before it
+        return k + 2 + bisect_right(blanks, k)
+
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -33,26 +66,40 @@ def read_csv(path) -> tuple[ExperimentData, Assignment]:
                 f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
                 line=1,
             )
-        for lineno, record in enumerate(reader, start=2):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != 4:
-                raise ParseError(f"expected 4 fields, got {len(record)}", line=lineno)
-            pair_id, unit_id, w_text, y_text = (f.strip() for f in record)
-            try:
-                treatment = int(w_text)
-            except ValueError:
-                raise ParseError(f"treatment {w_text!r} is not an integer", line=lineno) from None
-            try:
-                outcome = float(y_text)
-            except ValueError:
-                raise ParseError(f"outcome {y_text!r} is not a number", line=lineno) from None
-            if outcome != outcome or outcome in (float("inf"), float("-inf")):
-                raise ParseError(f"outcome {y_text!r} is not finite", line=lineno)
-            rows.append((pair_id, unit_id, treatment, outcome))
-    if not rows:
+        add_pair, add_unit, add_w, add_y = (
+            pairs.append, units.append, treatments.append, outcomes.append
+        )
+        for record in reader:
+            if len(record) == 4:
+                pair_id, unit_id, w_text, y_text = record
+                add_pair(pair_id.strip())
+                add_unit(unit_id.strip())
+                add_w(w_text)  # int() and float() ignore surrounding whitespace
+                add_y(y_text)
+            elif not record or (len(record) == 1 and not record[0].strip()):
+                blanks.append(len(pairs))
+            else:
+                raise _first_parse_error(treatments, outcomes, line) or ParseError(
+                    f"expected 4 fields, got {len(record)}", line=line(len(pairs))
+                )
+    if not pairs:
         raise EmptyInput(f"{path}: no data rows")
-    return validate_dataset(rows)
+    return pairs, units, treatments, outcomes, line
+
+
+def read_csv(path) -> tuple[ExperimentData, Assignment]:
+    """Parse and validate an experiment CSV file."""
+    pairs, units, treatments, outcomes, line = _read_columns(path)
+    try:
+        codes = {text: _binary_code(int(text)) for text in set(treatments)}
+        y = np.fromiter(map(float, outcomes), float, len(outcomes))
+    except ValueError:
+        y = None
+    if y is None or not np.isfinite(y).all():
+        raise _first_parse_error(treatments, outcomes, line)
+    del outcomes  # free one string per row before canonicalizing
+    treated = np.fromiter(map(codes.__getitem__, treatments), np.int8, len(treatments))
+    return canonicalize(pairs, units, treated, y, lambda k: int(treatments[k]))
 
 
 def write_csv(path, data: ExperimentData, assignment: Assignment) -> None:
@@ -61,8 +108,11 @@ def write_csv(path, data: ExperimentData, assignment: Assignment) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        for pair in data.pairs:
-            for unit in pair.units:
-                w = assignment.treated[(pair.pair_id, unit.unit_id)]
-                for y in unit.outcomes:
-                    writer.writerow([pair.pair_id, unit.unit_id, w, repr(float(y))])
+        writer.writerows(
+            zip(
+                data.pair_ids[data.obs_pair],
+                data.unit_ids[data.obs_unit],
+                assignment.observation_vector(data).astype(int).tolist(),
+                map(repr, data.outcomes.tolist()),
+            )
+        )

@@ -9,13 +9,14 @@ bit-reproducible across platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 from scipy.special import ndtri
 
-from .data import Assignment, ExperimentData, PairBlock, PotentialData, UnitBlock
+from .data import Assignment, ExperimentData, PotentialData
 from .errors import StratumTooSmall
 from .randomize import Seed, _stratified_treated, draw_paired_assignment, draw_stratified_assignment
 
@@ -52,6 +53,10 @@ class ConstantEffect:
 
     tau: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise ValueError(f"effect must be finite, got {self.tau!r}")
+
     def stratum_effects(self, n_strata: int) -> np.ndarray:
         return np.full(n_strata, float(self.tau))
 
@@ -64,6 +69,8 @@ class HeterogeneousEffect:
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(taus)):
+            raise ValueError("effects must be finite")
         taus.setflags(write=False)
         object.__setattr__(self, "taus", taus)
 
@@ -96,8 +103,8 @@ class DGPConfig:
             raise ValueError(f"need P >= 2 strata, got {self.P}")
         if self.n_gp < 1:
             raise ValueError(f"need n_gp >= 1 observations per unit, got {self.n_gp}")
-        if self.sigma2_gamma < 0:
-            raise ValueError("sigma2_gamma must be nonnegative")
+        if not 0 <= self.sigma2_gamma < math.inf:
+            raise ValueError(f"sigma2_gamma must be finite and >= 0, got {self.sigma2_gamma!r}")
         if isinstance(self.effect_profile, HeterogeneousEffect):
             self.effect_profile.stratum_effects(self.P)
 
@@ -108,14 +115,6 @@ class DGPConfig:
     @property
     def n_obs(self) -> int:
         return self.G * self.P * self.n_gp
-
-
-def _pair_id(p: int) -> str:
-    return f"s{p + 1:05d}"
-
-
-def _unit_id(g: int) -> str:
-    return f"u{g + 1:03d}"
 
 
 def simulate_strata(
@@ -146,21 +145,16 @@ def simulate_strata(
     w_obs = np.repeat(np.concatenate(masks), config.n_gp)
     observed = np.where(w_obs, y1, y0)
 
-    pairs = []
-    treated = {}
-    pos = 0
-    for p in range(config.P):
-        units = []
-        for g in range(config.G):
-            units.append(UnitBlock(_unit_id(g), observed[pos : pos + config.n_gp]))
-            treated[(_pair_id(p), _unit_id(g))] = int(masks[p][g])
-            pos += config.n_gp
-        pairs.append(PairBlock(_pair_id(p), tuple(units)))
-
-    data = ExperimentData(tuple(pairs))
-    assignment = Assignment(treated)
-    potentials = PotentialData(y0=y0, y1=y1)
-    return data, assignment, potentials
+    # Zero-padded ids sort in generation order, so the arrays are canonical as built.
+    p_width, g_width = max(5, len(str(config.P))), max(3, len(str(config.G)))
+    data = ExperimentData(
+        outcomes=observed,
+        unit_pair=np.repeat(np.arange(config.P), config.G),
+        unit_sizes=np.full(config.n_units, config.n_gp),
+        pair_ids=[f"s{p:0{p_width}d}" for p in range(1, config.P + 1)],
+        unit_ids=[f"u{g:0{g_width}d}" for g in range(1, config.G + 1)] * config.P,
+    )
+    return data, Assignment(np.concatenate(masks)), PotentialData(y0=y0, y1=y1)
 
 
 def null_resample(data: ExperimentData, design: str, seed: Seed) -> Assignment:

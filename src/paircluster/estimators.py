@@ -72,18 +72,17 @@ def diff_in_means(data: ExperimentData, assignment: Assignment) -> FitResult:
     The slope is the difference in means; the intercept is the control
     mean (the exact least-squares solution for a binary regressor).
     """
-    lay = data.layout()
     w_unit = assignment.unit_vector(data)
-    T = int(lay.unit_sizes[w_unit].sum())
-    C = lay.n - T
+    T = int(data.unit_sizes[w_unit].sum())
+    C = data.n_total - T
     if T == 0 or C == 0:
         raise NoVariationInTreatment("need at least one treated and one control observation")
-    sum_treated = float(lay.unit_sums[w_unit].sum())
-    sum_control = float(lay.unit_sums.sum() - sum_treated)
+    sum_treated = float(data.unit_sums[w_unit].sum())
+    sum_control = float(data.unit_sums.sum() - sum_treated)
     alpha = sum_control / C
     tau = sum_treated / T - alpha
-    w_obs = w_unit[lay.obs_unit]
-    residuals = lay.outcomes - alpha - tau * w_obs
+    w_obs = w_unit[data.obs_unit]
+    residuals = data.outcomes - alpha - tau * w_obs
     return FitResult(tau_hat=tau, intercepts=alpha, residuals=residuals, model_kind="nofe", K=2)
 
 
@@ -94,20 +93,19 @@ def fe_estimate(data: ExperimentData, assignment: Assignment) -> FitResult:
     within each pair, regress one on the other.  Residual sums are zero
     within every pair by construction.
     """
-    lay = data.layout()
     w_unit = assignment.unit_vector(data)
     t_p, c_p = assignment.per_pair_counts(data)
     if np.any(t_p == 0) or np.any(c_p == 0):
-        bad = lay.pair_ids[int(np.argmax((t_p == 0) | (c_p == 0)))]
+        bad = data.pair_ids[int(np.argmax((t_p == 0) | (c_p == 0)))]
         raise DegeneratePair(f"pair {bad!r} lacks a treated/control contrast")
-    wbar_p = t_p / lay.pair_sizes
-    w_obs = w_unit[lay.obs_unit].astype(float)
-    x = w_obs - wbar_p[lay.obs_pair]
+    wbar_p = t_p / data.pair_sizes
+    w_obs = w_unit[data.obs_unit].astype(float)
+    x = w_obs - wbar_p[data.obs_pair]
     ybar_p = (
-        np.bincount(lay.obs_pair, weights=lay.outcomes, minlength=lay.n_pairs)
-        / lay.pair_sizes
+        np.bincount(data.obs_pair, weights=data.outcomes, minlength=data.P)
+        / data.pair_sizes
     )
-    y_demeaned = lay.outcomes - ybar_p[lay.obs_pair]
+    y_demeaned = data.outcomes - ybar_p[data.obs_pair]
     denom = float(x @ x)
     tau = float(x @ y_demeaned) / denom
     residuals = y_demeaned - tau * x
@@ -117,7 +115,7 @@ def fe_estimate(data: ExperimentData, assignment: Assignment) -> FitResult:
         intercepts=gamma_p,
         residuals=residuals,
         model_kind="fe",
-        K=lay.n_pairs + 1,
+        K=data.P + 1,
     )
 
 
@@ -128,19 +126,18 @@ def pair_effects(data: ExperimentData, assignment: Assignment) -> PairEffects:
     normalized to sum to one; under equal within-pair sizes the weights
     are proportional to pair size.
     """
-    lay = data.layout()
-    if np.any(lay.pair_unit_counts != 2):
-        bad = lay.pair_ids[int(np.argmax(lay.pair_unit_counts != 2))]
+    if np.any(data.pair_unit_counts != 2):
+        bad = data.pair_ids[int(np.argmax(data.pair_unit_counts != 2))]
         raise NotPaired(f"pair {bad!r} does not have exactly 2 units")
     w_unit = assignment.unit_vector(data)
     w_mat = w_unit.reshape(-1, 2)
     if np.any(w_mat.sum(axis=1) != 1):
-        bad = lay.pair_ids[int(np.argmax(w_mat.sum(axis=1) != 1))]
+        bad = data.pair_ids[int(np.argmax(w_mat.sum(axis=1) != 1))]
         raise DegeneratePair(f"pair {bad!r} does not have exactly one treated unit")
-    means = (lay.unit_sums / lay.unit_sizes).reshape(-1, 2)
+    means = data.unit_means.reshape(-1, 2)
     first_treated = w_mat[:, 0]
     tau_p = np.where(first_treated, means[:, 0] - means[:, 1], means[:, 1] - means[:, 0])
-    sizes = lay.unit_sizes.reshape(-1, 2).astype(float)
+    sizes = data.unit_sizes.reshape(-1, 2).astype(float)
     harmonic = 1.0 / (1.0 / sizes[:, 0] + 1.0 / sizes[:, 1])
     omega_p = harmonic / harmonic.sum()
     return PairEffects(tau_p=tau_p, omega_p=omega_p)

@@ -97,12 +97,11 @@ class _PairedResample:
     """Fixed unit sums of a paired dataset under a fresh coin-flip assignment."""
 
     def __init__(self, data: ExperimentData):
-        lay = data.layout()
-        self.sums = lay.centred_unit_sums
-        self.sizes = lay.unit_sizes.astype(float)
-        self.block = lay.unit_pair
-        self.n_blocks = lay.n_pairs
-        self.n_obs = lay.n
+        self.sums = data.centred_unit_sums
+        self.sizes = data.unit_sizes.astype(float)
+        self.block = data.unit_pair
+        self.n_blocks = data.P
+        self.n_obs = data.n_total
 
     def __call__(self, rng):
         first = rng.random(self.n_blocks) < 0.5
@@ -222,6 +221,8 @@ def _run_chunks(worker, arg_list, threads):
 
 def _size_table(draw, reps, level, seed, threads, collect, G, block_label, design):
     """Run ``reps`` replications of ``draw`` in chunks and tabulate them."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     z_crit = _critical_value(level)
     n_units, n_blocks, n_obs = draw.sizes.size, draw.n_blocks, draw.n_obs
     factors = np.array(  # in the order of _INTERNAL_TESTS
@@ -272,7 +273,8 @@ def run_size_experiment(
     Every replication draws data and an assignment, fits both models,
     forms all four clustered t-tests of a zero effect against the
     standard normal, and records the FE unit/stratum standard-error
-    ratio.  Deterministic given the master seed, for any thread count.
+    ratio.  Deterministic given the master seed, for any thread count;
+    ``threads`` caps the worker processes (None: all cores) and must be >= 1.
     """
     cfg = spec.dgp
     return _size_table(
@@ -294,14 +296,14 @@ def resampling_size_experiment(
 
     Observed outcomes stand in for both potential outcomes; only the
     assignment is redrawn each replication, so the truth is a zero
-    effect and rejection rates estimate test size.
+    effect and rejection rates estimate test size.  ``threads`` is as for
+    ``run_size_experiment``.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    lay = data.layout()
-    if np.any(lay.pair_unit_counts != 2):
+    if np.any(data.pair_unit_counts != 2):
         raise NotPaired("resampling experiments need exactly 2 units per pair")
     return _size_table(
         _PairedResample(data), reps, level, seed, threads, collect_tstats, 2, "pair",
-        f"resampled(P={lay.n_pairs})",
+        f"resampled(P={data.P})",
     )

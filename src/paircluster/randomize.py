@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .errors import NotPaired, StratumTooSmall
+from .errors import NotPaired
 
 __all__ = ["Seed", "draw_paired_assignment", "draw_stratified_assignment"]
 
@@ -53,33 +53,22 @@ def _stratified_treated(
     return masks
 
 
-def _assignment_from_masks(data: ExperimentData, masks: list[np.ndarray]) -> Assignment:
-    treated = {}
-    for pair, mask in zip(data.pairs, masks):
-        for unit, flag in zip(pair.units, mask):
-            treated[(pair.pair_id, unit.unit_id)] = int(flag)
-    return Assignment(treated)
-
-
 def draw_stratified_assignment(data: ExperimentData, seed: Seed) -> Assignment:
     """Draw floor(G/2) treated units per stratum, independently across strata.
 
     With an odd stratum size G this leaves ceil(G/2) = (G+1)/2 controls.
     """
-    counts = [p.n_units for p in data.pairs]
-    for pair, count in zip(data.pairs, counts):
-        if count < 2:
-            raise StratumTooSmall(f"stratum {pair.pair_id!r} has {count} unit(s)")
-    masks = _stratified_treated(counts, seed.sequence())
-    return _assignment_from_masks(data, masks)
+    masks = _stratified_treated(data.pair_unit_counts.tolist(), seed.sequence())
+    return Assignment(np.concatenate(masks))
 
 
 def draw_paired_assignment(data: ExperimentData, seed: Seed) -> Assignment:
     """Draw one treated unit per pair, each unit with probability 1/2."""
-    for pair in data.pairs:
-        if pair.n_units != 2:
-            raise NotPaired(
-                f"pair {pair.pair_id!r} has {pair.n_units} units; paired draws need exactly 2"
-            )
+    counts = data.pair_unit_counts
+    if np.any(counts != 2):
+        p = int(np.argmax(counts != 2))
+        raise NotPaired(
+            f"pair {data.pair_ids[p]!r} has {counts[p]} units; paired draws need exactly 2"
+        )
     masks = _stratified_treated([2] * data.P, seed.sequence())
-    return _assignment_from_masks(data, masks)
+    return Assignment(np.concatenate(masks))

@@ -122,12 +122,11 @@ def analyze(
     if fe not in ("on", "off", "both"):
         raise ValueError("fe must be 'on', 'off', or 'both'")
 
-    lay = data.layout()
     # Two units per pair are checked first: the diagnostics below are paired-only.
     effects = pair_effects(data, assignment)
     stats = dataset_stats(data, assignment)
     variances = VarianceSet.from_stats(data, stats)
-    sizes = lay.unit_sizes.reshape(-1, 2).astype(float)
+    sizes = data.unit_sizes.reshape(-1, 2).astype(float)
     if stats.block_fe > 0.0:
         ratio = stats.unit_fe / stats.block_fe
         m_p = np.sum((sizes / sizes.sum(axis=1, keepdims=True)) ** 2, axis=1)
@@ -152,11 +151,11 @@ def analyze(
 
     within_ratio = np.maximum(sizes[:, 0] / sizes[:, 1], sizes[:, 1] / sizes[:, 0])
     dataset = {
-        "P": lay.n_pairs,
-        "units": lay.n_units,
-        "n_total": lay.n,
-        "unit_size_min": int(lay.unit_sizes.min()),
-        "unit_size_max": int(lay.unit_sizes.max()),
+        "P": data.P,
+        "units": data.n_units,
+        "n_total": data.n_total,
+        "unit_size_min": int(data.unit_sizes.min()),
+        "unit_size_max": int(data.unit_sizes.max()),
         "max_within_pair_size_ratio": float(within_ratio.max()),
         "balanced_within_pairs": bool(np.all(sizes[:, 0] == sizes[:, 1])),
         "pair_effect_spread": float(np.ptp(effects.tau_p)),

@@ -119,10 +119,11 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
 
 def dataset_stats(data: ExperimentData, assignment: Assignment) -> UnitStats:
     """``unit_sum_stats`` of a dataset under an assignment, blocks being pairs."""
-    lay = data.layout()
     treated = assignment.unit_vector(data)
-    sizes = lay.unit_sizes.astype(float)
-    return unit_sum_stats(lay.centred_unit_sums, sizes, treated, lay.unit_pair, lay.n_pairs, lay.n)
+    sizes = data.unit_sizes.astype(float)
+    return unit_sum_stats(
+        data.centred_unit_sums, sizes, treated, data.unit_pair, data.P, data.n_total
+    )
 
 
 def cluster_robust_covariance(design, residuals, cluster_ids) -> np.ndarray:
@@ -158,32 +159,29 @@ def cluster_robust_covariance(design, residuals, cluster_ids) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def _require_paired(data: ExperimentData):
-    lay = data.layout()
-    if np.any(lay.pair_unit_counts != 2):
-        bad = lay.pair_ids[int(np.argmax(lay.pair_unit_counts != 2))]
+def _require_paired(data: ExperimentData) -> None:
+    if np.any(data.pair_unit_counts != 2):
+        bad = data.pair_ids[int(np.argmax(data.pair_unit_counts != 2))]
         raise NotPaired(f"pair {bad!r} does not have exactly 2 units; closed forms need 2")
-    return lay
 
 
 def _check_fit(data: ExperimentData, fit: FitResult, model_kind: str):
     if fit.model_kind != model_kind:
         raise ValueError(f"expected a {model_kind!r} fit, got {fit.model_kind!r}")
-    if fit.residuals.size != data.layout().n:
+    if fit.residuals.size != data.n_total:
         raise ShapeMismatch("fit residuals do not match the dataset size")
 
 
 def _residual_sums(data, assignment, residuals) -> tuple[np.ndarray, np.ndarray]:
     """Treated and control residual sums per pair."""
-    lay = data.layout()
     w_obs = assignment.observation_vector(data)
-    set_p = np.bincount(lay.obs_pair, weights=residuals * w_obs, minlength=lay.n_pairs)
-    seu_p = np.bincount(lay.obs_pair, weights=residuals * ~w_obs, minlength=lay.n_pairs)
+    set_p = np.bincount(data.obs_pair, weights=residuals * w_obs, minlength=data.P)
+    seu_p = np.bincount(data.obs_pair, weights=residuals * ~w_obs, minlength=data.P)
     return set_p, seu_p
 
 
-def _pair_size_columns(lay) -> tuple[np.ndarray, np.ndarray]:
-    sizes = lay.unit_sizes.reshape(-1, 2).astype(float)
+def _pair_size_columns(data: ExperimentData) -> tuple[np.ndarray, np.ndarray]:
+    sizes = data.unit_sizes.reshape(-1, 2).astype(float)
     return sizes[:, 0], sizes[:, 1]
 
 
@@ -191,13 +189,13 @@ def pair_clustered_variance(
     data: ExperimentData, assignment: Assignment, fit: FitResult
 ) -> float:
     """Closed-form variance with one cluster per pair (PCVE)."""
-    lay = _require_paired(data)
+    _require_paired(data)
     _check_fit(data, fit, fit.model_kind)
     set_p, seu_p = _residual_sums(data, assignment, fit.residuals)
     if fit.model_kind == "nofe":
         T, C = assignment.totals(data)
         return float(np.sum((set_p / T - seu_p / C) ** 2))
-    n1, n2 = _pair_size_columns(lay)
+    n1, n2 = _pair_size_columns(data)
     harmonic = 1.0 / (1.0 / n1 + 1.0 / n2)
     omega = harmonic / harmonic.sum()
     return float(np.sum(omega**2 * set_p**2 * (1.0 / n1 + 1.0 / n2) ** 2))
@@ -207,13 +205,13 @@ def unit_clustered_variance(
     data: ExperimentData, assignment: Assignment, fit: FitResult
 ) -> float:
     """Closed-form variance with one cluster per randomization unit (UCVE)."""
-    lay = _require_paired(data)
+    _require_paired(data)
     _check_fit(data, fit, fit.model_kind)
     set_p, seu_p = _residual_sums(data, assignment, fit.residuals)
     if fit.model_kind == "nofe":
         T, C = assignment.totals(data)
         return float(np.sum(set_p**2 / T**2 + seu_p**2 / C**2))
-    n1, n2 = _pair_size_columns(lay)
+    n1, n2 = _pair_size_columns(data)
     harmonic = 1.0 / (1.0 / n1 + 1.0 / n2)
     omega = harmonic / harmonic.sum()
     return float(np.sum(omega**2 * set_p**2 * (1.0 / n1**2 + 1.0 / n2**2)))
@@ -267,12 +265,12 @@ def fe_variance_ratio(data: ExperimentData, fit: FitResult) -> RatioDecompositio
     squared treated-side sum equals the squared first-unit sum and the
     assignment is not needed.
     """
-    lay = _require_paired(data)
+    _require_paired(data)
     _check_fit(data, fit, "fe")
-    n1, n2 = _pair_size_columns(lay)
+    n1, n2 = _pair_size_columns(data)
     n_p = n1 + n2
     m_p = (n1 / n_p) ** 2 + (n2 / n_p) ** 2
-    unit_sums = np.bincount(lay.obs_unit, weights=fit.residuals, minlength=lay.n_units)
+    unit_sums = np.bincount(data.obs_unit, weights=fit.residuals, minlength=data.n_units)
     s_sq = unit_sums.reshape(-1, 2)[:, 0] ** 2
     total = float(s_sq.sum())
     if total == 0.0:
@@ -305,9 +303,8 @@ class VarianceSet:
     @classmethod
     def from_stats(cls, data: ExperimentData, stats: UnitStats) -> "VarianceSet":
         """The four variances of ``dataset_stats(data, ...)`` with their factors."""
-        lay = data.layout()
-        n = lay.n
-        dof_nofe, dof_fe = (n / (n - k) if n > k else float("nan") for k in (2, lay.n_pairs + 1))
+        n, P = data.n_total, data.P
+        dof_nofe, dof_fe = (n / (n - k) if n > k else float("nan") for k in (2, P + 1))
         return cls(
             pair_nofe=stats.block_nofe,
             unit_nofe=stats.unit_nofe,
@@ -319,10 +316,8 @@ class VarianceSet:
                 "pair_fe": dof_fe,
                 "unit_fe": dof_fe,
             },
-            pair_small_sample_factor=lay.n_pairs / (lay.n_pairs - 1)
-            if lay.n_pairs > 1
-            else float("nan"),
-            cluster_counts={"pair": lay.n_pairs, "unit": lay.n_units, "observation": n},
+            pair_small_sample_factor=P / (P - 1) if P > 1 else float("nan"),
+            cluster_counts={"pair": P, "unit": data.n_units, "observation": n},
         )
 
 

@@ -61,13 +61,12 @@ def dense_designs(data, assignment):
     and treatment-plus-pair-dummies, with the treatment column first in
     the FE design.
     """
-    lay = data.layout()
     w = assignment.observation_vector(data).astype(float)
-    x_nofe = np.column_stack([np.ones(lay.n), w])
-    dummies = np.zeros((lay.n, lay.n_pairs))
-    dummies[np.arange(lay.n), lay.obs_pair] = 1.0
+    x_nofe = np.column_stack([np.ones(data.n_total), w])
+    dummies = np.zeros((data.n_total, data.P))
+    dummies[np.arange(data.n_total), data.obs_pair] = 1.0
     x_fe = np.column_stack([w, dummies])
-    return x_nofe, x_fe, lay.obs_pair, lay.obs_unit
+    return x_nofe, x_fe, data.obs_pair, data.obs_unit
 
 
 def lstsq_fit(X, y):

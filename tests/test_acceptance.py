@@ -200,11 +200,10 @@ def test_criterion_6_one_obs_per_unit_special_case():
         P = int(rng.integers(2, 31))
         data, assignment = random_paired(rng, P=P, uniform_size=1)
         fe = fe_estimate(data, assignment)
-        lay = data.layout()
         w = assignment.observation_vector(data).astype(float)
         t_p, _ = assignment.per_pair_counts(data)
-        x = w - (t_p / lay.pair_sizes)[lay.obs_pair]
-        singleton = cluster_robust_covariance(x, fe.residuals, np.arange(lay.n))[0, 0]
+        x = w - (t_p / data.pair_sizes)[data.obs_pair]
+        singleton = cluster_robust_covariance(x, fe.residuals, np.arange(data.n_total))[0, 0]
         adjusted = dof_adjust(singleton, 2 * P, P + 1)
         target = (P / (P - 1)) * pair_clustered_variance(data, assignment, fe)
         worst = max(worst, rel_err(adjusted, target))

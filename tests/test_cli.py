@@ -179,13 +179,38 @@ def test_simulate_effect_flag(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--P", "1"), ("--seed", "-1"), ("--n", "0"), ("--sigma2-gamma", "-1")],
+    [
+        ("--P", "1"),
+        ("--seed", "-1"),
+        ("--n", "0"),
+        ("--sigma2-gamma", "-1"),
+        ("--sigma2-gamma", "nan"),
+        ("--sigma2-gamma", "inf"),
+        ("--effect", "nan"),
+        ("--effect", "inf"),
+        ("--effect", "-inf"),
+        ("--threads", "0"),
+        ("--threads", "-2"),
+    ],
 )
 def test_simulate_out_of_range_values_are_usage_errors(flag, value, capsys):
-    args = {"--P": "10", "--n": "1", "--seed": "1", "--sigma2-gamma": "0"}
+    args = {"--P": "10", "--n": "1", "--seed": "1", "--sigma2-gamma": "0", "--threads": "1"}
     args[flag] = value
-    argv = ["simulate", "--design", "paired", "--reps", "5", "--threads", "1"]
+    argv = ["simulate", "--design", "paired", "--reps", "5"]
     for name, text in args.items():
         argv += [name, text]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_analyze_checks_flags_before_reading(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["analyze", "--data", missing]) == 2
+    assert main(["analyze", "--data", missing, "--level", "2"]) == 1
+
+    def never(path):
+        raise AssertionError("the file was read")
+
+    monkeypatch.setattr("paircluster.cli.read_csv", never)
+    assert main(["analyze", "--data", missing, "--level", "0"]) == 1
+    assert "--level" in capsys.readouterr().err

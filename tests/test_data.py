@@ -4,8 +4,6 @@ import pytest
 from paircluster import (
     Assignment,
     ExperimentData,
-    PairBlock,
-    UnitBlock,
     read_csv,
     subset_pairs,
     validate_dataset,
@@ -43,8 +41,7 @@ def test_derived_counts_sum():
     T, C = assignment.totals(data)
     assert T + C == data.n_total
     t_p, c_p = assignment.per_pair_counts(data)
-    lay = data.layout()
-    assert np.array_equal(t_p + c_p, lay.pair_sizes)
+    assert np.array_equal(t_p + c_p, data.pair_sizes)
 
 
 def test_degenerate_pair_two_treated():
@@ -94,7 +91,7 @@ def test_stratified_blocks_allowed():
         ("s2", "e", 0, 5.0),
     ]
     data, _ = validate_dataset(rows)
-    assert [p.n_units for p in data.pairs] == [3, 2]
+    assert data.pair_unit_counts.tolist() == [3, 2]
 
 
 def test_row_order_irrelevant():
@@ -119,28 +116,37 @@ def test_csv_round_trip(tmp_path):
 
 def test_assignment_mismatch():
     data, _ = validate_dataset(MINIMAL_ROWS)
-    partial = Assignment({("p1", "a"): 1, ("p1", "b"): 0})
+    partial = Assignment([1, 0])
     with pytest.raises(AssignmentMismatch):
         partial.unit_vector(data)
-    wrong_keys = Assignment(
-        {("p1", "a"): 1, ("p1", "b"): 0, ("p2", "c"): 0, ("p9", "z"): 1}
-    )
+    too_long = Assignment([1, 0, 0, 1, 1])
     with pytest.raises(AssignmentMismatch):
-        wrong_keys.unit_vector(data)
+        too_long.unit_vector(data)
+    with pytest.raises(AssignmentMismatch):
+        subset_pairs(data, partial, ["p1"])
 
 
 def test_types_immutable():
-    data, _ = validate_dataset(MINIMAL_ROWS)
-    unit = data.pairs[0].units[0]
-    with pytest.raises(ValueError):
-        unit.outcomes[0] = 99.0
+    data, assignment = validate_dataset(MINIMAL_ROWS)
+    for arr in (
+        data.outcomes,
+        data.unit_pair,
+        data.unit_sizes,
+        data.pair_ids,
+        data.unit_ids,
+        data.obs_unit,
+        assignment.treated,
+    ):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
 
 
-def test_unit_block_rejects_bad_outcomes():
-    with pytest.raises(ValueError):
-        UnitBlock("u", [])
-    with pytest.raises(ValueError):
-        UnitBlock("u", [1.0, float("nan")])
+def test_units_need_finite_outcomes():
+    rows = [("p1", "a", 1, 1.0), ("p1", "a", 1, float("nan")), ("p1", "b", 0, 0.0)]
+    with pytest.raises(ValueError, match="unit 'a' has non-finite outcomes"):
+        validate_dataset(rows)
+    with pytest.raises(ValueError, match="unit 'b' has no outcomes"):
+        ExperimentData([1.0], [0, 0], [1, 0], ["p"], ["a", "b"])
 
 
 def test_pair_ids_sorted():
@@ -151,21 +157,37 @@ def test_pair_ids_sorted():
         ("aa", "b", 1, 4.0),
     ]
     data, _ = validate_dataset(rows)
-    assert [p.pair_id for p in data.pairs] == ["aa", "zz"]
+    assert data.pair_ids.tolist() == ["aa", "zz"]
+    assert data.unit_ids.tolist() == ["a", "b", "a", "b"]
 
 
 def test_experiment_data_requires_two_units():
-    unit = UnitBlock("a", [1.0])
-    with pytest.raises(ValueError):
-        ExperimentData((PairBlock("p", (unit,)),))
+    with pytest.raises(DegeneratePair, match="pair 'p'"):
+        validate_dataset([("p", "a", 1, 1.0), ("q", "b", 1, 2.0), ("q", "c", 0, 3.0)])
+    with pytest.raises(ValueError, match="pair 'p' has 1 unit"):
+        ExperimentData([1.0, 2.0, 3.0], [0, 1, 1], [1, 1, 1], ["p", "q"], ["a", "b", "c"])
+
+
+def test_experiment_data_requires_canonical_arrays():
+    ExperimentData([1.0, 2.0], [0, 0], [1, 1], ["p"], ["a", "b"])
+    with pytest.raises(ValueError, match="unit ids"):
+        ExperimentData([1.0, 2.0], [0, 0], [1, 1], ["p"], ["b", "a"])
+    with pytest.raises(ValueError, match="pair ids"):
+        ExperimentData([1.0] * 4, [0, 0, 1, 1], [1] * 4, ["q", "p"], ["a", "b"] * 2)
+    with pytest.raises(ValueError, match="add up"):
+        ExperimentData([1.0, 2.0], [0, 0], [1, 2], ["p"], ["a", "b"])
 
 
 def test_subset_pairs():
     rng = np.random.default_rng(3)
     data, assignment = random_paired(rng, P=8, max_size=3)
-    keep = [p.pair_id for p in data.pairs[:3]]
+    keep = data.pair_ids[:3].tolist()
     sub, sub_assignment = subset_pairs(data, assignment, keep)
     assert sub.P == 3
-    assert set(k[0] for k in sub_assignment.treated) == set(keep)
+    assert sub.pair_ids.tolist() == keep
+    units = data.unit_pair < 3  # canonical order: the kept pairs come first
+    assert np.array_equal(sub_assignment.treated, assignment.treated[units])
+    assert np.array_equal(sub.unit_ids, data.unit_ids[units])
+    assert np.array_equal(sub.outcomes, data.outcomes[units[data.obs_unit]])
     with pytest.raises(ValueError):
         subset_pairs(data, assignment, ["nope"])

@@ -1,8 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from paircluster import Assignment, read_csv, validate_dataset, write_csv
-from paircluster.errors import EmptyInput, NonBinaryTreatment, ParseError
+from paircluster.errors import (
+    EmptyInput,
+    MixedTreatmentWithinUnit,
+    NonBinaryTreatment,
+    ParseError,
+)
+from helpers import paired_rows
 
 
 def _write(tmp_path, text):
@@ -32,7 +40,7 @@ def test_blank_lines_and_whitespace_tolerated(tmp_path):
     )
     data, _ = read_csv(path)
     assert data.n_total == 2
-    assert data.pairs[0].units[0].outcomes[0] == 2.5
+    assert data.outcomes[0] == 2.5
 
 
 def test_bad_header(tmp_path):
@@ -76,17 +84,20 @@ def test_scattered_unit_rows_aggregate():
         ("p1", "a", 1, 2.0),
     ]
     data, _ = validate_dataset(rows)
-    unit_a = data.pairs[0].units[0]
-    assert unit_a.unit_id == "a"
-    assert np.array_equal(unit_a.outcomes, [1.0, 3.0, 2.0])
-    assert unit_a.mean == 2.0
+    assert data.unit_ids[0] == "a"
+    assert data.unit_sizes[0] == 3
+    assert np.array_equal(data.outcomes[:3], [1.0, 3.0, 2.0])
+    assert data.unit_means[0] == 2.0
 
 
 def test_assignment_rejects_nonbinary():
     with pytest.raises(NonBinaryTreatment):
-        Assignment({("p1", "a"): 2})
+        Assignment([2])
     with pytest.raises(NonBinaryTreatment):
-        Assignment({("p1", "a"): 0.5})
+        Assignment([0.5])
+    with pytest.raises(NonBinaryTreatment):
+        Assignment(["1"])
+    assert Assignment([1, 0.0, True]).treated.tolist() == [True, False, True]
 
 
 def test_write_preserves_full_precision(tmp_path):
@@ -96,5 +107,95 @@ def test_write_preserves_full_precision(tmp_path):
     path = tmp_path / "roundtrip.csv"
     write_csv(path, data, assignment)
     data2, _ = read_csv(path)
-    assert data2.pairs[0].units[0].outcomes[0] == value
-    assert data2.pairs[0].units[1].outcomes[0] == -1e-17
+    assert data2.outcomes[0] == value
+    assert data2.outcomes[1] == -1e-17
+
+
+def _messy_csv(rows, rng):
+    """CSV text of ``rows`` with blank lines, padded fields and quoted ids."""
+    lines = ["pair_id , unit_id,treatment, outcome"]
+    for pair_id, unit_id, w, y in rows:
+        if rng.random() < 0.2:
+            lines.append(" " if rng.random() < 0.5 else "")
+        lines.append(f'" {pair_id} ","  {unit_id}\t", {w} ,{y!r}  ')
+    return "\n".join(lines) + "\n"
+
+
+def test_read_csv_matches_validate_dataset_on_messy_rows(tmp_path):
+    rng = np.random.default_rng(17)
+    sizes = rng.integers(1, 5, size=(12, 2))
+    rows = [
+        (f"p,{p[1:]}", f"unit {u}, x", w, y) for p, u, w, y in paired_rows(rng, sizes)
+    ]
+    rng.shuffle(rows)
+    path = _write(tmp_path, _messy_csv(rows, rng))
+    data, assignment = read_csv(path)
+    expected_data, expected_assignment = validate_dataset(rows)
+    assert data == expected_data
+    assert assignment == expected_assignment
+    assert data.pair_ids[0] == "p,0000"
+    assert data.unit_ids[0] == "unit u0, x"
+
+
+BAD_ROWS = [
+    ("p2,c,x,1.0", "treatment 'x' is not an integer"),
+    ("p2,c,1.5,1.0", "treatment '1.5' is not an integer"),
+    ("p2,c,1, abc ", "outcome 'abc' is not a number"),
+    ("p2,c,1,nan", "outcome 'nan' is not finite"),
+    ("p2,c,1,-inf", "outcome '-inf' is not finite"),
+    ("p2,c,1", "expected 4 fields, got 3"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_ROWS)
+def test_parse_error_line_after_blank_lines(tmp_path, bad, message):
+    lines = ["pair_id,unit_id,treatment,outcome", "p1,a,1,2.0", "", "  ", "p1,b,0,0.5", "",
+             bad, "p2,d,0,1.0", "p3,e,q,1.0", "p3,f", ""]
+    with pytest.raises(ParseError) as err:
+        read_csv(_write(tmp_path, "\n".join(lines)))
+    assert err.value.line == 7
+    assert str(err.value) == f"line 7: {message}"
+
+
+def test_first_bad_row_wins_across_checks(tmp_path):
+    header = "pair_id,unit_id,treatment,outcome\n"
+    text = header + "p1,a,1,2.0\n\np1,b,0,zz\np1,c\np1,d,y,1\n"
+    with pytest.raises(ParseError, match="line 4: outcome 'zz'") as err:
+        read_csv(_write(tmp_path, text))
+    assert err.value.line == 4
+
+
+def test_csv_validation_errors_name_the_unit(tmp_path):
+    header = "pair_id,unit_id,treatment,outcome\n"
+    for treatment in ("2", "99999999999999999999999"):
+        text = header + f"p1,a,1,2.0\np1,b,{treatment},0.0\n"
+        message = f"treatment must be 0 or 1, got {int(treatment)!r} (unit 'b' in pair 'p1')"
+        with pytest.raises(NonBinaryTreatment, match=re.escape(message)):
+            read_csv(_write(tmp_path, text))
+    text = header + "p1,a,1,2.0\np1,b,0,0.0\np1,a,0,1.0\n"
+    with pytest.raises(MixedTreatmentWithinUnit, match="unit 'a' in pair 'p1'"):
+        read_csv(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "value", [True, 1, 1.0, np.bool_(True), np.int64(1), np.float64(1.0)]
+)
+def test_validate_dataset_accepts_binary_values(value):
+    _, assignment = validate_dataset([("p1", "a", value, 1.0), ("p1", "b", 0, 0.0)])
+    assert assignment.treated.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("value", ["1", 2, 0.5, -1, None, float("nan")])
+def test_validate_dataset_rejects_other_values(value):
+    message = f"treatment must be 0 or 1, got {value!r} (unit 'a' in pair 'p1')"
+    with pytest.raises(NonBinaryTreatment, match=re.escape(message)):
+        validate_dataset([("p1", "b", 0, 0.0), ("p1", "a", value, 1.0)])
+
+
+def test_validate_dataset_reports_the_first_bad_row():
+    mixed_first = [("p1", "a", 1, 1.0), ("p1", "a", 0, 1.0), ("p1", "b", 2, 0.0)]
+    with pytest.raises(MixedTreatmentWithinUnit):
+        validate_dataset(mixed_first)
+    binary_first = [("p1", "b", 2, 0.0), ("p1", "a", 1, 1.0), ("p1", "a", 0, 1.0)]
+    with pytest.raises(NonBinaryTreatment, match="got 2"):
+        validate_dataset(binary_first)

@@ -3,9 +3,6 @@ import pytest
 
 from paircluster import (
     Assignment,
-    ExperimentData,
-    PairBlock,
-    UnitBlock,
     diff_in_means,
     fe_estimate,
     pair_effects,
@@ -23,16 +20,8 @@ MINIMAL_ROWS = [
 
 
 def _single_pair(y_treated, y_control):
-    data = ExperimentData(
-        (
-            PairBlock(
-                "p1",
-                (UnitBlock("t", np.asarray(y_treated)), UnitBlock("c", np.asarray(y_control))),
-            ),
-        )
-    )
-    assignment = Assignment({("p1", "t"): 1, ("p1", "c"): 0})
-    return data, assignment
+    rows = [("p1", "t", 1, y) for y in y_treated] + [("p1", "c", 0, y) for y in y_control]
+    return validate_dataset(rows)
 
 
 def test_diff_in_means_single_pair():
@@ -73,13 +62,12 @@ def test_fe_single_unbalanced_pair():
     fe = fe_estimate(data, assignment)
     assert fe.tau_hat == pytest.approx(2.0, rel=1e-12)
     x_nofe, x_fe, _, _ = dense_designs(data, assignment)
-    beta_fe, _ = lstsq_fit(x_fe, data.layout().outcomes)
+    beta_fe, _ = lstsq_fit(x_fe, data.outcomes)
     assert fe.tau_hat == pytest.approx(beta_fe[0], rel=1e-12)
     effects = pair_effects(data, assignment)
     assert effects.omega_p == pytest.approx([1.0])
     # harmonic size factor before normalization: (1/2 + 1)^-1 = 2/3
-    lay = data.layout()
-    sizes = lay.unit_sizes.reshape(-1, 2)
+    sizes = data.unit_sizes.reshape(-1, 2)
     harmonic = 1.0 / (1.0 / sizes[:, 0] + 1.0 / sizes[:, 1])
     assert harmonic == pytest.approx([2.0 / 3.0])
 
@@ -96,8 +84,7 @@ def test_omega_proportional_to_pair_size_when_balanced():
     rng = np.random.default_rng(21)
     data, assignment = random_paired(rng, P=7, balanced=True, max_size=6)
     effects = pair_effects(data, assignment)
-    lay = data.layout()
-    expected = lay.pair_sizes / lay.pair_sizes.sum()
+    expected = data.pair_sizes / data.pair_sizes.sum()
     assert effects.omega_p == pytest.approx(expected, rel=1e-12)
 
 
@@ -107,7 +94,7 @@ def test_least_squares_oracle(seed):
     P = int(rng.integers(2, 9))
     data, assignment = random_paired(rng, P=P, max_size=5)
     x_nofe, x_fe, _, _ = dense_designs(data, assignment)
-    y = data.layout().outcomes
+    y = data.outcomes
 
     fit = diff_in_means(data, assignment)
     beta, resid = lstsq_fit(x_nofe, y)
@@ -145,26 +132,19 @@ def test_residual_orthogonality():
     rng = np.random.default_rng(44)
     for _ in range(10):
         data, assignment = random_paired(rng, P=int(rng.integers(2, 10)))
-        lay = data.layout()
-        scale = np.sqrt(np.mean(lay.outcomes**2)) + 1.0
+        scale = np.sqrt(np.mean(data.outcomes**2)) + 1.0
         fit = diff_in_means(data, assignment)
         w_obs = assignment.observation_vector(data)
-        assert abs(fit.residuals.sum()) <= 1e-10 * scale * lay.n
-        assert abs(fit.residuals @ w_obs) <= 1e-10 * scale * lay.n
+        assert abs(fit.residuals.sum()) <= 1e-10 * scale * data.n_total
+        assert abs(fit.residuals @ w_obs) <= 1e-10 * scale * data.n_total
         fe = fe_estimate(data, assignment)
-        pair_sums = np.bincount(lay.obs_pair, weights=fe.residuals, minlength=lay.n_pairs)
-        assert np.max(np.abs(pair_sums)) <= 1e-10 * scale * lay.n
+        pair_sums = np.bincount(data.obs_pair, weights=fe.residuals, minlength=data.P)
+        assert np.max(np.abs(pair_sums)) <= 1e-10 * scale * data.n_total
 
 
 def test_no_variation_error():
-    data = ExperimentData(
-        (
-            PairBlock(
-                "p1", (UnitBlock("a", np.array([1.0])), UnitBlock("b", np.array([2.0])))
-            ),
-        )
-    )
-    both_treated = Assignment({("p1", "a"): 1, ("p1", "b"): 1})
+    data, _ = validate_dataset([("p1", "a", 1, 1.0), ("p1", "b", 0, 2.0)])
+    both_treated = Assignment([True, True])
     with pytest.raises(NoVariationInTreatment):
         diff_in_means(data, both_treated)
 
@@ -172,8 +152,7 @@ def test_no_variation_error():
 def test_fe_degenerate_pair():
     rows = MINIMAL_ROWS + [("p3", "e", 1, 1.0), ("p3", "f", 0, 2.0)]
     data, valid = validate_dataset(rows)
-    treated = {k: 1 if k[0] == "p3" else v for k, v in valid.treated.items()}
-    assignment = Assignment(treated)
+    assignment = Assignment(valid.treated | (data.pair_ids[data.unit_pair] == "p3"))
     with pytest.raises(DegeneratePair):
         fe_estimate(data, assignment)
 
@@ -203,5 +182,5 @@ def test_fe_handles_larger_strata():
     data, assignment = validate_dataset(rows)
     fe = fe_estimate(data, assignment)
     x_nofe, x_fe, _, _ = dense_designs(data, assignment)
-    beta_fe, _ = lstsq_fit(x_fe, data.layout().outcomes)
+    beta_fe, _ = lstsq_fit(x_fe, data.outcomes)
     assert fe.tau_hat == pytest.approx(beta_fe[0], rel=1e-12)

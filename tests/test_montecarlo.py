@@ -67,14 +67,13 @@ def test_g2_raw_ratio_is_root_half_every_rep():
 def test_engine_matches_public_estimators():
     cfg = DGPConfig(G=4, P=6, n_gp=3, sigma2_gamma=0.4)
     data, assignment, _ = simulate_strata(cfg, Seed(21))
-    lay = data.layout()
     stats = unit_sum_stats(
-        lay.unit_sums,
-        lay.unit_sizes.astype(float),
+        data.unit_sums,
+        data.unit_sizes.astype(float),
         assignment.unit_vector(data),
-        lay.unit_pair,
-        lay.n_pairs,
-        lay.n,
+        data.unit_pair,
+        data.P,
+        data.n_total,
     )
     fit = diff_in_means(data, assignment)
     fe = fe_estimate(data, assignment)
@@ -83,14 +82,13 @@ def test_engine_matches_public_estimators():
 
     # paired case: the engine's block formulas are the closed forms
     data2, assign2 = random_paired(np.random.default_rng(2), P=8, max_size=4)
-    lay2 = data2.layout()
     s2 = unit_sum_stats(
-        lay2.unit_sums,
-        lay2.unit_sizes.astype(float),
+        data2.unit_sums,
+        data2.unit_sizes.astype(float),
         assign2.unit_vector(data2),
-        lay2.unit_pair,
-        lay2.n_pairs,
-        lay2.n,
+        data2.unit_pair,
+        data2.P,
+        data2.n_total,
     )
     fit2 = diff_in_means(data2, assign2)
     fe2 = fe_estimate(data2, assign2)
@@ -195,7 +193,7 @@ def test_resampling_twenty_pair_subsample():
     sizes = np.full((81, 2), 40)
     data, assignment = validate_dataset(paired_rows(rng, sizes))
     master = np.random.default_rng(Seed(2024).master)
-    keep = master.choice([p.pair_id for p in data.pairs], size=20, replace=False)
+    keep = master.choice(list(data.pair_ids), size=20, replace=False)
     sub, _ = subset_pairs(data, assignment, keep)
     table = resampling_size_experiment(sub, reps=3000, level=0.05, seed=Seed(56), threads=2)
     rate = table.cell("pair", "nofe").rejection_rate
@@ -205,13 +203,23 @@ def test_resampling_twenty_pair_subsample():
 def test_resampling_determinism_and_outcomes_untouched():
     rng = np.random.default_rng(8)
     data, _ = random_paired(rng, P=12, uniform_size=3)
-    before = data.layout().outcomes.copy()
+    before = data.outcomes.copy()
     t1 = resampling_size_experiment(data, reps=100, level=0.05, seed=Seed(4))
     t2 = resampling_size_experiment(data, reps=100, level=0.05, seed=Seed(4), threads=2)
     assert t1.to_csv_text() == t2.to_csv_text()
-    assert np.array_equal(before, data.layout().outcomes)
+    assert np.array_equal(before, data.outcomes)
 
 
 def test_bad_spec_rejected():
     with pytest.raises(ValueError):
         SizeExperimentSpec(dgp=DGPConfig(G=2, P=5, n_gp=1), reps=0, master_seed=Seed(1))
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_rejected(threads):
+    spec = SizeExperimentSpec(dgp=DGPConfig(G=2, P=5, n_gp=1), reps=10, master_seed=Seed(1))
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_size_experiment(spec, threads=threads)
+    data, _ = random_paired(np.random.default_rng(1), P=5)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        resampling_size_experiment(data, reps=10, level=0.05, seed=Seed(1), threads=threads)

@@ -1,4 +1,5 @@
-"""Property tests of ``variance_set`` on generated designs.
+"""Property tests of ``variance_set`` on generated designs, and of the
+Monte Carlo engine's independence from the worker count.
 
 Outcomes are multiples of 1/8 in [-8, 8], so shifted and scaled copies
 are exact in float64 and every difference below is rounding in the
@@ -7,24 +8,36 @@ out as rounding noise, so comparisons are relative to the larger value
 or, if both are tiny, to the scale of a mean's variance, var(y)/n.
 """
 
+import json
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paircluster import (
+    DGPConfig,
+    Seed,
+    SizeExperimentSpec,
     cluster_robust_covariance,
     diff_in_means,
     fe_estimate,
+    resampling_size_experiment,
+    run_size_experiment,
     validate_dataset,
     variance_set,
 )
-from helpers import dense_designs
+from helpers import dense_designs, random_paired
 
 TOL = 1e-10
 KEYS = ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe")
 
 # Fixed examples: the suite must give the same verdict on every run.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# Each example of a worker-count test starts a process pool, so only a few.
+POOLED = settings(max_examples=4, deadline=None, derandomize=True, database=None)
+# More than one chunk of replications, so two workers really split the work.
+REPS = st.integers(257, 700)
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 @st.composite
@@ -122,3 +135,26 @@ def test_matches_sandwich_for_any_block_size(rows):
     got = _variances(rows)
     floor = _floor(rows)
     assert all(_close(got[k], oracle[k], floor) for k in KEYS), (got, oracle)
+
+
+def _serialized(table):
+    return table.to_csv_text(), json.dumps(table.to_json_dict())
+
+
+@POOLED
+@given(st.integers(2, 5), st.integers(2, 8), st.integers(1, 4), REPS, SEEDS)
+def test_stratified_size_table_independent_of_workers(G, P, n_gp, reps, seed):
+    spec = SizeExperimentSpec(DGPConfig(G=G, P=P, n_gp=n_gp), reps, Seed(seed))
+    one, two = (_serialized(run_size_experiment(spec, threads=t)) for t in (1, 2))
+    assert one == two
+
+
+@POOLED
+@given(st.integers(3, 20), REPS, SEEDS)
+def test_resampling_size_table_independent_of_workers(P, reps, seed):
+    data, _ = random_paired(np.random.default_rng(seed), P=P)
+    one, two = (
+        _serialized(resampling_size_experiment(data, reps, 0.05, Seed(seed), threads=t))
+        for t in (1, 2)
+    )
+    assert one == two

@@ -4,9 +4,7 @@ import pytest
 from paircluster import (
     DGPConfig,
     ExperimentData,
-    PairBlock,
     Seed,
-    UnitBlock,
     draw_paired_assignment,
     draw_stratified_assignment,
     validate_dataset,
@@ -14,27 +12,26 @@ from paircluster import (
 from paircluster.errors import NotPaired, StratumTooSmall
 
 
-def _paired_skeleton(P, n_obs=1):
-    pairs = []
-    for p in range(P):
-        units = tuple(UnitBlock(f"u{g}", np.zeros(n_obs)) for g in range(2))
-        pairs.append(PairBlock(f"p{p:05d}", units))
-    return ExperimentData(tuple(pairs))
-
-
 def _strata_skeleton(P, G):
-    pairs = []
-    for p in range(P):
-        units = tuple(UnitBlock(f"u{g:02d}", np.zeros(1)) for g in range(G))
-        pairs.append(PairBlock(f"p{p:05d}", units))
-    return ExperimentData(tuple(pairs))
+    """P strata of G single-observation units."""
+    return ExperimentData(
+        outcomes=np.zeros(P * G),
+        unit_pair=np.repeat(np.arange(P), G),
+        unit_sizes=np.ones(P * G, dtype=int),
+        pair_ids=[f"p{p:05d}" for p in range(P)],
+        unit_ids=[f"u{g:02d}" for g in range(G)] * P,
+    )
+
+
+def _paired_skeleton(P):
+    return _strata_skeleton(P, G=2)
 
 
 def test_single_pair_forced():
     data = _paired_skeleton(1)
     for master in (0, 1, 2, 3, 99):
         assignment = draw_paired_assignment(data, Seed(master))
-        assert sum(assignment.treated.values()) == 1
+        assert assignment.treated.sum() == 1
 
 
 def test_determinism():
@@ -52,9 +49,7 @@ def test_paired_first_unit_frequency():
     P = 10000
     data = _paired_skeleton(P)
     assignment = draw_paired_assignment(data, Seed(314))
-    first_treated = sum(
-        assignment.treated[(p.pair_id, p.units[0].unit_id)] for p in data.pairs
-    )
+    first_treated = assignment.treated[0::2].sum()
     assert 0.48 <= first_treated / P <= 0.52
 
 
@@ -117,4 +112,4 @@ def test_assignment_covers_validated_units():
     ]
     data, _ = validate_dataset(rows)
     assignment = draw_paired_assignment(data, Seed(0))
-    assert set(assignment.treated) == set(data.unit_ids())
+    assert assignment.unit_vector(data).reshape(2, 2).sum(axis=1).tolist() == [1, 1]

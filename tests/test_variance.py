@@ -74,11 +74,10 @@ def test_sandwich_singleton_reduction():
 
 def test_sandwich_demeaned_regressor_example(minimal):
     data, assignment = minimal
-    lay = data.layout()
     fit = diff_in_means(data, assignment)
     w = assignment.observation_vector(data).astype(float)
     x = w - w.mean()
-    V = cluster_robust_covariance(x, fit.residuals, lay.obs_pair)
+    V = cluster_robust_covariance(x, fit.residuals, data.obs_pair)
     assert V[0, 0] == pytest.approx(0.5, rel=1e-12)
 
 
@@ -229,11 +228,10 @@ def test_one_obs_per_unit_dof_equivalence():
         P = int(rng.integers(2, 20))
         data, assignment = random_paired(rng, P=P, uniform_size=1)
         fe = fe_estimate(data, assignment)
-        lay = data.layout()
         w = assignment.observation_vector(data).astype(float)
         t_p, _ = assignment.per_pair_counts(data)
-        x = w - (t_p / lay.pair_sizes)[lay.obs_pair]
-        v_singleton = cluster_robust_covariance(x, fe.residuals, np.arange(lay.n))[0, 0]
+        x = w - (t_p / data.pair_sizes)[data.obs_pair]
+        v_singleton = cluster_robust_covariance(x, fe.residuals, np.arange(data.n_total))[0, 0]
         adjusted = dof_adjust(v_singleton, 2 * P, P + 1)
         target = (P / (P - 1)) * pair_clustered_variance(data, assignment, fe)
         assert rel_err(adjusted, target) <= 1e-10
@@ -297,14 +295,13 @@ def test_stratified_sandwich_path():
             for _ in range(int(rng.integers(1, 4))):
                 rows.append((f"s{s}", f"u{g}", w, float(rng.normal())))
     data, assignment = validate_dataset(rows)
-    lay = data.layout()
     fit = diff_in_means(data, assignment)
     x_nofe, x_fe, obs_pair, obs_unit = dense_designs(data, assignment)
     v_strat = cluster_robust_covariance(x_nofe, fit.residuals, obs_pair)[1, 1]
     T, C = assignment.totals(data)
     w_obs = assignment.observation_vector(data)
-    set_p = np.bincount(lay.obs_pair, weights=fit.residuals * w_obs)
-    seu_p = np.bincount(lay.obs_pair, weights=fit.residuals * ~w_obs)
+    set_p = np.bincount(data.obs_pair, weights=fit.residuals * w_obs)
+    seu_p = np.bincount(data.obs_pair, weights=fit.residuals * ~w_obs)
     assert rel_err(v_strat, np.sum((set_p / T - seu_p / C) ** 2)) <= 1e-10
 
 
