@@ -56,32 +56,39 @@ def _read_columns(path):
         return k + 2 + bisect_right(blanks, k)
 
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+        reader, error = csv.reader(handle), None
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInput(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
-                line=1,
-            )
-        add_pair, add_unit, add_w, add_y = (
-            pairs.append, units.append, treatments.append, outcomes.append
-        )
-        for record in reader:
-            if len(record) == 4:
-                pair_id, unit_id, w_text, y_text = record
-                add_pair(pair_id.strip())
-                add_unit(unit_id.strip())
-                add_w(w_text)  # int() and float() ignore surrounding whitespace
-                add_y(y_text)
-            elif not record or (len(record) == 1 and not record[0].strip()):
-                blanks.append(len(pairs))
-            else:
-                raise _first_parse_error(treatments, outcomes, line) or ParseError(
-                    f"expected 4 fields, got {len(record)}", line=line(len(pairs))
+            header = next(reader, None)
+            if header is None:
+                raise EmptyInput(f"{path}: file is empty")
+            if [h.strip() for h in header] != CSV_HEADER:
+                raise ParseError(
+                    f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+                    line=1,
                 )
+            add_pair, add_unit, add_w, add_y = (
+                pairs.append, units.append, treatments.append, outcomes.append
+            )
+            for record in reader:
+                if len(record) == 4:
+                    pair_id, unit_id, w_text, y_text = record
+                    add_pair(pair_id.strip())
+                    add_unit(unit_id.strip())
+                    add_w(w_text)  # int() and float() ignore surrounding whitespace
+                    add_y(y_text)
+                elif not record or (len(record) == 1 and not record[0].strip()):
+                    blanks.append(len(pairs))
+                else:
+                    raise _first_parse_error(treatments, outcomes, line) or ParseError(
+                        f"expected 4 fields, got {len(record)}", line=line(len(pairs))
+                    )
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            error = ParseError(str(exc), line=reader.line_num)
+        except UnicodeDecodeError as exc:  # decoding runs a chunk ahead of the reader
+            ahead = exc.object.count(b"\n", 0, exc.start)
+            error = ParseError(f"not UTF-8 text ({exc.reason})", line=reader.line_num + 1 + ahead)
+    if error is not None:  # loses to an earlier row that does not parse, as above
+        raise _first_parse_error(treatments, outcomes, line) or error
     if not pairs:
         raise EmptyInput(f"{path}: no data rows")
     return pairs, units, treatments, outcomes, line

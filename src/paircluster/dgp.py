@@ -35,8 +35,12 @@ _TINY = 2.0**-53
 
 def normal_draws(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normals via the inverse CDF of the uniform stream."""
-    u = rng.random(size)
-    return ndtri(np.clip(u, _TINY, 1.0 - _TINY))
+    return uniform_to_normal(rng.random(size))
+
+
+def uniform_to_normal(u: np.ndarray) -> np.ndarray:
+    """The inverse normal CDF of uniforms in [0, 1), computed in place in ``u``."""
+    return ndtri(np.clip(u, _TINY, 1.0 - _TINY, out=u), out=u)
 
 
 @dataclass(frozen=True)

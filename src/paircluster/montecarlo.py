@@ -2,18 +2,17 @@
 
 Each replication draws a fresh experiment, fits both models, forms the
 four cluster-robust t-tests, and tallies rejections of the true null.
-Replication i draws from the i-th child of the master seed, which the
-worker rebuilds itself; chunks are reduced in fixed order, so results
-are bit-identical for any worker count.
+Replication i draws from the i-th child of the master seed, in the order
+of a lone replication; chunks are reduced in fixed order, so results are
+bit-identical for any batching and any worker count.
 
-One chunk worker serves both experiments.  It takes a draw object that
-returns each replication's unit sums and assignment, and passes them to
-``variance.unit_sum_stats``, the kernel that ``variance_set`` and
-``analyze`` use too.  The statistics depend on the data only through
-per-unit outcome sums, unit sizes, and the assignment, so the synthetic
-generator draws unit sums directly (the sum of n iid standard normals is
-sqrt(n) times one); the sampling distribution of every tallied
-statistic is exactly that of the observation-level generator.
+One chunk worker serves both experiments, a sub-batch at a time: a draw
+object turns the uniforms into unit sums and assignments at once, and one
+call of ``variance.unit_sum_stats`` (which ``analyze`` uses too) gives all
+their statistics.  These depend on the data only through per-unit outcome
+sums, unit sizes and the assignment, so the synthetic generator draws unit
+sums directly (the sum of n iid standard normals is sqrt(n) times one),
+with the sampling distribution of the observation-level generator.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import ExperimentData
-from .dgp import DGPConfig, ZeroEffect, normal_draws
-from .errors import NotPaired, ReplicationError, ZeroVariance
+from .dgp import DGPConfig, ZeroEffect, uniform_to_normal
+from .errors import NotPaired, ReplicationError
 from .randomize import Seed
 from .variance import UnitStats, unit_sum_stats
 
@@ -48,6 +47,7 @@ _TAU_COLS = [UnitStats._fields.index(f"tau_{model}") for _, model in _INTERNAL_T
 _VAR_COLS = [UnitStats._fields.index(f"{c}_{model}") for c, model in _INTERNAL_TESTS]
 
 _CHUNK = 256
+_SUB_BATCH = 2**14  # at most this many (replication, unit) elements per kernel call
 _CSV_HEADER = "test,model,G,reps,rejection_rate,mc_se,mean_se_ratio"
 
 
@@ -62,6 +62,16 @@ def _software_factor(n_clusters: int, n_obs: int, n_params: int) -> float:
     return (n_clusters / (n_clusters - 1.0)) * ((n_obs - 1.0) / (n_obs - n_params))
 
 
+def _uniforms(master, start, count, *shapes):
+    """Uniform buffers, filled in order from Seed(master).spawn()[i] for replication i."""
+    buffers = [np.empty((count, *shape)) for shape in shapes]
+    for k in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(start + k,)))
+        for buffer in buffers:
+            rng.random(out=buffer[k])
+    return buffers
+
+
 class _StratifiedDraw:
     """Unit sums and a stratified assignment from the synthetic generator."""
 
@@ -73,28 +83,27 @@ class _StratifiedDraw:
         )
         self.G, self.P, self.n_gp, self.sigma2 = cfg.G, cfg.P, cfg.n_gp, cfg.sigma2_gamma
         self.block = np.repeat(np.arange(cfg.P), cfg.G)
-        self.rows = np.arange(cfg.P)[:, None]
         self.n_blocks = cfg.P
         self.sizes = np.full(cfg.n_units, float(cfg.n_gp))
         self.n_obs = cfg.n_obs
 
-    def __call__(self, rng):
+    def batch(self, master, start, count):
+        """(sums, treated) of replications ``start ..``, each of shape (count, units)."""
         P, G, n_gp = self.P, self.G, self.n_gp
-        order = np.argsort(rng.random((P, G)), axis=1)
-        treated2d = np.zeros((P, G), dtype=bool)
-        treated2d[self.rows, order[:, : G // 2]] = True
-        treated = treated2d.ravel()
-        sums = math.sqrt(n_gp) * normal_draws(rng, P * G)
-        if self.sigma2 > 0.0:
-            gamma = normal_draws(rng, P) * math.sqrt(self.sigma2)
-            sums += n_gp * gamma[self.block]
+        shock = [(P,)] if self.sigma2 > 0.0 else []
+        u_order, u_sums, *u_shock = _uniforms(master, start, count, (P, G), (P * G,), *shock)
+        treated = np.zeros((count, P * G), dtype=bool)  # each stratum's first G // 2 in order
+        np.put_along_axis(treated.reshape(-1, P, G), np.argsort(u_order)[..., : G // 2], True, -1)
+        sums = np.multiply(uniform_to_normal(u_sums), math.sqrt(n_gp), out=u_sums)
+        for u in u_shock:
+            sums += n_gp * (uniform_to_normal(u) * math.sqrt(self.sigma2))[:, self.block]
         if self.taus is not None:
             sums += n_gp * self.taus[self.block] * treated
         return sums, treated
 
 
 class _PairedResample:
-    """Fixed unit sums of a paired dataset under a fresh coin-flip assignment."""
+    """Fixed unit sums of a paired dataset under fresh coin-flip assignments."""
 
     def __init__(self, data: ExperimentData):
         self.sums = data.centred_unit_sums
@@ -103,29 +112,24 @@ class _PairedResample:
         self.n_blocks = data.P
         self.n_obs = data.n_total
 
-    def __call__(self, rng):
-        first = rng.random(self.n_blocks) < 0.5
-        treated = np.empty(self.sums.size, dtype=bool)
-        treated[0::2] = first
-        treated[1::2] = ~first
-        return self.sums, treated
+    def batch(self, master, start, count):
+        """The shared (units,) sums and (count, units) assignments of replications ``start ..``."""
+        first = _uniforms(master, start, count, (self.n_blocks,))[0] < 0.5
+        return self.sums, np.stack([first, ~first], axis=2).reshape(count, -1)
 
 
 def _run_chunk(args):
     """Tally replications ``start .. start + count - 1`` of one experiment."""
     draw, master, start, count, z_crit, factors, collect = args
-    stats = np.empty((count, len(UnitStats._fields)))
-    for i in range(count):
+    step, stats = max(1, _SUB_BATCH // draw.sizes.size), []
+    for lo in range(start, start + count, step):
+        sums, treated = draw.batch(master, lo, min(step, start + count - lo))
         try:
-            # The (start + i)-th child of Seed(master).spawn(), without its siblings.
-            child = np.random.SeedSequence(master, spawn_key=(start + i,))
-            sums, treated = draw(np.random.default_rng(child))
-            rep = unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs)
-            if min(rep[2:]) <= 0.0:  # the four variances
-                raise ZeroVariance("a clustered variance estimate is zero")
-            stats[i] = rep
-        except Exception as exc:  # noqa: BLE001 - annotate with replication index
-            raise ReplicationError(start + i, exc) from exc
+            rows = unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs)
+        except ReplicationError as exc:  # exc.index counts from the sub-batch's first row
+            raise ReplicationError(lo + exc.index, exc.cause) from exc.cause
+        stats.append(np.column_stack(rows))
+    stats = np.concatenate(stats)
     variances = stats[:, _VAR_COLS]
     t = stats[:, _TAU_COLS] / np.sqrt(variances)
     ratios = np.sqrt(variances[:, 1] / variances[:, 3])  # unit over block, FE
@@ -301,6 +305,8 @@ def resampling_size_experiment(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if data.P < 2:
+        raise ValueError(f"need P >= 2 pairs, got {data.P}")
     if np.any(data.pair_unit_counts != 2):
         raise NotPaired("resampling experiments need exactly 2 units per pair")
     return _size_table(

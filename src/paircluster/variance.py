@@ -38,8 +38,10 @@ from .errors import (
     NotPaired,
     NoVariationInTreatment,
     RankDeficient,
+    ReplicationError,
     ShapeMismatch,
     ZeroResiduals,
+    ZeroVariance,
 )
 from .estimators import FitResult, PairEffects
 
@@ -78,43 +80,64 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
     ``range(n_blocks)``, and ``n_obs`` the total observation count.  The
     fits and the cluster scores depend on the data only through these, so
     any number of units per block and any unit sizes are handled.
+
+    A (rows, units) ``treated`` holds one replication per row, with (rows,
+    units) ``sums`` or shared (units,) ones, and gives (rows,) fields; its
+    first failing row, here also by a variance <= 0, raises ReplicationError.
     """
-    tf = treated.astype(float)
-    T = float(sizes @ tf)
+    tf = np.atleast_2d(treated).astype(float)
+    flat = (block + n_blocks * np.arange(len(tf))[:, None]).ravel()  # one bin per (row, block)
+
+    def block_sums(values):  # per row of (rows, units) values; shared for (units,) ones
+        if values.ndim == 1:
+            return np.bincount(block, values, n_blocks)
+        return np.bincount(flat, values.ravel(), len(tf) * n_blocks).reshape(-1, n_blocks)
+
+    def row_dot(a, b):  # per row, the same BLAS dot as a 1-D ``a @ b``
+        return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+    def variances(base, slope, x, weight, denom):  # of scores weight * residual, in place
+        scores = slope[:, None] * x  # the residual is sums - sizes * (base + slope * x)
+        scores += base
+        scores *= sizes
+        np.subtract(sums, scores, out=scores)
+        scores *= weight
+        block_scores = block_sums(scores)
+        return row_dot(scores, scores) / denom**2, row_dot(block_scores, block_scores) / denom**2
+
+    T = row_dot(tf, sizes)
     C = n_obs - T
-    if T == 0 or C == 0:
-        raise NoVariationInTreatment("all units share one treatment status")
-    total = float(sums.sum())
-    sum_t = float(sums @ tf)
-    alpha = (total - sum_t) / C
-    tau = sum_t / T - alpha
-
-    resid = sums - sizes * (alpha + tau * tf)
-    x = tf - T / n_obs
-    denom = T * C / n_obs
-    scores = x * resid
-    v_unit_nofe = float(scores @ scores) / denom**2
-    block_scores = np.bincount(block, weights=scores, minlength=n_blocks)
-    v_block_nofe = float(block_scores @ block_scores) / denom**2
-
-    treated_b = np.bincount(block, weights=sizes * tf, minlength=n_blocks)
-    size_b = np.bincount(block, weights=sizes, minlength=n_blocks)
+    treated_b = block_sums(sizes * tf)
+    size_b = block_sums(sizes)
     degenerate = (treated_b == 0) | (treated_b == size_b)
-    if np.any(degenerate):
-        raise DegeneratePair(
-            f"block {int(np.argmax(degenerate))} lacks a treated/control contrast"
-        )
-    x_fe = tf - (treated_b / size_b)[block]
-    denom_fe = float(sizes @ (x_fe * x_fe))
-    tau_fe = float(x_fe @ sums) / denom_fe
-    mean_b = np.bincount(block, weights=sums, minlength=n_blocks) / size_b
-    resid_fe = sums - sizes * (mean_b[block] + tau_fe * x_fe)
-    scores_fe = x_fe * resid_fe
-    v_unit_fe = float(scores_fe @ scores_fe) / denom_fe**2
-    block_scores_fe = np.bincount(block, weights=scores_fe, minlength=n_blocks)
-    v_block_fe = float(block_scores_fe @ block_scores_fe) / denom_fe**2
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in rows that fail below
+        sum_t = row_dot(tf, sums)
+        alpha = (sums.sum(axis=-1) - sum_t) / C
+        tau = sum_t / T - alpha
+        x = tf - (T / n_obs)[:, None]
+        unit_nofe, block_nofe = variances(alpha[:, None], tau, tf, x, T * C / n_obs)
 
-    return UnitStats(tau, tau_fe, v_unit_nofe, v_block_nofe, v_unit_fe, v_block_fe)
+        x_fe = tf - np.take(treated_b / size_b, block, axis=-1)
+        denom_fe = row_dot(x_fe * x_fe, sizes)
+        tau_fe = row_dot(x_fe, sums) / denom_fe
+        mean_b = np.take(block_sums(sums) / size_b, block, axis=-1)
+        unit_fe, block_fe = variances(mean_b, tau_fe, x_fe, x_fe, denom_fe)
+
+    stats = UnitStats(tau, tau_fe, unit_nofe, block_nofe, unit_fe, block_fe)
+    failed = degenerate.any(axis=1)  # so is every row without treatment variation
+    if batch := np.ndim(treated) == 2:
+        failed |= np.min(stats[2:], axis=0) <= 0.0
+    if failed.any():
+        row = int(np.argmax(failed))
+        if T[row] == 0 or C[row] == 0:
+            cause = NoVariationInTreatment("all units share one treatment status")
+        elif degenerate[row].any():
+            first = np.argmax(degenerate[row])
+            cause = DegeneratePair(f"block {first} lacks a treated/control contrast")
+        else:
+            cause = ZeroVariance("a clustered variance estimate is zero")
+        raise ReplicationError(row, cause) if batch else cause
+    return stats if batch else UnitStats(*(float(v[0]) for v in stats))
 
 
 def dataset_stats(data: ExperimentData, assignment: Assignment) -> UnitStats:

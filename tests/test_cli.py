@@ -77,6 +77,21 @@ def test_analyze_bad_treatment(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        (("pair_id,unit_id,treatment,outcome\np1,a,1," + "1" * 200_000 + "\n").encode(), 2),
+        ("pair_id,unit_id,treatment,outcome\np1,a,1,2.0\np\u00e9,b,0,0.0\n".encode("latin-1"), 3),
+    ],
+    ids=["oversized-field", "latin-1"],
+)
+def test_analyze_unreadable_csv_is_a_data_error(tmp_path, capsys, raw, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    assert main(["analyze", "--data", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: line {line}: ")
+
+
 def test_analyze_nonbinary_treatment_value(tmp_path):
     path = tmp_path / "bad2.csv"
     path.write_text(

@@ -165,6 +165,22 @@ def test_first_bad_row_wins_across_checks(tmp_path):
     assert err.value.line == 4
 
 
+def test_oversized_field_is_a_parse_error(tmp_path):
+    text = "pair_id,unit_id,treatment,outcome\np1,a,1,2.0\n\np1,b,0," + "1" * 200_000 + "\n"
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        read_csv(_write(tmp_path, text))
+    assert err.value.line == 4
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    text = "pair_id,unit_id,treatment,outcome\np1,a,1,2.0\np1,b,0,1.0\np\u00e9,c,0,1\n"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        read_csv(path)
+    assert err.value.line == 4
+
+
 def test_csv_validation_errors_name_the_unit(tmp_path):
     header = "pair_id,unit_id,treatment,outcome\n"
     for treatment in ("2", "99999999999999999999999"):

@@ -25,11 +25,23 @@ SIMULATE_GOLDEN = {
         "stratum_nofe": [23, 21],
         "stratum_fe": [23, 16],
     },
+    3: {
+        "unit_nofe": [2, 1],
+        "unit_fe": [23, 21],
+        "stratum_nofe": [9, 8],
+        "stratum_fe": [9, 7],
+    },
     5: {
         "unit_nofe": [6, 6],
         "unit_fe": [28, 27],
         "stratum_nofe": [23, 21],
         "stratum_fe": [23, 19],
+    },
+    10: {
+        "unit_nofe": [5, 5],
+        "unit_fe": [20, 19],
+        "stratum_nofe": [21, 20],
+        "stratum_fe": [21, 17],
     },
 }
 

@@ -210,6 +210,12 @@ def test_resampling_determinism_and_outcomes_untouched():
     assert np.array_equal(before, data.outcomes)
 
 
+def test_resampling_needs_two_pairs():
+    data, _ = validate_dataset([("p1", "a", 1, 2.0), ("p1", "b", 0, 1.0)])
+    with pytest.raises(ValueError, match="P >= 2"):
+        resampling_size_experiment(data, reps=10, level=0.05, seed=Seed(1))
+
+
 def test_bad_spec_rejected():
     with pytest.raises(ValueError):
         SizeExperimentSpec(dgp=DGPConfig(G=2, P=5, n_gp=1), reps=0, master_seed=Seed(1))

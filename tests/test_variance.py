@@ -16,11 +16,16 @@ from paircluster import (
 )
 from paircluster.errors import (
     DegenerateDOF,
+    DegeneratePair,
     NotPaired,
+    NoVariationInTreatment,
     RankDeficient,
+    ReplicationError,
     ShapeMismatch,
     ZeroResiduals,
+    ZeroVariance,
 )
+from paircluster.variance import unit_sum_stats
 from helpers import dense_designs, paired_rows, random_paired, rel_err
 
 MINIMAL_ROWS = [
@@ -334,3 +339,57 @@ def test_variance_set_matches_closed_forms():
             rel_err(vs.unit_fe, unit_clustered_variance(data, assignment, fe)),
         )
     assert worst <= 1e-10
+
+
+def _ragged_batch(rng, rows):
+    """Blocks of 2-5 units with unequal sizes, and ``rows`` valid assignments."""
+    counts = rng.integers(2, 6, 12)
+    block = np.repeat(np.arange(counts.size), counts)
+    sizes = rng.integers(1, 8, block.size).astype(float)
+    treated = np.zeros((rows, block.size), dtype=bool)
+    for r in range(rows):
+        for b, start in enumerate(np.cumsum(counts) - counts):
+            k = rng.integers(1, counts[b])  # 1 .. count - 1 treated units
+            treated[r, start + rng.permutation(counts[b])[:k]] = True
+    sums = rng.normal(size=(rows, block.size)) * sizes + 3.0
+    return sums, sizes, treated, block, counts.size, int(sizes.sum())
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("shared", [False, True])
+def test_batched_kernel_matches_rows(rows, shared):
+    sums, sizes, treated, block, n_blocks, n_obs = _ragged_batch(np.random.default_rng(rows), rows)
+    if shared:
+        sums = sums[0]
+    batch = unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs)
+    for r in range(rows):
+        one = unit_sum_stats(sums if shared else sums[r], sizes, treated[r], block, n_blocks, n_obs)
+        assert all(isinstance(v, float) for v in one)
+        for field, value in zip(one._fields, one):
+            assert rel_err(getattr(batch, field)[r], value) <= 1e-12, field
+
+
+@pytest.mark.parametrize(
+    "spoil, cause",
+    [
+        (lambda sums, treated, block: treated.fill(False), NoVariationInTreatment),
+        (lambda sums, treated, block: treated.__setitem__(block == 0, True), DegeneratePair),
+        (lambda sums, treated, block: sums.fill(1.0), ZeroVariance),  # constant outcomes
+    ],
+)
+def test_batched_kernel_reports_first_failing_row(spoil, cause):
+    sums, sizes, treated, block, n_blocks, _ = _ragged_batch(np.random.default_rng(3), 6)
+    sizes[:] = 1.0
+    n_obs = sizes.size
+    for k in (4, 2):  # row 2 fails first, row 4 later
+        spoil(sums[k], treated[k], block)
+    with pytest.raises(ReplicationError) as err:
+        unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs)
+    assert err.value.index == 2
+    assert isinstance(err.value.cause, cause)
+    assert unit_sum_stats(sums[:2], sizes, treated[:2], block, n_blocks, n_obs).tau_fe.shape == (2,)
+    if cause is ZeroVariance:  # a single dataset's statistics may hold a zero variance
+        assert min(unit_sum_stats(sums[2], sizes, treated[2], block, n_blocks, n_obs)[2:]) == 0.0
+    else:
+        with pytest.raises(cause):
+            unit_sum_stats(sums[2], sizes, treated[2], block, n_blocks, n_obs)
