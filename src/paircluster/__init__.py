@@ -21,7 +21,6 @@ from .dgp import (
     ConstantEffect,
     DGPConfig,
     HeterogeneousEffect,
-    ZeroEffect,
     null_resample,
     simulate_strata,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ConstantEffect",
     "DGPConfig",
     "HeterogeneousEffect",
-    "ZeroEffect",
     "null_resample",
     "simulate_strata",
     "FitResult",

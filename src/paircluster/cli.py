@@ -92,8 +92,6 @@ def _parse_scan(text: str) -> range:
 
 
 def _cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise _UsageError("--reps must be >= 1")
     if not 0.0 < args.level < 1.0:
         raise _UsageError("--level must be in (0, 1)")
     if args.threads is not None and args.threads < 1:
@@ -111,19 +109,16 @@ def _cmd_simulate(args) -> int:
     else:
         if args.G is None:
             raise _UsageError("stratified design needs --G or --scan-G")
-        if args.G < 2:
-            raise _UsageError("--G must be >= 2")
         g_values = [args.G]
 
     cells = []
     tables = []
     for g in g_values:
-        cfg_kwargs = dict(G=g, P=args.P, n_gp=args.n, sigma2_gamma=args.sigma2_gamma)
         try:
-            if args.effect != 0.0:
-                cfg_kwargs["effect_profile"] = ConstantEffect(args.effect)
+            dgp = DGPConfig(G=g, P=args.P, n_gp=args.n, sigma2_gamma=args.sigma2_gamma,
+                            effect_profile=ConstantEffect(args.effect))
             spec = SizeExperimentSpec(
-                dgp=DGPConfig(**cfg_kwargs),
+                dgp=dgp,
                 reps=args.reps,
                 master_seed=Seed(args.seed),
                 level=args.level,

@@ -5,8 +5,11 @@ each unit holding one or more observed outcomes.  It is stored as flat
 arrays in canonical order: pairs sorted by id, units sorted by id within
 each pair, and each unit's outcomes in input order, so results never
 depend on input row order.  ``validate_dataset`` and ``read_csv`` build
-it in bulk through one canonicalizer.  All types are immutable after
-construction and safe to share across threads.
+it in bulk through one canonicalizer, which strips ids of surrounding
+whitespace.  Code that needs exactly two units per pair reads per-unit
+values through ``ExperimentData.pair_columns``, the one place that
+checks it.  All types are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import (
     EmptyInput,
     MixedTreatmentWithinUnit,
     NonBinaryTreatment,
+    NotPaired,
 )
 
 __all__ = [
@@ -149,6 +153,18 @@ class ExperimentData:
         """Units per pair."""
         return _frozen(np.bincount(self.unit_pair, minlength=self.P), np.int64)
 
+    def pair_columns(self, values) -> np.ndarray:
+        """Per-unit ``values`` as a (P, 2) array, one row per pair.
+
+        The one accessor of paired-only code: raises ``NotPaired`` naming
+        the first pair that does not have exactly two units.
+        """
+        unpaired = self.pair_unit_counts != 2
+        if np.any(unpaired):
+            bad = self.pair_ids[int(np.argmax(unpaired))]
+            raise NotPaired(f"pair {bad!r} does not have exactly 2 units")
+        return np.asarray(values).reshape(-1, 2)
+
     @property
     def centred_unit_sums(self) -> np.ndarray:
         """Unit sums of the outcomes minus their global mean.
@@ -245,9 +261,11 @@ class PotentialData:
 
 
 def _sorted_codes(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ids of a column in sorted order, and each row's index into them."""
-    ids = sorted(set(column))
+    """The distinct stripped ids of a column in sorted order, and each row's index into them."""
+    texts = set(column)
+    ids = sorted({text.strip() for text in texts})
     index = dict(zip(ids, range(len(ids))))
+    index.update({text: index[text.strip()] for text in texts - index.keys()})  # padded ids
     codes = np.fromiter(map(index.__getitem__, column), np.intp, len(column))
     return np.array(ids, dtype=object), codes
 
@@ -255,12 +273,12 @@ def _sorted_codes(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 def canonicalize(pair_col, unit_col, treated, outcomes, treatment_value):
     """Sort, check and pack rows given as columns into a dataset and assignment.
 
-    ``pair_col``/``unit_col`` hold each row's ids, ``treated`` its
-    treatment coded 0, 1, or -1 for a value that is not binary, and
-    ``outcomes`` its outcome; ``treatment_value(k)`` is row k's treatment
-    as given, for the error message.  Errors name the offending pair or
-    unit; of the treatment errors, the one raised is the one a row-by-row
-    pass would meet first.
+    ``pair_col``/``unit_col`` hold each row's ids, which are stripped of
+    surrounding whitespace here, ``treated`` its treatment coded 0, 1, or
+    -1 for a value that is not binary, and ``outcomes`` its outcome;
+    ``treatment_value(k)`` is row k's treatment as given, for the error
+    message.  Errors name the offending pair or unit; of the treatment
+    errors, the one raised is the one a row-by-row pass would meet first.
     """
     pair_ids, pair_code = _sorted_codes(pair_col)
     names, name_code = _sorted_codes(unit_col)

@@ -1,9 +1,12 @@
 """CSV ingestion and emission.
 
 Input is long format, one row per observation, header
-``pair_id,unit_id,treatment,outcome`` with treatment in {0,1}.  Row
-order never affects results; writing uses the canonical order, so a
-write/read round trip reproduces the structure exactly.
+``pair_id,unit_id,treatment,outcome`` with treatment in {0,1}, in UTF-8
+with or without a byte-order mark.  Row order never affects results;
+writing uses the canonical order, and ids are stripped of surrounding
+whitespace by the canonicalizer on both paths, so a write/read round
+trip of a dataset from ``validate_dataset`` or ``read_csv`` reproduces
+it exactly.
 
 Reading is one ``csv.reader`` pass into four columns of strings, which
 are then converted and canonicalized in bulk.  Line numbers are worked
@@ -45,7 +48,7 @@ def _first_parse_error(treatments, outcomes, line) -> ParseError | None:
 
 
 def _read_columns(path):
-    """One pass over the file into columns: stripped ids and the raw number texts.
+    """One pass over the file into columns of the raw field texts.
 
     Also returns ``line(k)``, the file line of data row k.
     """
@@ -55,7 +58,7 @@ def _read_columns(path):
     def line(k):  # the line of data row k: the header, k rows and the blanks before it
         return k + 2 + bisect_right(blanks, k)
 
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader, error = csv.reader(handle), None
         try:
             header = next(reader, None)
@@ -72,8 +75,8 @@ def _read_columns(path):
             for record in reader:
                 if len(record) == 4:
                     pair_id, unit_id, w_text, y_text = record
-                    add_pair(pair_id.strip())
-                    add_unit(unit_id.strip())
+                    add_pair(pair_id)  # canonicalize strips each distinct id once
+                    add_unit(unit_id)
                     add_w(w_text)  # int() and float() ignore surrounding whitespace
                     add_y(y_text)
                 elif not record or (len(record) == 1 and not record[0].strip()):

@@ -10,7 +10,7 @@ bit-reproducible across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -21,7 +21,6 @@ from .errors import StratumTooSmall
 from .randomize import Seed, _stratified_treated, draw_paired_assignment, draw_stratified_assignment
 
 __all__ = [
-    "ZeroEffect",
     "ConstantEffect",
     "HeterogeneousEffect",
     "EffectProfile",
@@ -41,14 +40,6 @@ def normal_draws(rng: np.random.Generator, size) -> np.ndarray:
 def uniform_to_normal(u: np.ndarray) -> np.ndarray:
     """The inverse normal CDF of uniforms in [0, 1), computed in place in ``u``."""
     return ndtri(np.clip(u, _TINY, 1.0 - _TINY, out=u), out=u)
-
-
-@dataclass(frozen=True)
-class ZeroEffect:
-    """No treatment effect anywhere."""
-
-    def stratum_effects(self, n_strata: int) -> np.ndarray:
-        return np.zeros(n_strata)
 
 
 @dataclass(frozen=True)
@@ -84,7 +75,7 @@ class HeterogeneousEffect:
         return self.taus
 
 
-EffectProfile = Union[ZeroEffect, ConstantEffect, HeterogeneousEffect]
+EffectProfile = Union[ConstantEffect, HeterogeneousEffect]
 
 
 @dataclass(frozen=True)
@@ -98,7 +89,7 @@ class DGPConfig:
     P: int
     n_gp: int
     sigma2_gamma: float = 0.0
-    effect_profile: EffectProfile = field(default_factory=ZeroEffect)
+    effect_profile: EffectProfile = ConstantEffect(0.0)
 
     def __post_init__(self):
         if self.G < 2:

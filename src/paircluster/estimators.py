@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .errors import DegeneratePair, NotPaired, NoVariationInTreatment
+from .errors import DegeneratePair, NoVariationInTreatment
 
-__all__ = ["FitResult", "PairEffects", "diff_in_means", "fe_estimate", "pair_effects"]
+__all__ = ["FitResult", "PairEffects", "diff_in_means", "fe_estimate", "pair_effects",
+           "pair_weights"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,25 +120,24 @@ def fe_estimate(data: ExperimentData, assignment: Assignment) -> FitResult:
     )
 
 
-def pair_effects(data: ExperimentData, assignment: Assignment) -> PairEffects:
-    """Within-pair treated-minus-control mean differences and their weights.
+def pair_weights(data: ExperimentData) -> np.ndarray:
+    """Harmonic mean of each pair's two unit sizes, normalized to sum to one.
 
-    The weight of pair p is the harmonic mean of its two unit sizes,
-    normalized to sum to one; under equal within-pair sizes the weights
-    are proportional to pair size.
+    Under equal within-pair sizes the weights are proportional to pair size.
     """
-    if np.any(data.pair_unit_counts != 2):
-        bad = data.pair_ids[int(np.argmax(data.pair_unit_counts != 2))]
-        raise NotPaired(f"pair {bad!r} does not have exactly 2 units")
-    w_unit = assignment.unit_vector(data)
-    w_mat = w_unit.reshape(-1, 2)
+    sizes = data.pair_columns(data.unit_sizes).astype(float)
+    harmonic = 1.0 / (1.0 / sizes[:, 0] + 1.0 / sizes[:, 1])
+    return harmonic / harmonic.sum()
+
+
+def pair_effects(data: ExperimentData, assignment: Assignment) -> PairEffects:
+    """Within-pair treated-minus-control mean differences, weighted by ``pair_weights``."""
+    omega_p = pair_weights(data)
+    w_mat = data.pair_columns(assignment.unit_vector(data))
     if np.any(w_mat.sum(axis=1) != 1):
         bad = data.pair_ids[int(np.argmax(w_mat.sum(axis=1) != 1))]
         raise DegeneratePair(f"pair {bad!r} does not have exactly one treated unit")
-    means = data.unit_means.reshape(-1, 2)
+    means = data.pair_columns(data.unit_means)
     first_treated = w_mat[:, 0]
     tau_p = np.where(first_treated, means[:, 0] - means[:, 1], means[:, 1] - means[:, 0])
-    sizes = data.unit_sizes.reshape(-1, 2).astype(float)
-    harmonic = 1.0 / (1.0 / sizes[:, 0] + 1.0 / sizes[:, 1])
-    omega_p = harmonic / harmonic.sum()
     return PairEffects(tau_p=tau_p, omega_p=omega_p)

@@ -27,8 +27,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import ExperimentData
-from .dgp import DGPConfig, ZeroEffect, uniform_to_normal
-from .errors import NotPaired, ReplicationError
+from .dgp import DGPConfig, uniform_to_normal
+from .errors import ReplicationError
 from .randomize import Seed
 from .variance import UnitStats, unit_sum_stats
 
@@ -76,11 +76,8 @@ class _StratifiedDraw:
     """Unit sums and a stratified assignment from the synthetic generator."""
 
     def __init__(self, cfg: DGPConfig):
-        profile = cfg.effect_profile
-        self.taus = (
-            None if isinstance(profile, ZeroEffect)
-            else np.asarray(profile.stratum_effects(cfg.P), dtype=float)
-        )
+        taus = np.asarray(cfg.effect_profile.stratum_effects(cfg.P), dtype=float)
+        self.taus = taus if np.any(taus != 0.0) else None
         self.G, self.P, self.n_gp, self.sigma2 = cfg.G, cfg.P, cfg.n_gp, cfg.sigma2_gamma
         self.block = np.repeat(np.arange(cfg.P), cfg.G)
         self.n_blocks = cfg.P
@@ -106,6 +103,7 @@ class _PairedResample:
     """Fixed unit sums of a paired dataset under fresh coin-flip assignments."""
 
     def __init__(self, data: ExperimentData):
+        data.pair_columns(data.unit_sizes)  # raises NotPaired unless every pair has 2 units
         self.sums = data.centred_unit_sums
         self.sizes = data.unit_sizes.astype(float)
         self.block = data.unit_pair
@@ -307,8 +305,6 @@ def resampling_size_experiment(
         raise ValueError("reps must be >= 1")
     if data.P < 2:
         raise ValueError(f"need P >= 2 pairs, got {data.P}")
-    if np.any(data.pair_unit_counts != 2):
-        raise NotPaired("resampling experiments need exactly 2 units per pair")
     return _size_table(
         _PairedResample(data), reps, level, seed, threads, collect_tstats, 2, "pair",
         f"resampled(P={data.P})",

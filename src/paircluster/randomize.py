@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .errors import NotPaired
 
 __all__ = ["Seed", "draw_paired_assignment", "draw_stratified_assignment"]
 
@@ -63,12 +62,9 @@ def draw_stratified_assignment(data: ExperimentData, seed: Seed) -> Assignment:
 
 
 def draw_paired_assignment(data: ExperimentData, seed: Seed) -> Assignment:
-    """Draw one treated unit per pair, each unit with probability 1/2."""
-    counts = data.pair_unit_counts
-    if np.any(counts != 2):
-        p = int(np.argmax(counts != 2))
-        raise NotPaired(
-            f"pair {data.pair_ids[p]!r} has {counts[p]} units; paired draws need exactly 2"
-        )
-    masks = _stratified_treated([2] * data.P, seed.sequence())
-    return Assignment(np.concatenate(masks))
+    """Draw one treated unit per pair, each unit with probability 1/2.
+
+    The stratified draw at G = 2, after checking that every pair has two units.
+    """
+    data.pair_columns(data.unit_sizes)
+    return draw_stratified_assignment(data, seed)

@@ -109,7 +109,6 @@ def analyze(
     cluster: str = "both",
     fe: str = "both",
     level: float = 0.05,
-    tau_null: float = 0.0,
 ) -> AnalysisReport:
     """Full audit of a paired experiment.
 
@@ -126,7 +125,7 @@ def analyze(
     effects = pair_effects(data, assignment)
     stats = dataset_stats(data, assignment)
     variances = VarianceSet.from_stats(data, stats)
-    sizes = data.unit_sizes.reshape(-1, 2).astype(float)
+    sizes = data.pair_columns(data.unit_sizes).astype(float)
     if stats.block_fe > 0.0:
         ratio = stats.unit_fe / stats.block_fe
         m_p = np.sum((sizes / sizes.sum(axis=1, keepdims=True)) ** 2, axis=1)
@@ -144,7 +143,6 @@ def analyze(
             tests[(c, m)] = t_test(
                 tau,
                 variances.value(c, m),
-                tau_null=tau_null,
                 level=level,
                 reference=STANDARD_NORMAL,
             )

@@ -10,18 +10,20 @@ The rest of this module is independent reference implementations that
 the tests check the kernel against.  The generic sandwich
 ``cluster_robust_covariance`` works for any design matrix and clustering
 level (including singleton clusters, i.e. the heteroskedasticity-robust
-case).  For paired designs with exactly two units per pair, closed forms
-replace the matrix algebra:
+case).  For paired designs with exactly two units per pair (read through
+``ExperimentData.pair_columns``), closed forms replace the matrix
+algebra.  Each pair p contributes two unit scores a_p and b_p; clustering
+by pair sums (a_p + b_p)^2 and clustering by unit sums a_p^2 + b_p^2.
+The scores are
 
-no fixed effects, clustering by pair      sum_p (SET_p/T - SEU_p/C)^2
-no fixed effects, clustering by unit      sum_p (SET_p^2/T^2 + SEU_p^2/C^2)
-fixed effects, clustering by pair         sum_p w_p^2 S_p^2 (1/n1p + 1/n2p)^2
-fixed effects, clustering by unit         sum_p w_p^2 S_p^2 (1/n1p^2 + 1/n2p^2)
+no fixed effects      a_p = SET_p/T,           b_p = -SEU_p/C
+fixed effects         a_p = w_p S_p / n1p,     b_p = w_p S_p / n2p
 
 where SET_p/SEU_p are the treated/control residual sums in pair p, S_p
-the treated residual sum of the FE fit, and w_p the harmonic pair
-weights.  All estimators are the raw cluster-robust forms; use
-``dof_adjust`` for the n/(n-K) software convention.
+the treated residual sum of the FE fit, n1p/n2p the two unit sizes and
+w_p the harmonic pair weights of ``estimators.pair_weights``.  All
+estimators are the raw cluster-robust forms; use ``dof_adjust`` for the
+n/(n-K) software convention.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .data import Assignment, ExperimentData
 from .errors import (
     DegenerateDOF,
     DegeneratePair,
-    NotPaired,
     NoVariationInTreatment,
     RankDeficient,
     ReplicationError,
@@ -43,7 +44,7 @@ from .errors import (
     ZeroResiduals,
     ZeroVariance,
 )
-from .estimators import FitResult, PairEffects
+from .estimators import FitResult, PairEffects, pair_weights
 
 __all__ = [
     "UnitStats",
@@ -182,12 +183,6 @@ def cluster_robust_covariance(design, residuals, cluster_ids) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def _require_paired(data: ExperimentData) -> None:
-    if np.any(data.pair_unit_counts != 2):
-        bad = data.pair_ids[int(np.argmax(data.pair_unit_counts != 2))]
-        raise NotPaired(f"pair {bad!r} does not have exactly 2 units; closed forms need 2")
-
-
 def _check_fit(data: ExperimentData, fit: FitResult, model_kind: str):
     if fit.model_kind != model_kind:
         raise ValueError(f"expected a {model_kind!r} fit, got {fit.model_kind!r}")
@@ -203,41 +198,29 @@ def _residual_sums(data, assignment, residuals) -> tuple[np.ndarray, np.ndarray]
     return set_p, seu_p
 
 
-def _pair_size_columns(data: ExperimentData) -> tuple[np.ndarray, np.ndarray]:
-    sizes = data.unit_sizes.reshape(-1, 2).astype(float)
-    return sizes[:, 0], sizes[:, 1]
+def _pair_scores(data, assignment, fit: FitResult) -> np.ndarray:
+    """The (P, 2) unit scores a_p, b_p of a closed form, for either model."""
+    sizes = data.pair_columns(data.unit_sizes).astype(float)
+    _check_fit(data, fit, fit.model_kind)
+    set_p, seu_p = _residual_sums(data, assignment, fit.residuals)
+    if fit.model_kind == "nofe":
+        T, C = assignment.totals(data)
+        return np.column_stack([set_p / T, -seu_p / C])
+    return (pair_weights(data) * set_p)[:, None] / sizes
 
 
 def pair_clustered_variance(
     data: ExperimentData, assignment: Assignment, fit: FitResult
 ) -> float:
     """Closed-form variance with one cluster per pair (PCVE)."""
-    _require_paired(data)
-    _check_fit(data, fit, fit.model_kind)
-    set_p, seu_p = _residual_sums(data, assignment, fit.residuals)
-    if fit.model_kind == "nofe":
-        T, C = assignment.totals(data)
-        return float(np.sum((set_p / T - seu_p / C) ** 2))
-    n1, n2 = _pair_size_columns(data)
-    harmonic = 1.0 / (1.0 / n1 + 1.0 / n2)
-    omega = harmonic / harmonic.sum()
-    return float(np.sum(omega**2 * set_p**2 * (1.0 / n1 + 1.0 / n2) ** 2))
+    return float(np.sum(_pair_scores(data, assignment, fit).sum(axis=1) ** 2))
 
 
 def unit_clustered_variance(
     data: ExperimentData, assignment: Assignment, fit: FitResult
 ) -> float:
     """Closed-form variance with one cluster per randomization unit (UCVE)."""
-    _require_paired(data)
-    _check_fit(data, fit, fit.model_kind)
-    set_p, seu_p = _residual_sums(data, assignment, fit.residuals)
-    if fit.model_kind == "nofe":
-        T, C = assignment.totals(data)
-        return float(np.sum(set_p**2 / T**2 + seu_p**2 / C**2))
-    n1, n2 = _pair_size_columns(data)
-    harmonic = 1.0 / (1.0 / n1 + 1.0 / n2)
-    omega = harmonic / harmonic.sum()
-    return float(np.sum(omega**2 * set_p**2 * (1.0 / n1**2 + 1.0 / n2**2)))
+    return float(np.sum(_pair_scores(data, assignment, fit) ** 2))
 
 
 def dof_adjust(variance: float, n_obs: int, n_params: int) -> float:
@@ -288,13 +271,11 @@ def fe_variance_ratio(data: ExperimentData, fit: FitResult) -> RatioDecompositio
     squared treated-side sum equals the squared first-unit sum and the
     assignment is not needed.
     """
-    _require_paired(data)
+    sizes = data.pair_columns(data.unit_sizes).astype(float)
     _check_fit(data, fit, "fe")
-    n1, n2 = _pair_size_columns(data)
-    n_p = n1 + n2
-    m_p = (n1 / n_p) ** 2 + (n2 / n_p) ** 2
+    m_p = np.sum((sizes / sizes.sum(axis=1, keepdims=True)) ** 2, axis=1)
     unit_sums = np.bincount(data.obs_unit, weights=fit.residuals, minlength=data.n_units)
-    s_sq = unit_sums.reshape(-1, 2)[:, 0] ** 2
+    s_sq = data.pair_columns(unit_sums)[:, 0] ** 2
     total = float(s_sq.sum())
     if total == 0.0:
         raise ZeroResiduals("all within-pair residual sums are zero; ratio undefined")
@@ -318,7 +299,6 @@ class VarianceSet:
     unit_fe: float
     dof_factors: dict
     pair_small_sample_factor: float
-    cluster_counts: dict
 
     def value(self, cluster: str, model: str) -> float:
         return getattr(self, f"{cluster}_{model}")
@@ -340,7 +320,6 @@ class VarianceSet:
                 "unit_fe": dof_fe,
             },
             pair_small_sample_factor=P / (P - 1) if P > 1 else float("nan"),
-            cluster_counts={"pair": P, "unit": data.n_units, "observation": n},
         )
 
 

@@ -4,8 +4,19 @@ import pytest
 from paircluster import (
     Assignment,
     ExperimentData,
+    Seed,
+    analyze,
+    diff_in_means,
+    draw_paired_assignment,
+    fe_estimate,
+    fe_variance_ratio,
+    null_resample,
+    pair_clustered_variance,
+    pair_effects,
     read_csv,
+    resampling_size_experiment,
     subset_pairs,
+    unit_clustered_variance,
     validate_dataset,
     write_csv,
 )
@@ -15,6 +26,7 @@ from paircluster.errors import (
     EmptyInput,
     MixedTreatmentWithinUnit,
     NonBinaryTreatment,
+    NotPaired,
 )
 from helpers import random_paired
 
@@ -191,3 +203,26 @@ def test_subset_pairs():
     assert np.array_equal(sub.outcomes, data.outcomes[units[data.obs_unit]])
     with pytest.raises(ValueError):
         subset_pairs(data, assignment, ["nope"])
+
+
+# Every paired-only entry point, on data whose second block has 3 units.
+PAIRED_ONLY = {
+    "pair_effects": pair_effects,
+    "pair_clustered_variance": lambda d, a: pair_clustered_variance(d, a, diff_in_means(d, a)),
+    "unit_clustered_variance": lambda d, a: unit_clustered_variance(d, a, fe_estimate(d, a)),
+    "fe_variance_ratio": lambda d, a: fe_variance_ratio(d, fe_estimate(d, a)),
+    "draw_paired_assignment": lambda d, a: draw_paired_assignment(d, Seed(1)),
+    "null_resample": lambda d, a: null_resample(d, "paired", Seed(1)),
+    "resampling_size_experiment": lambda d, a: resampling_size_experiment(d, 10, 0.05, Seed(1)),
+    "analyze": analyze,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PAIRED_ONLY))
+def test_paired_only_entry_points_share_one_not_paired_error(entry):
+    rows = [("s1", "a", 1, 1.0), ("s1", "b", 0, 2.0),
+            ("s2", "c", 1, 3.0), ("s2", "d", 0, 4.0), ("s2", "e", 0, 6.0)]
+    data, assignment = validate_dataset(rows)
+    with pytest.raises(NotPaired) as err:
+        PAIRED_ONLY[entry](data, assignment)
+    assert str(err.value) == "pair 's2' does not have exactly 2 units"

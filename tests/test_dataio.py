@@ -215,3 +215,23 @@ def test_validate_dataset_reports_the_first_bad_row():
     binary_first = [("p1", "b", 2, 0.0), ("p1", "a", 1, 1.0), ("p1", "a", 0, 1.0)]
     with pytest.raises(NonBinaryTreatment, match="got 2"):
         validate_dataset(binary_first)
+
+
+def test_padded_ids_round_trip(tmp_path):
+    # " p2" sorts before "p1" unless stripped; both paths must strip alike
+    rows = [(" p2", "a ", 1, 1.0), (" p2", "\tb", 0, 2.0), ("p1", " c", 1, 3.0), ("p1", "d", 0, 4.0)]
+    data, assignment = validate_dataset(rows)
+    assert data.pair_ids.tolist() == ["p1", "p2"]
+    assert data.unit_ids.tolist() == ["c", "d", "a", "b"]
+    path = tmp_path / "padded.csv"
+    write_csv(path, data, assignment)
+    assert read_csv(path) == (data, assignment)
+    with pytest.raises(MixedTreatmentWithinUnit, match="unit 'a' in pair 'p1'"):
+        validate_dataset([("p1", "a", 1, 1.0), ("p1", " a", 0, 2.0), ("p1", "b", 0, 3.0)])
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = "pair_id,unit_id,treatment,outcome\np1,a,1,2.0\np1,b,0,0.0\np2,a,0,1.5\np2,b,1,1.0\n"
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_csv(marked) == read_csv(_write(tmp_path, text))

@@ -7,6 +7,8 @@ from paircluster import (
     Seed,
     draw_paired_assignment,
     draw_stratified_assignment,
+    null_resample,
+    simulate_strata,
     validate_dataset,
 )
 from paircluster.errors import NotPaired, StratumTooSmall
@@ -113,3 +115,28 @@ def test_assignment_covers_validated_units():
     data, _ = validate_dataset(rows)
     assignment = draw_paired_assignment(data, Seed(0))
     assert assignment.unit_vector(data).reshape(2, 2).sum(axis=1).tolist() == [1, 1]
+
+
+# Treated bits of 12 pairs, pinned before the paired draw became the
+# stratified one; any change here is a change of the random stream.
+PAIRED_STREAMS = {
+    0: ("011001100110010110011010", "010110100110100110010110"),
+    1: ("010110100110011001100101", "100110101010010110101001"),
+    7: ("010110010110011001010110", "010110100110101001101010"),
+    2**40 + 3: ("101001101010101010100101", "010110100110010101011001"),
+}
+
+
+@pytest.mark.parametrize("master", sorted(PAIRED_STREAMS))
+def test_paired_streams_pinned(master):
+    drawn, simulated = PAIRED_STREAMS[master]
+    data = _paired_skeleton(12)
+
+    def bits(assignment):
+        return "".join("1" if t else "0" for t in assignment.treated)
+
+    assert bits(draw_paired_assignment(data, Seed(master))) == drawn
+    assert bits(null_resample(data, "paired", Seed(master))) == drawn
+    assert bits(draw_stratified_assignment(data, Seed(master))) == drawn
+    _, assignment, _ = simulate_strata(DGPConfig(G=2, P=12, n_gp=2), Seed(master))
+    assert bits(assignment) == simulated

@@ -256,7 +256,6 @@ def test_variance_set_contents(minimal):
     vs = variance_set(data, assignment)
     assert vs.pair_nofe == pytest.approx(0.5)
     assert vs.unit_fe == pytest.approx(0.25)
-    assert vs.cluster_counts == {"pair": 2, "unit": 4, "observation": 4}
     assert vs.pair_small_sample_factor == pytest.approx(2.0)
     assert vs.dof_factors["pair_nofe"] == pytest.approx(4 / 2)
     assert vs.value("unit", "fe") == vs.unit_fe
