@@ -97,6 +97,10 @@ class ExperimentData:
         same = pair[1:] == pair[:-1]
         if np.any(self.unit_ids[:-1][same] >= self.unit_ids[1:][same]):
             raise ValueError("unit ids must be distinct and sorted within each pair")
+        for kind, ids in (("pair", self.pair_ids), ("unit", self.unit_ids)):
+            padded = [i for i in set(ids.tolist()) if isinstance(i, str) and i != i.strip()]
+            if padded:  # read_csv strips ids, so a padded one would not round-trip
+                raise ValueError(f"{kind} id {min(padded)!r} has surrounding whitespace")
         counts = self.pair_unit_counts
         if np.any(counts < 2):
             p = int(np.argmax(counts < 2))

@@ -18,7 +18,13 @@ from scipy.special import ndtri
 
 from .data import Assignment, ExperimentData, PotentialData
 from .errors import StratumTooSmall
-from .randomize import Seed, _stratified_treated, draw_paired_assignment, draw_stratified_assignment
+from .randomize import (
+    ChildStreams,
+    Seed,
+    _stratified_treated,
+    draw_paired_assignment,
+    draw_stratified_assignment,
+)
 
 __all__ = [
     "ConstantEffect",
@@ -122,8 +128,7 @@ def simulate_strata(
     The observed outcome of each observation is its potential outcome
     under the drawn assignment.
     """
-    outcome_ss, assign_ss = seed.sequence().spawn(2)
-    rng = np.random.default_rng(outcome_ss)
+    rng = ChildStreams(seed, 0, 1).rng(0)  # child 0 draws outcomes, child 1's children assign
     n = config.n_obs
     obs_stratum = np.repeat(np.arange(config.P), config.G * config.n_gp)
 
@@ -136,8 +141,8 @@ def simulate_strata(
     taus = config.effect_profile.stratum_effects(config.P)
     y1 = y1 + taus[obs_stratum]
 
-    masks = _stratified_treated([config.G] * config.P, assign_ss)
-    w_obs = np.repeat(np.concatenate(masks), config.n_gp)
+    treated = _stratified_treated([config.G] * config.P, seed, prefix=(1,))
+    w_obs = np.repeat(treated, config.n_gp)
     observed = np.where(w_obs, y1, y0)
 
     # Zero-padded ids sort in generation order, so the arrays are canonical as built.
@@ -149,7 +154,7 @@ def simulate_strata(
         pair_ids=[f"s{p:0{p_width}d}" for p in range(1, config.P + 1)],
         unit_ids=[f"u{g:0{g_width}d}" for g in range(1, config.G + 1)] * config.P,
     )
-    return data, Assignment(np.concatenate(masks)), PotentialData(y0=y0, y1=y1)
+    return data, Assignment(treated), PotentialData(y0=y0, y1=y1)
 
 
 def null_resample(data: ExperimentData, design: str, seed: Seed) -> Assignment:

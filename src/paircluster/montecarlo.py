@@ -2,9 +2,11 @@
 
 Each replication draws a fresh experiment, fits both models, forms the
 four cluster-robust t-tests, and tallies rejections of the true null.
-Replication i draws from the i-th child of the master seed, in the order
-of a lone replication; chunks are reduced in fixed order, so results are
-bit-identical for any batching and any worker count.
+Replication i draws from the i-th child of the master seed (seed stream
+v1), in the order of a lone replication; chunks are reduced in fixed
+order, so results are bit-identical for any batching and any worker
+count.  Each chunk derives its replications' streams in bulk with
+``randomize.ChildStreams`` and resets one generator per replication.
 
 One chunk worker serves both experiments, a sub-batch at a time: a draw
 object turns the uniforms into unit sums and assignments at once, and one
@@ -29,7 +31,7 @@ from scipy.special import ndtri
 from .data import ExperimentData
 from .dgp import DGPConfig, uniform_to_normal
 from .errors import ReplicationError
-from .randomize import Seed
+from .randomize import MAX_CHILDREN, ChildStreams, Seed
 from .variance import UnitStats, unit_sum_stats
 
 __all__ = [
@@ -57,16 +59,23 @@ def _critical_value(level: float) -> float:
     return float(ndtri(1.0 - level / 2.0))
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    if reps >= MAX_CHILDREN:  # replication i is child i of the master seed
+        raise ValueError(f"reps must be below 2**32, got {reps}")
+
+
 def _software_factor(n_clusters: int, n_obs: int, n_params: int) -> float:
     """c/(c-1) * (n-1)/(n-K), the adjustment most regression software applies."""
     return (n_clusters / (n_clusters - 1.0)) * ((n_obs - 1.0) / (n_obs - n_params))
 
 
-def _uniforms(master, start, count, *shapes):
-    """Uniform buffers, filled in order from Seed(master).spawn()[i] for replication i."""
+def _uniforms(streams, first, count, *shapes):
+    """Uniform buffers; row k is filled, in order, from ``streams.rng(first + k)``."""
     buffers = [np.empty((count, *shape)) for shape in shapes]
     for k in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(start + k,)))
+        rng = streams.rng(first + k)
         for buffer in buffers:
             rng.random(out=buffer[k])
     return buffers
@@ -84,13 +93,14 @@ class _StratifiedDraw:
         self.sizes = np.full(cfg.n_units, float(cfg.n_gp))
         self.n_obs = cfg.n_obs
 
-    def batch(self, master, start, count):
-        """(sums, treated) of replications ``start ..``, each of shape (count, units)."""
+    def batch(self, streams, first, count):
+        """(sums, treated) of the ``count`` replications from ``first``, each (count, units)."""
         P, G, n_gp = self.P, self.G, self.n_gp
         shock = [(P,)] if self.sigma2 > 0.0 else []
-        u_order, u_sums, *u_shock = _uniforms(master, start, count, (P, G), (P * G,), *shock)
-        treated = np.zeros((count, P * G), dtype=bool)  # each stratum's first G // 2 in order
-        np.put_along_axis(treated.reshape(-1, P, G), np.argsort(u_order)[..., : G // 2], True, -1)
+        u_order, u_sums, *u_shock = _uniforms(streams, first, count, (P, G), (P * G,), *shock)
+        # Each stratum's G // 2 smallest uniforms are treated (ties have probability < G**2 / 2**54).
+        kth = np.partition(u_order, G // 2 - 1, axis=-1)[..., G // 2 - 1 : G // 2]
+        treated = (u_order <= kth).reshape(count, P * G)
         sums = np.multiply(uniform_to_normal(u_sums), math.sqrt(n_gp), out=u_sums)
         for u in u_shock:
             sums += n_gp * (uniform_to_normal(u) * math.sqrt(self.sigma2))[:, self.block]
@@ -110,22 +120,23 @@ class _PairedResample:
         self.n_blocks = data.P
         self.n_obs = data.n_total
 
-    def batch(self, master, start, count):
-        """The shared (units,) sums and (count, units) assignments of replications ``start ..``."""
-        first = _uniforms(master, start, count, (self.n_blocks,))[0] < 0.5
-        return self.sums, np.stack([first, ~first], axis=2).reshape(count, -1)
+    def batch(self, streams, first, count):
+        """The shared (units,) sums and (count, units) assignments of ``count`` replications."""
+        heads = _uniforms(streams, first, count, (self.n_blocks,))[0] < 0.5
+        return self.sums, np.stack([heads, ~heads], axis=2).reshape(count, -1)
 
 
 def _run_chunk(args):
     """Tally replications ``start .. start + count - 1`` of one experiment."""
-    draw, master, start, count, z_crit, factors, collect = args
+    draw, seed, start, count, z_crit, factors, collect = args
+    streams = ChildStreams(seed, start, count)
     step, stats = max(1, _SUB_BATCH // draw.sizes.size), []
-    for lo in range(start, start + count, step):
-        sums, treated = draw.batch(master, lo, min(step, start + count - lo))
+    for lo in range(0, count, step):
+        sums, treated = draw.batch(streams, lo, min(step, count - lo))
         try:
             rows = unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs)
         except ReplicationError as exc:  # exc.index counts from the sub-batch's first row
-            raise ReplicationError(lo + exc.index, exc.cause) from exc.cause
+            raise ReplicationError(start + lo + exc.index, exc.cause) from exc.cause
         stats.append(np.column_stack(rows))
     stats = np.concatenate(stats)
     variances = stats[:, _VAR_COLS]
@@ -150,8 +161,7 @@ class SizeExperimentSpec:
     level: float = 0.05
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        _check_reps(self.reps)
 
 
 @dataclass
@@ -231,7 +241,7 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
         [_software_factor(c, n_obs, k) for c in (n_units, n_blocks) for k in (2, n_blocks + 1)]
     )
     args = [
-        (draw, seed.master, start, min(_CHUNK, reps - start), z_crit, factors, collect)
+        (draw, seed, start, min(_CHUNK, reps - start), z_crit, factors, collect)
         for start in range(0, reps, _CHUNK)
     ]
     results = _run_chunks(_run_chunk, args, threads)
@@ -301,8 +311,7 @@ def resampling_size_experiment(
     effect and rejection rates estimate test size.  ``threads`` is as for
     ``run_size_experiment``.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_reps(reps)
     if data.P < 2:
         raise ValueError(f"need P >= 2 pairs, got {data.P}")
     return _size_table(

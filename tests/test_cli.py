@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from paircluster import cli
 from paircluster.cli import main
 
 MINIMAL_CSV = """pair_id,unit_id,treatment,outcome
@@ -173,6 +174,15 @@ def test_simulate_usage_errors(capsys):
     assert main(paired + ["--reps", "5", "--G", "3"]) == 1
     assert main(["simulate", "--design", "nope", "--P", "1", "--n", "1",
                  "--reps", "1", "--seed", "1"]) == 1
+
+
+def test_simulate_reps_beyond_seed_words_start_no_replication(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(cli, "run_size_experiment", unreachable)
+    argv = ["simulate", "--design", "paired", "--P", "10", "--n", "1", "--seed", "1"]
+    assert main(argv + ["--reps", str(2**32)]) == 1
 
 
 def test_help_exits_zero():

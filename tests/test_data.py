@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,19 @@ def test_experiment_data_requires_canonical_arrays():
         ExperimentData([1.0] * 4, [0, 0, 1, 1], [1] * 4, ["q", "p"], ["a", "b"] * 2)
     with pytest.raises(ValueError, match="add up"):
         ExperimentData([1.0, 2.0], [0, 0], [1, 2], ["p"], ["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "pair_ids, unit_ids, message",
+    [
+        ([" p2", "p1"], ["a", "b"] * 2, "pair id ' p2'"),
+        (["p1", "p2"], ["a", "b", "a", "b\t"], "unit id 'b\\t'"),
+    ],
+)
+def test_experiment_data_rejects_padded_ids(pair_ids, unit_ids, message):
+    # read_csv strips ids, so a padded id would not survive a write_csv round trip
+    with pytest.raises(ValueError, match=re.escape(f"{message} has surrounding whitespace")):
+        ExperimentData([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1], [1] * 4, pair_ids, unit_ids)
 
 
 def test_subset_pairs():

@@ -219,6 +219,12 @@ def test_resampling_needs_two_pairs():
 def test_bad_spec_rejected():
     with pytest.raises(ValueError):
         SizeExperimentSpec(dgp=DGPConfig(G=2, P=5, n_gp=1), reps=0, master_seed=Seed(1))
+    # replication i draws from child i, whose index is one 32-bit seed word
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        SizeExperimentSpec(dgp=DGPConfig(G=2, P=5, n_gp=1), reps=2**32, master_seed=Seed(1))
+    data, _ = random_paired(np.random.default_rng(4), P=5)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        resampling_size_experiment(data, reps=2**32, level=0.05, seed=Seed(1))
 
 
 @pytest.mark.parametrize("threads", [0, -2])
