@@ -92,15 +92,20 @@ class ExperimentData:
             raise ValueError("unit_pair, unit_sizes and unit_ids need one entry per unit")
         if np.any(np.diff(pair) < 0) or np.any((pair < 0) | (pair >= P)):
             raise ValueError("unit_pair must be nondecreasing pair indexes below P")
+        for kind, ids in (("pair", self.pair_ids), ("unit", self.unit_ids)):
+            distinct = set(ids.tolist())
+            # read_csv reads ids as stripped text, so no other id would round-trip
+            others = [i for i in distinct if not isinstance(i, str)]
+            if others:
+                raise ValueError(f"{kind} id {min(others, key=repr)!r} is not a string")
+            padded = [i for i in distinct if i != i.strip()]
+            if padded:
+                raise ValueError(f"{kind} id {min(padded)!r} has surrounding whitespace")
         if np.any(self.pair_ids[:-1] >= self.pair_ids[1:]):
             raise ValueError("pair ids must be distinct and sorted")
         same = pair[1:] == pair[:-1]
         if np.any(self.unit_ids[:-1][same] >= self.unit_ids[1:][same]):
             raise ValueError("unit ids must be distinct and sorted within each pair")
-        for kind, ids in (("pair", self.pair_ids), ("unit", self.unit_ids)):
-            padded = [i for i in set(ids.tolist()) if isinstance(i, str) and i != i.strip()]
-            if padded:  # read_csv strips ids, so a padded one would not round-trip
-                raise ValueError(f"{kind} id {min(padded)!r} has surrounding whitespace")
         counts = self.pair_unit_counts
         if np.any(counts < 2):
             p = int(np.argmax(counts < 2))

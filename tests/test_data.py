@@ -205,6 +205,14 @@ def test_experiment_data_rejects_padded_ids(pair_ids, unit_ids, message):
         ExperimentData([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1], [1] * 4, pair_ids, unit_ids)
 
 
+def test_experiment_data_rejects_ids_that_are_not_strings():
+    # write_csv would write 2, 10, 30 as text, and read_csv sorts text: "10" < "2"
+    with pytest.raises(ValueError, match="pair id 10 is not a string"):
+        ExperimentData([0.0, 1.0] * 3, [0, 0, 1, 1, 2, 2], [1] * 6, [2, 10, 30], ["a", "b"] * 3)
+    with pytest.raises(ValueError, match="unit id None is not a string"):
+        ExperimentData([0.0, 1.0], [0, 0], [1, 1], ["p"], ["a", None])
+
+
 def test_subset_pairs():
     rng = np.random.default_rng(3)
     data, assignment = random_paired(rng, P=8, max_size=3)

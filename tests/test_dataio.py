@@ -1,10 +1,20 @@
+import csv
+import io
+import math
+import os
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paircluster import Assignment, read_csv, validate_dataset, write_csv
+from paircluster.dataio import CSV_HEADER
 from paircluster.errors import (
+    DataError,
     EmptyInput,
     MixedTreatmentWithinUnit,
     NonBinaryTreatment,
@@ -235,3 +245,147 @@ def test_byte_order_mark_is_skipped(tmp_path):
     marked = tmp_path / "marked.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert read_csv(marked) == read_csv(_write(tmp_path, text))
+
+
+def test_oversized_finite_outcome_and_id_are_parse_errors(tmp_path):
+    head = "pair_id,unit_id,treatment,outcome\np1,a,1,2.0\n\n"
+    for row in ("p1,b,0,0." + "1" * 200_000, "p" * 200_000 + ",b,0,1.0"):
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            read_csv(_write(tmp_path, head + row + "\n"))
+        assert err.value.line == 4
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+def test_header_only_is_empty_without_warnings(tmp_path, body):
+    path = _write(tmp_path, "pair_id,unit_id,treatment,outcome\n" + body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EmptyInput, match="no data rows"):
+            read_csv(path)
+    assert caught == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_named_pipe_is_read_once(tmp_path):
+    text = "pair_id,unit_id,treatment,outcome\np1,a,1,2.0\np1,b,0,0.5\n"
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    result = []
+    reader = threading.Thread(target=lambda: result.append(read_csv(fifo)), daemon=True)
+    reader.start()
+    fifo.write_text(text)  # waits for the reader to open the pipe
+    reader.join(timeout=30)
+    if reader.is_alive():  # it opened the pipe again: end that read with an empty writer
+        fifo.write_text("")
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert result == [read_csv(_write(tmp_path, text))]
+
+
+# Differential test: read_csv against the csv module row by row.  Each file is
+# a valid dataset written with awkward texts, plus at most two flaws: a text
+# or a line that numpy's tokenizer and Python's int/float read differently,
+# or a byte that is not UTF-8.
+PAIR_IDS = ["p1", " p1", "p2 ", "p#3", "p,4", 'p"5', "p\n6", "#"]
+TREATED_UNITS = ["a", " a", "u,1", 'u"2']
+CONTROL_UNITS = ["b", "b\t", "u\r\n3", "c#"]
+TREATED = ["1", "+1", " 1 ", "01"]
+CONTROL = ["0", " 0 ", "00", "-0"]
+OUTCOMES = ["1.5", " -2 ", "1e3", ".5", "-0.0"]
+FLAWS = {
+    2: ["1.0", "2", "1_0", "\x1f1", "x"],  # treatment
+    3: ["1_000", "\u0661", "\x1e2", "nan", "inf", "-Infinity", "x", ""],  # outcome
+    None: [" ", "\t", '""', "p1,a,1", "p1,a,1,2,"],  # a line of its own
+}
+
+
+@st.composite
+def _lines(draw):
+    """Data lines: a treated and a control row per pair, blank lines and flaws."""
+    rows = []
+    for pair_id in draw(st.lists(st.sampled_from(PAIR_IDS), min_size=1, max_size=4)):
+        for units, texts in ((TREATED_UNITS, TREATED), (CONTROL_UNITS, CONTROL)):
+            outcome = draw(st.one_of(st.sampled_from(OUTCOMES), st.floats(-1e6, 1e6).map(repr)))
+            rows.append([pair_id, draw(st.sampled_from(units)), draw(st.sampled_from(texts)),
+                         outcome])
+    quoted = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    other_lines = [""] * draw(st.integers(0, 2))
+    for column in draw(st.lists(st.sampled_from(list(FLAWS)), max_size=2)):
+        text = draw(st.sampled_from(FLAWS[column]))
+        if column is None:
+            other_lines.append(text)
+        else:
+            rows[draw(st.integers(0, len(rows) - 1))][column] = text
+    lines = [",".join(_render(f, q) for f in row) for row, q in zip(rows, quoted)]
+    return draw(st.permutations(lines + other_lines))
+
+
+def _render(field, quote):
+    if quote or any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _oracle(path):
+    """read_csv's result for ``path``: csv-module records converted row by row."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")  # error offsets are the file's
+    except UnicodeDecodeError as exc:  # a small file is decoded before its first row is read
+        return ParseError(f"not UTF-8 text ({exc.reason})", line=raw.count(b"\n", 0, exc.start) + 1)
+    records = csv.reader(io.StringIO(text, newline=""))
+    rows = []
+    try:
+        header = next(records, None)
+        if header is None:
+            return EmptyInput(f"{path}: file is empty")
+        if [h.strip() for h in header] != CSV_HEADER:
+            got = ",".join(header)
+            return ParseError(f"expected header {','.join(CSV_HEADER)!r}, got {got!r}", line=1)
+        for line, record in enumerate(records, start=2):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if len(record) != 4:
+                return ParseError(f"expected 4 fields, got {len(record)}", line=line)
+            pair_id, unit_id, w_text, y_text = record
+            try:
+                w = int(w_text)
+            except ValueError:
+                return ParseError(f"treatment {w_text.strip()!r} is not an integer", line=line)
+            try:
+                y = float(y_text)
+            except ValueError:
+                return ParseError(f"outcome {y_text.strip()!r} is not a number", line=line)
+            if not math.isfinite(y):
+                return ParseError(f"outcome {y_text.strip()!r} is not finite", line=line)
+            rows.append((pair_id, unit_id, w, y))
+    except csv.Error as exc:
+        return ParseError(str(exc), line=records.line_num)
+    if not rows:
+        return EmptyInput(f"{path}: no data rows")
+    try:
+        return validate_dataset(rows)
+    except DataError as exc:
+        return exc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(lines=_lines(), bom=st.booleans(), crlf=st.booleans(),
+       bad_byte=st.one_of(st.none(), st.none(), st.none(), st.integers(0, 1000)))
+def test_read_csv_reads_as_the_csv_module(tmp_path, lines, bom, crlf, bad_byte):
+    eol = "\r\n" if crlf else "\n"
+    raw = (("\ufeff" if bom else "") + eol.join([",".join(CSV_HEADER)] + lines) + eol).encode()
+    if bad_byte is not None:
+        at = bad_byte % (len(raw) + 1)
+        raw = raw[:at] + b"\xff" + raw[at:]
+    path = tmp_path / "case.csv"
+    path.write_bytes(raw)
+    expected = _oracle(path)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as err:
+            read_csv(path)
+        assert str(err.value) == str(expected)
+        assert getattr(err.value, "line", None) == getattr(expected, "line", None)
+    else:
+        assert read_csv(path) == expected
