@@ -1,14 +1,18 @@
 """Auditing a paired experiment: estimators, clustered variances, t-tests.
 
 Walks the full analysis pipeline on a small synthetic paired experiment:
-validate raw rows, fit both regressions, compare the pair- and
-unit-clustered variance estimators, and see why the clustering level
-changes the inference.
+validate raw rows, compute both estimates and the pair- and
+unit-clustered variances from one kernel call, and see why the
+clustering level changes the inference.  ``analyze`` (and the
+``paircluster analyze`` command on a CSV file) gives all of it at once.
 """
+
+import math
 
 import numpy as np
 
 import paircluster as pc
+from paircluster.variance import dataset_stats
 
 rng = np.random.default_rng(12345)
 
@@ -35,15 +39,13 @@ print(f"dataset: {data.P} pairs, {data.n_units} units, {data.n_total} observatio
 # Point estimates.  The two regressions agree whenever the two units of
 # each pair have the same number of observations; here sizes differ, so
 # the fixed-effects estimate reweights pairs by harmonic unit size.
+# Both come from one call of the statistics kernel, with the variances.
 # ---------------------------------------------------------------------------
-fit = pc.diff_in_means(data, assignment)
-fe = pc.fe_estimate(data, assignment)
-effects = pc.pair_effects(data, assignment)
-print(f"\ndifference in means : {fit.tau_hat:+.4f}")
-print(f"pair fixed effects  : {fe.tau_hat:+.4f}")
-print(f"per-pair estimates  : min {effects.tau_p.min():+.3f}, max {effects.tau_p.max():+.3f}")
-print(f"fe estimate equals the omega-weighted pair average: "
-      f"{np.isclose(fe.tau_hat, effects.weighted_mean())}")
+stats = dataset_stats(data, assignment)
+report = pc.analyze(data, assignment, cluster="both", fe="both")
+print(f"\ndifference in means : {stats.tau_nofe:+.4f}")
+print(f"pair fixed effects  : {stats.tau_fe:+.4f}")
+print(f"spread of the per-pair estimates: {report.dataset['pair_effect_spread']:.3f}")
 
 # ---------------------------------------------------------------------------
 # The four clustered variance estimators.  Within a pair the two
@@ -57,34 +59,32 @@ for key in ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe"):
     cluster, model = key.split("_")
     print(f"  cluster={cluster:<5} model={model:<4}  {vs.value(cluster, model):.6f}")
 
-decomposition = pc.fe_variance_ratio(data, fe)
-print(f"\nunit/pair variance ratio (FE model): {decomposition.ratio:.4f}")
-print(f"  bounded by the per-pair squared unit shares: "
-      f"[{decomposition.m_p.min():.4f}, {decomposition.m_p.max():.4f}]")
+lo, hi = report.ratio_m_range
+print(f"\nunit/pair variance ratio (FE model): {report.ratio:.4f}")
+print(f"  bounded by the per-pair squared unit shares: [{lo:.4f}, {hi:.4f}]")
 print("  balanced pairs give exactly 0.5; a 2:1 size split gives 5/9 = 0.5556")
 
 # ---------------------------------------------------------------------------
-# t-tests of a zero effect.  The unit-clustered FE test understates the
-# variance by about half, so its t-statistic is about sqrt(2) too big.
+# t-tests of a zero effect against the standard normal.  The
+# unit-clustered FE test understates the variance by about half, so its
+# t-statistic is about sqrt(2) too big.
 # ---------------------------------------------------------------------------
-print(f"\ntwo-sided t-tests at level 0.05 (truth: no effect):")
+print(f"\ntwo-sided t-tests at level {report.level} (truth: no effect):")
 for key in ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe"):
     cluster, model = key.split("_")
-    tau = fe.tau_hat if model == "fe" else fit.tau_hat
-    res = pc.t_test(tau, vs.value(cluster, model))
+    res = report.tests[(cluster, model)]
     print(f"  cluster={cluster:<5} model={model:<4}  t={res.t_stat:+.3f}  "
           f"p={res.p_value:.3f}  reject={res.reject}")
 
 # A t-statistic near 1.96 that is compared to the standard normal when
-# its true reference has variance 2 rejects far too often:
-boundary = pc.t_test(1.96, 1.0, reference=pc.NORMAL_VARIANCE_TWO)
-print(f"\nP(|t| > 1.96) under a normal(0,2) reference: {boundary.p_value:.3f} "
+# its true reference is normal(0, 2) rejects far too often:
+# P(|t| > 1.96) = erfc(1.96 / sqrt(2) / sqrt(2)).
+print(f"\nP(|t| > 1.96) under a normal(0,2) reference: {math.erfc(1.96 / 2):.3f} "
       f"(vs 0.05 nominal)")
 
 # ---------------------------------------------------------------------------
-# The same audit is available end to end through the report builder
-# (and the `paircluster analyze` command on a CSV file).
+# The report renders as text (and as JSON with full precision), as the
+# `paircluster analyze` command prints it for a CSV file.
 # ---------------------------------------------------------------------------
-report = pc.analyze(data, assignment, cluster="both", fe="both")
 print("\nreport extract:")
 print("\n".join(report.to_text().splitlines()[:12]))

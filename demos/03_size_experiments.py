@@ -9,6 +9,8 @@ standard-error ratio tracks sqrt((G-1)/G).
 
 import math
 
+import numpy as np
+
 import paircluster as pc
 
 REPS = 2000
@@ -45,8 +47,10 @@ large.""")
 # The same tally on a fixed dataset via null-imposed resampling. The
 # per-replication t-statistics can be exported for external plotting.
 # ---------------------------------------------------------------------------
-base = pc.DGPConfig(G=2, P=81, n_gp=100)
-data, _, _ = pc.simulate_strata(base, pc.Seed(606))
+rng = np.random.default_rng(606)
+rows = [(f"p{p:02d}", u, int(u == "a"), float(y))
+        for p in range(81) for u in "ab" for y in rng.normal(size=100)]
+data, _ = pc.validate_dataset(rows)
 table = pc.resampling_size_experiment(
     data, reps=REPS, level=LEVEL, seed=pc.Seed(607), threads=None, collect_tstats=True
 )

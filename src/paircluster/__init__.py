@@ -1,38 +1,19 @@
 """Design-based estimation and cluster-robust inference for paired and
 small-strata randomized experiments.
 
-The library covers the full audit pipeline: validating experiment data,
-drawing paired/stratified assignments, the difference-in-means and
-fixed-effects estimators, pair- and unit-clustered variance estimators
-with their exact relationships, normal-reference t-tests, and a
-reproducible Monte Carlo engine for test-size experiments.
+The library audits a paired experiment and measures test size by
+simulation, both through one statistics kernel
+(``variance.unit_sum_stats``): validating experiment data, drawing
+paired/stratified assignments, the difference-in-means and fixed-effects
+estimates with all four pair- and unit-clustered variances (``analyze``,
+``variance_set``), and a reproducible Monte Carlo engine for test-size
+experiments (``run_size_experiment``, ``resampling_size_experiment``).
 """
 
 from . import errors
-from .data import (
-    Assignment,
-    ExperimentData,
-    PotentialData,
-    subset_pairs,
-    validate_dataset,
-)
+from .data import Assignment, ExperimentData, validate_dataset
 from .dataio import read_csv, write_csv
-from .dgp import (
-    ConstantEffect,
-    DGPConfig,
-    HeterogeneousEffect,
-    null_resample,
-    simulate_strata,
-)
-from .estimators import FitResult, PairEffects, diff_in_means, fe_estimate, pair_effects
-from .inference import (
-    NORMAL_VARIANCE_TWO,
-    STANDARD_NORMAL,
-    NormalReference,
-    TestResult,
-    standard_normal_cdf,
-    t_test,
-)
+from .dgp import ConstantEffect, DGPConfig, HeterogeneousEffect
 from .montecarlo import (
     SizeCell,
     SizeExperimentSpec,
@@ -42,17 +23,7 @@ from .montecarlo import (
 )
 from .randomize import Seed, draw_paired_assignment, draw_stratified_assignment
 from .report import AnalysisReport, analyze
-from .variance import (
-    RatioDecomposition,
-    VarianceSet,
-    cluster_robust_covariance,
-    dof_adjust,
-    fe_variance_ratio,
-    pair_clustered_variance,
-    pair_sample_variance,
-    unit_clustered_variance,
-    variance_set,
-)
+from .variance import VarianceSet, variance_set
 
 __version__ = "0.1.0"
 
@@ -60,27 +31,12 @@ __all__ = [
     "errors",
     "Assignment",
     "ExperimentData",
-    "PotentialData",
-    "subset_pairs",
     "validate_dataset",
     "read_csv",
     "write_csv",
     "ConstantEffect",
     "DGPConfig",
     "HeterogeneousEffect",
-    "null_resample",
-    "simulate_strata",
-    "FitResult",
-    "PairEffects",
-    "diff_in_means",
-    "fe_estimate",
-    "pair_effects",
-    "NORMAL_VARIANCE_TWO",
-    "STANDARD_NORMAL",
-    "NormalReference",
-    "TestResult",
-    "standard_normal_cdf",
-    "t_test",
     "SizeCell",
     "SizeExperimentSpec",
     "SizeTable",
@@ -91,14 +47,7 @@ __all__ = [
     "draw_stratified_assignment",
     "AnalysisReport",
     "analyze",
-    "RatioDecomposition",
     "VarianceSet",
-    "cluster_robust_covariance",
-    "dof_adjust",
-    "fe_variance_ratio",
-    "pair_clustered_variance",
-    "pair_sample_variance",
-    "unit_clustered_variance",
     "variance_set",
     "__version__",
 ]

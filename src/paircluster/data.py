@@ -30,13 +30,7 @@ from .errors import (
     NotPaired,
 )
 
-__all__ = [
-    "ExperimentData",
-    "Assignment",
-    "PotentialData",
-    "validate_dataset",
-    "subset_pairs",
-]
+__all__ = ["ExperimentData", "Assignment", "validate_dataset"]
 
 _NUMBER = (int, float, np.bool_, np.integer, np.floating)
 
@@ -152,12 +146,6 @@ class ExperimentData:
         return self.unit_sums / self.unit_sizes
 
     @cached_property
-    def pair_sizes(self) -> np.ndarray:
-        """Observations per pair."""
-        sizes = np.bincount(self.unit_pair, weights=self.unit_sizes, minlength=self.P)
-        return _frozen(sizes, np.int64)
-
-    @cached_property
     def pair_unit_counts(self) -> np.ndarray:
         """Units per pair."""
         return _frozen(np.bincount(self.unit_pair, minlength=self.P), np.int64)
@@ -224,49 +212,8 @@ class Assignment:
     def observation_vector(self, data: ExperimentData) -> np.ndarray:
         return self.unit_vector(data)[data.obs_unit]
 
-    def per_pair_counts(self, data: ExperimentData) -> tuple[np.ndarray, np.ndarray]:
-        """(treated, control) observation counts per pair, canonical order."""
-        w = self.unit_vector(data)
-        t_p = np.bincount(
-            data.unit_pair, weights=data.unit_sizes * w, minlength=data.P
-        ).astype(np.int64)
-        return t_p, data.pair_sizes - t_p
-
-    def totals(self, data: ExperimentData) -> tuple[int, int]:
-        """(treated, control) observation counts over the whole dataset."""
-        t_p, c_p = self.per_pair_counts(data)
-        return int(t_p.sum()), int(c_p.sum())
-
     def __eq__(self, other):
         return isinstance(other, Assignment) and np.array_equal(self.treated, other.treated)
-
-
-@dataclass(frozen=True, eq=False)
-class PotentialData:
-    """Per-observation potential outcomes aligned with a dataset's outcomes.
-
-    ``y0``/``y1`` are what each observation would record under control and
-    treatment; their difference is the observation-level treatment effect.
-    """
-
-    y0: np.ndarray
-    y1: np.ndarray
-
-    def __post_init__(self):
-        y0, y1 = _frozen(self.y0, float), _frozen(self.y1, float)
-        if y0.shape != y1.shape:
-            raise ValueError("y0 and y1 must have identical shapes")
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "y1", y1)
-
-    def effects(self) -> np.ndarray:
-        return self.y1 - self.y0
-
-    def observed(self, data: ExperimentData, assignment: Assignment) -> np.ndarray:
-        if self.y0.size != data.n_total:
-            raise ValueError("potential outcomes do not match the dataset size")
-        w_obs = assignment.observation_vector(data)
-        return np.where(w_obs, self.y1, self.y0)
 
 
 def _sorted_codes(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -348,23 +295,3 @@ def validate_dataset(
         np.fromiter(map(float, y_col), float, n),
         lambda k: rows[k][2],
     )
-
-
-def subset_pairs(
-    data: ExperimentData, assignment: Assignment, pair_ids: Iterable[str]
-) -> tuple[ExperimentData, Assignment]:
-    """Restrict a dataset and its assignment to the given pair ids."""
-    keep = set(pair_ids)
-    missing = keep - set(data.pair_ids)
-    if missing:
-        raise ValueError(f"unknown pair ids: {sorted(missing)}")
-    pair_mask = np.fromiter((p in keep for p in data.pair_ids), bool, data.P)
-    unit_mask = pair_mask[data.unit_pair]
-    sub = ExperimentData(
-        data.outcomes[unit_mask[data.obs_unit]],
-        (np.cumsum(pair_mask) - 1)[data.unit_pair[unit_mask]],
-        data.unit_sizes[unit_mask],
-        data.pair_ids[pair_mask],
-        data.unit_ids[unit_mask],
-    )
-    return sub, Assignment(assignment.unit_vector(data)[unit_mask])

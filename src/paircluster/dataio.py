@@ -20,8 +20,9 @@ gives up on a file when:
 - numpy refuses it or warns (a row it cannot split or convert, no data
   rows, or an older numpy reading ``1.0`` as an integer);
 - an outcome is not finite;
-- a line is longer than the csv module's field size limit, or a byte is
-  in 0x1c-0x1f, which numpy strips from numbers and ``float`` does not;
+- a line is longer than the csv module's field size limit, a line break
+  falls inside a quoted field, or a byte is in 0x1c-0x1f, which numpy
+  strips from numbers and ``float`` does not;
 - the path is not a regular file, which could not be read twice.
 
 The fallback then reads the file in one ``csv.reader`` pass into columns
@@ -125,20 +126,31 @@ def _read_columns(path):
 def _numpy_may_differ(path) -> bool:
     """Whether numpy might read the file otherwise than the csv module and int/float.
 
-    True for a line longer than the csv module's field size limit, which
-    could hold a field the csv module refuses, and for any of the bytes
-    0x1c-0x1f, which numpy strips from numbers as whitespace and int/float
-    do not.  A field that long spread over several lines inside quotes is
-    not caught.
+    True for a line longer than the csv module's field size limit, or a
+    line break inside a quoted field, either of which could hold a field
+    the csv module refuses, and for any of the bytes 0x1c-0x1f, which numpy
+    strips from numbers as whitespace and int/float do not.  A line break
+    is inside a quoted field when an odd number of quotes precede it.  A
+    quote inside an unquoted field shifts that count.  Such quotes can
+    hide a line break only inside a quoted field of their own row, and
+    then either the row ends at an odd count or one of its numbers holds
+    a quote, which numpy refuses.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as handle:
         start = offset = 0  # file offsets of the current line and of the chunk
+        quotes = 0  # quotes before the chunk
         while chunk := handle.read(1 << 20):
             codes = np.frombuffer(chunk, np.uint8)
             if np.any(codes - np.uint8(0x1C) < 4):
                 return True
-            ends = offset + np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+            breaks = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+            if quotes % 2 or b'"' in chunk:  # a file without quotes skips this
+                at = np.flatnonzero(codes == ord('"'))
+                if np.any((quotes + np.searchsorted(at, breaks)) % 2):
+                    return True
+                quotes += at.size
+            ends = offset + breaks
             offset += len(chunk)
             if ends.size:
                 if np.diff(ends, prepend=start - 1).max() > limit + 1:

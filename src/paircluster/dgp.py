@@ -1,46 +1,27 @@
-"""Synthetic data generation and null-imposed resampling.
+"""The synthetic stratified generator's parameters.
 
-The stratified generator draws iid standard-normal potential outcomes,
-adds a shared normal stratum shock, and assembles the observed outcome
-from a fresh stratified assignment.  Normal variates come from the
-inverse CDF applied to the seeded uniform stream so that draws are
-bit-reproducible across platforms.
+``DGPConfig`` describes one synthetic experiment: P strata of G units,
+n_gp observations per unit with iid standard-normal potential outcomes, an
+additive normal stratum shock with variance ``sigma2_gamma`` and a
+per-stratum treatment effect.  The Monte Carlo engine draws each
+replication's unit outcome sums from it directly.  Normal variates come
+from the inverse CDF (``uniform_to_normal``) applied to the seeded uniform
+stream, so draws are bit-reproducible across platforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import ndtri
 
-from .data import Assignment, ExperimentData, PotentialData
 from .errors import StratumTooSmall
-from .randomize import (
-    ChildStreams,
-    Seed,
-    _stratified_treated,
-    draw_paired_assignment,
-    draw_stratified_assignment,
-)
 
-__all__ = [
-    "ConstantEffect",
-    "HeterogeneousEffect",
-    "EffectProfile",
-    "DGPConfig",
-    "simulate_strata",
-    "null_resample",
-]
+__all__ = ["ConstantEffect", "HeterogeneousEffect", "DGPConfig", "uniform_to_normal"]
 
 _TINY = 2.0**-53
-
-
-def normal_draws(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard normals via the inverse CDF of the uniform stream."""
-    return uniform_to_normal(rng.random(size))
 
 
 def uniform_to_normal(u: np.ndarray) -> np.ndarray:
@@ -81,9 +62,6 @@ class HeterogeneousEffect:
         return self.taus
 
 
-EffectProfile = Union[ConstantEffect, HeterogeneousEffect]
-
-
 @dataclass(frozen=True)
 class DGPConfig:
     """Parameters of the stratified generator.
@@ -95,7 +73,7 @@ class DGPConfig:
     P: int
     n_gp: int
     sigma2_gamma: float = 0.0
-    effect_profile: EffectProfile = ConstantEffect(0.0)
+    effect_profile: ConstantEffect | HeterogeneousEffect = ConstantEffect(0.0)
 
     def __post_init__(self):
         if self.G < 2:
@@ -116,56 +94,3 @@ class DGPConfig:
     @property
     def n_obs(self) -> int:
         return self.G * self.P * self.n_gp
-
-
-def simulate_strata(
-    config: DGPConfig, seed: Seed
-) -> tuple[ExperimentData, Assignment, PotentialData]:
-    """Draw one synthetic stratified experiment.
-
-    Potential outcomes are iid standard normal plus the stratum shock;
-    the treated-state outcome additionally carries the stratum's effect.
-    The observed outcome of each observation is its potential outcome
-    under the drawn assignment.
-    """
-    rng = ChildStreams(seed, 0, 1).rng(0)  # child 0 draws outcomes, child 1's children assign
-    n = config.n_obs
-    obs_stratum = np.repeat(np.arange(config.P), config.G * config.n_gp)
-
-    y0 = normal_draws(rng, n)
-    y1 = normal_draws(rng, n)
-    if config.sigma2_gamma > 0:
-        gamma = normal_draws(rng, config.P) * np.sqrt(config.sigma2_gamma)
-        y0 = y0 + gamma[obs_stratum]
-        y1 = y1 + gamma[obs_stratum]
-    taus = config.effect_profile.stratum_effects(config.P)
-    y1 = y1 + taus[obs_stratum]
-
-    treated = _stratified_treated([config.G] * config.P, seed, prefix=(1,))
-    w_obs = np.repeat(treated, config.n_gp)
-    observed = np.where(w_obs, y1, y0)
-
-    # Zero-padded ids sort in generation order, so the arrays are canonical as built.
-    p_width, g_width = max(5, len(str(config.P))), max(3, len(str(config.G)))
-    data = ExperimentData(
-        outcomes=observed,
-        unit_pair=np.repeat(np.arange(config.P), config.G),
-        unit_sizes=np.full(config.n_units, config.n_gp),
-        pair_ids=[f"s{p:0{p_width}d}" for p in range(1, config.P + 1)],
-        unit_ids=[f"u{g:0{g_width}d}" for g in range(1, config.G + 1)] * config.P,
-    )
-    return data, Assignment(treated), PotentialData(y0=y0, y1=y1)
-
-
-def null_resample(data: ExperimentData, design: str, seed: Seed) -> Assignment:
-    """Redraw the assignment while holding observed outcomes fixed.
-
-    Treating the observed outcomes as both potential outcomes imposes a
-    true effect of exactly zero, so test rejections under the redraw
-    measure size.  ``design`` is "paired" or "stratified".
-    """
-    if design == "paired":
-        return draw_paired_assignment(data, seed)
-    if design == "stratified":
-        return draw_stratified_assignment(data, seed)
-    raise ValueError(f"design must be 'paired' or 'stratified', got {design!r}")

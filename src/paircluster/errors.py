@@ -60,24 +60,8 @@ class NoVariationInTreatment(EstimationError):
     """All observations share one treatment status."""
 
 
-class RankDeficient(EstimationError):
-    """Design matrix does not have full column rank."""
-
-
-class ShapeMismatch(EstimationError):
-    """Array arguments have incompatible shapes."""
-
-
-class DegenerateDOF(EstimationError):
-    """Degrees-of-freedom correction undefined (n <= K)."""
-
-
 class ZeroVariance(EstimationError):
     """A variance estimate is zero (or negative); the t-statistic is undefined."""
-
-
-class ZeroResiduals(EstimationError):
-    """All cluster residual sums vanish; a variance ratio is undefined."""
 
 
 class ReplicationError(PairClusterError, RuntimeError):

@@ -14,7 +14,8 @@ call of ``variance.unit_sum_stats`` (which ``analyze`` uses too) gives all
 their statistics.  These depend on the data only through per-unit outcome
 sums, unit sizes and the assignment, so the synthetic generator draws unit
 sums directly (the sum of n iid standard normals is sqrt(n) times one),
-with the sampling distribution of the observation-level generator.
+with the sampling distribution of an observation-level generator; the
+tests check it against one (``simulate_strata`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations

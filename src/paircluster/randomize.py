@@ -46,9 +46,6 @@ class Seed:
             raise ValueError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "master", int(self.master))
 
-    def spawn(self, n: int) -> list[np.random.SeedSequence]:
-        return np.random.SeedSequence(self.master).spawn(n)
-
 
 def _fold(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint32(16))

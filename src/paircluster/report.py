@@ -15,14 +15,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .estimators import pair_effects
-from .inference import STANDARD_NORMAL, TestResult, t_test
+from .errors import DegeneratePair, ZeroVariance
 from .variance import VarianceSet, dataset_stats
 
 __all__ = ["AnalysisReport", "analyze"]
 
 _CLUSTERS = ("pair", "unit")
 _MODELS = ("nofe", "fe")
+_SQRT2 = math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class TestResult:
+    """A two-sided test of a zero effect against the standard normal."""
+
+    t_stat: float
+    p_value: float
+    reject: bool
+
+
+def _normal_test(tau_hat: float, v_hat: float, level: float) -> TestResult:
+    """Reject when p = erfc(|t| / sqrt(2)) is below ``level``, with t = tau_hat / sqrt(v_hat)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    if not v_hat > 0.0:
+        raise ZeroVariance(f"variance estimate must be positive, got {v_hat!r}")
+    t = tau_hat / math.sqrt(v_hat)
+    p = math.erfc(abs(t) / _SQRT2)
+    return TestResult(t_stat=t, p_value=p, reject=p < level)
 
 
 @dataclass
@@ -122,10 +142,14 @@ def analyze(
         raise ValueError("fe must be 'on', 'off', or 'both'")
 
     # Two units per pair are checked first: the diagnostics below are paired-only.
-    effects = pair_effects(data, assignment)
+    sizes = data.pair_columns(data.unit_sizes).astype(float)
+    treated = data.pair_columns(assignment.unit_vector(data))
+    no_contrast = treated.sum(axis=1) != 1
+    if np.any(no_contrast):
+        bad = data.pair_ids[int(np.argmax(no_contrast))]
+        raise DegeneratePair(f"pair {bad!r} does not have exactly one treated unit")
     stats = dataset_stats(data, assignment)
     variances = VarianceSet.from_stats(data, stats)
-    sizes = data.pair_columns(data.unit_sizes).astype(float)
     if stats.block_fe > 0.0:
         ratio = stats.unit_fe / stats.block_fe
         m_p = np.sum((sizes / sizes.sum(axis=1, keepdims=True)) ** 2, axis=1)
@@ -140,13 +164,11 @@ def analyze(
     for c in clusters:
         for m in models:
             tau = stats.tau_fe if m == "fe" else stats.tau_nofe
-            tests[(c, m)] = t_test(
-                tau,
-                variances.value(c, m),
-                level=level,
-                reference=STANDARD_NORMAL,
-            )
+            tests[(c, m)] = _normal_test(tau, variances.value(c, m), level)
 
+    means = data.pair_columns(data.unit_means)
+    first_minus_second = means[:, 0] - means[:, 1]  # negated exactly where the second is treated
+    pair_effect = np.where(treated[:, 0], first_minus_second, -first_minus_second)
     within_ratio = np.maximum(sizes[:, 0] / sizes[:, 1], sizes[:, 1] / sizes[:, 0])
     dataset = {
         "P": data.P,
@@ -156,7 +178,7 @@ def analyze(
         "unit_size_max": int(data.unit_sizes.max()),
         "max_within_pair_size_ratio": float(within_ratio.max()),
         "balanced_within_pairs": bool(np.all(sizes[:, 0] == sizes[:, 1])),
-        "pair_effect_spread": float(np.ptp(effects.tau_p)),
+        "pair_effect_spread": float(np.ptp(pair_effect)),
     }
     return AnalysisReport(
         tau_nofe=stats.tau_nofe,

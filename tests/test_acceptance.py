@@ -14,6 +14,9 @@ from paircluster import (
     HeterogeneousEffect,
     Seed,
     SizeExperimentSpec,
+    run_size_experiment,
+)
+from oracles import (
     cluster_robust_covariance,
     diff_in_means,
     dof_adjust,
@@ -22,7 +25,8 @@ from paircluster import (
     pair_clustered_variance,
     pair_effects,
     pair_sample_variance,
-    run_size_experiment,
+    pair_sizes,
+    per_pair_counts,
     unit_clustered_variance,
 )
 from helpers import dense_designs, random_paired, rel_err
@@ -201,8 +205,8 @@ def test_criterion_6_one_obs_per_unit_special_case():
         data, assignment = random_paired(rng, P=P, uniform_size=1)
         fe = fe_estimate(data, assignment)
         w = assignment.observation_vector(data).astype(float)
-        t_p, _ = assignment.per_pair_counts(data)
-        x = w - (t_p / data.pair_sizes)[data.obs_pair]
+        t_p, _ = per_pair_counts(data, assignment)
+        x = w - (t_p / pair_sizes(data))[data.obs_pair]
         singleton = cluster_robust_covariance(x, fe.residuals, np.arange(data.n_total))[0, 0]
         adjusted = dof_adjust(singleton, 2 * P, P + 1)
         target = (P / (P - 1)) * pair_clustered_variance(data, assignment, fe)

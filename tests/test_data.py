@@ -8,17 +8,9 @@ from paircluster import (
     ExperimentData,
     Seed,
     analyze,
-    diff_in_means,
     draw_paired_assignment,
-    fe_estimate,
-    fe_variance_ratio,
-    null_resample,
-    pair_clustered_variance,
-    pair_effects,
     read_csv,
     resampling_size_experiment,
-    subset_pairs,
-    unit_clustered_variance,
     validate_dataset,
     write_csv,
 )
@@ -29,6 +21,19 @@ from paircluster.errors import (
     MixedTreatmentWithinUnit,
     NonBinaryTreatment,
     NotPaired,
+)
+from oracles import (
+    diff_in_means,
+    fe_estimate,
+    fe_variance_ratio,
+    null_resample,
+    pair_clustered_variance,
+    pair_effects,
+    pair_sizes,
+    per_pair_counts,
+    subset_pairs,
+    totals,
+    unit_clustered_variance,
 )
 from helpers import random_paired
 
@@ -45,17 +50,17 @@ def test_minimal_dataset():
     assert data.P == 2
     assert data.n_total == 4
     assert data.n_units == 4
-    T, C = assignment.totals(data)
+    T, C = totals(data, assignment)
     assert (T, C) == (2, 2)
 
 
 def test_derived_counts_sum():
     rng = np.random.default_rng(11)
     data, assignment = random_paired(rng, P=9, max_size=5)
-    T, C = assignment.totals(data)
+    T, C = totals(data, assignment)
     assert T + C == data.n_total
-    t_p, c_p = assignment.per_pair_counts(data)
-    assert np.array_equal(t_p + c_p, data.pair_sizes)
+    t_p, c_p = per_pair_counts(data, assignment)
+    assert np.array_equal(t_p + c_p, pair_sizes(data))
 
 
 def test_degenerate_pair_two_treated():
@@ -249,3 +254,14 @@ def test_paired_only_entry_points_share_one_not_paired_error(entry):
     with pytest.raises(NotPaired) as err:
         PAIRED_ONLY[entry](data, assignment)
     assert str(err.value) == "pair 's2' does not have exactly 2 units"
+
+
+@pytest.mark.parametrize("treated, bad", [
+    ([1, 1, 1, 1, 1, 1, 1, 1], "p0000"),  # no unit is a control
+    ([1, 0, 0, 0, 1, 0, 0, 1], "p0001"),  # one pair without a treated unit
+])
+def test_analyze_needs_one_treated_unit_per_pair(treated, bad):
+    data, _ = random_paired(np.random.default_rng(5), 4)
+    message = f"pair '{bad}' does not have exactly one treated unit"
+    with pytest.raises(DegeneratePair, match=re.escape(message)):
+        analyze(data, Assignment(treated))

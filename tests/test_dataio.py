@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paircluster import Assignment, read_csv, validate_dataset, write_csv
+from paircluster import dataio
 from paircluster.dataio import CSV_HEADER
 from paircluster.errors import (
     DataError,
@@ -20,6 +21,7 @@ from paircluster.errors import (
     NonBinaryTreatment,
     ParseError,
 )
+from oracles import totals
 from helpers import paired_rows
 
 
@@ -36,7 +38,7 @@ def test_minimal_file_parses(tmp_path):
     )
     data, assignment = read_csv(path)
     assert data.P == 2
-    assert assignment.totals(data) == (2, 2)
+    assert totals(data, assignment) == (2, 2)
 
 
 def test_blank_lines_and_whitespace_tolerated(tmp_path):
@@ -253,6 +255,51 @@ def test_oversized_finite_outcome_and_id_are_parse_errors(tmp_path):
         with pytest.raises(ParseError, match="field larger than field limit") as err:
             read_csv(_write(tmp_path, head + row + "\n"))
         assert err.value.line == 4
+
+
+def test_oversized_field_over_several_lines_is_a_parse_error(tmp_path):
+    # Every line is short; the quoted pair id spans 2,000 of them.
+    long_id = "\n".join(["x" * 99] * 2000)
+    text = f'pair_id,unit_id,treatment,outcome\n"{long_id}",a,1,2.0\n"{long_id}",b,0,1.0\n'
+    path = _write(tmp_path, text)
+    expected = _oracle(path)
+    assert "field larger than field limit" in str(expected)
+    with pytest.raises(ParseError) as err:
+        read_csv(path)
+    assert (str(err.value), err.value.line) == (str(expected), expected.line)
+
+
+@pytest.mark.parametrize("pair_id", ["p\n1", "p\r\n1", 'p"\n"1', "p,\n1"])
+def test_quoted_line_breaks_read_as_validate_dataset(tmp_path, pair_id):
+    rows = [(pair_id, "a", 1, 2.0), (pair_id, "b", 0, 1.0), ("p2", "a", 0, 3.0), ("p2", "b", 1, 0.5)]
+    path = tmp_path / "quoted.csv"
+    write_csv(path, *validate_dataset(rows))
+    assert read_csv(path) == validate_dataset(rows)
+
+
+_HEAD = "pair_id,unit_id,treatment,outcome\n"
+
+
+def _ending_first_chunk(tail):
+    """Rows, then ``tail`` as the last bytes of the first 1 MB the scan reads."""
+    fill = (1 << 20) - len(_HEAD) - len(tail)
+    return "p0,b,0,1.0\n" * (fill // 11 - 1) + "p0,b,0," + "1" * (fill % 11 + 3) + "\n" + tail
+
+
+@pytest.mark.parametrize("row, differs", [
+    ('"p,1",a,1,2.0', False),  # a quoted comma stays on the fast path
+    ('"p""1",a,1,2.0', False),
+    ('"p\n1",a,1,2.0', True),
+    ('"p\r1",a,1,2.0', True),
+    ('"p"1",a,1,2.0', True),
+    ('p"1,"a\nb",1,2.0', True),  # a quote inside an unquoted field shifts the count
+    # the next chunk's line breaks have no quote of their own
+    pytest.param(_ending_first_chunk('"p'), True, id="open-quote-ends-chunk"),
+])
+def test_scan_finds_line_breaks_inside_quotes(tmp_path, row, differs):
+    path = tmp_path / "scan.csv"
+    path.write_bytes(f"{_HEAD}{row}\np1,b,0,1.0\n".encode())
+    assert dataio._numpy_may_differ(path) is differs
 
 
 @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from paircluster import (
-    ConstantEffect,
-    DGPConfig,
-    HeterogeneousEffect,
-    Seed,
-    diff_in_means,
-    null_resample,
-    pair_effects,
-    simulate_strata,
-)
+from paircluster import ConstantEffect, DGPConfig, HeterogeneousEffect, Seed
 from paircluster.errors import StratumTooSmall
+from oracles import diff_in_means, null_resample, pair_effects, simulate_strata
 from helpers import random_paired
 
 

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from paircluster import (
-    Assignment,
-    diff_in_means,
-    fe_estimate,
-    pair_effects,
-    validate_dataset,
-)
+from paircluster import Assignment, validate_dataset
 from paircluster.errors import DegeneratePair, NotPaired, NoVariationInTreatment
+from oracles import diff_in_means, fe_estimate, pair_effects, pair_sizes
 from helpers import dense_designs, lstsq_fit, random_paired
 
 MINIMAL_ROWS = [
@@ -84,7 +79,7 @@ def test_omega_proportional_to_pair_size_when_balanced():
     rng = np.random.default_rng(21)
     data, assignment = random_paired(rng, P=7, balanced=True, max_size=6)
     effects = pair_effects(data, assignment)
-    expected = data.pair_sizes / data.pair_sizes.sum()
+    expected = pair_sizes(data) / pair_sizes(data).sum()
     assert effects.omega_p == pytest.approx(expected, rel=1e-12)
 
 

@@ -4,14 +4,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from paircluster import (
+from paircluster import analyze
+from paircluster.errors import ZeroVariance
+from oracles import (
     NORMAL_VARIANCE_TWO,
-    STANDARD_NORMAL,
     NormalReference,
+    STANDARD_NORMAL,
     standard_normal_cdf,
     t_test,
 )
-from paircluster.errors import ZeroVariance
+from helpers import random_paired
 
 
 def test_boundary_five_percent():
@@ -84,3 +86,15 @@ def test_variance_two_is_rescaled_standard_normal():
         rescaled = 2.0 * (1.0 - standard_normal_cdf(t / math.sqrt(2.0)))
         assert direct == pytest.approx(rescaled, rel=1e-10)
     assert STANDARD_NORMAL.variance == 1.0
+
+
+def test_report_tests_equal_the_standard_normal_oracle():
+    data, assignment = random_paired(np.random.default_rng(3), 30)
+    report = analyze(data, assignment, level=0.1)
+    assert len(report.tests) == 4
+    for (cluster, model), res in report.tests.items():
+        tau = report.tau_fe if model == "fe" else report.tau_nofe
+        expected = t_test(tau, report.variances.value(cluster, model), level=0.1)
+        assert (res.t_stat, res.p_value, res.reject) == (
+            expected.t_stat, expected.p_value, expected.reject
+        )

@@ -8,18 +8,20 @@ from paircluster import (
     HeterogeneousEffect,
     Seed,
     SizeExperimentSpec,
-    diff_in_means,
-    fe_estimate,
-    pair_clustered_variance,
     resampling_size_experiment,
     run_size_experiment,
-    simulate_strata,
-    subset_pairs,
-    unit_clustered_variance,
     validate_dataset,
 )
 from paircluster.errors import ReplicationError, ZeroVariance
 from paircluster.variance import unit_sum_stats
+from oracles import (
+    diff_in_means,
+    fe_estimate,
+    pair_clustered_variance,
+    simulate_strata,
+    subset_pairs,
+    unit_clustered_variance,
+)
 from helpers import paired_rows, random_paired
 
 
@@ -118,7 +120,8 @@ def test_first_failing_replication_in_a_later_chunk(threads):
     # exactly when all nine coin flips agree.
     rows = [(f"p{p}", u, int(u == "a"), float(u == "a")) for p in range(9) for u in "ab"]
     data, _ = validate_dataset(rows)
-    flips = [np.random.default_rng(child).random(9) < 0.5 for child in Seed(1).spawn(800)]
+    children = np.random.SeedSequence(1).spawn(800)
+    flips = [np.random.default_rng(child).random(9) < 0.5 for child in children]
     expected = next(i for i, f in enumerate(flips) if f.all() or not f.any())
     assert expected > 512  # past the first two chunks
     with pytest.raises(ReplicationError) as err:

@@ -18,14 +18,12 @@ from paircluster import (
     DGPConfig,
     Seed,
     SizeExperimentSpec,
-    cluster_robust_covariance,
-    diff_in_means,
-    fe_estimate,
     resampling_size_experiment,
     run_size_experiment,
     validate_dataset,
     variance_set,
 )
+from oracles import cluster_robust_covariance, diff_in_means, fe_estimate
 from helpers import dense_designs, random_paired
 
 TOL = 1e-10

@@ -7,11 +7,10 @@ from paircluster import (
     Seed,
     draw_paired_assignment,
     draw_stratified_assignment,
-    null_resample,
-    simulate_strata,
     validate_dataset,
 )
 from paircluster.errors import NotPaired, StratumTooSmall
+from oracles import null_resample, simulate_strata
 
 
 def _strata_skeleton(P, G):

@@ -18,10 +18,10 @@ from paircluster import (
     SizeExperimentSpec,
     draw_stratified_assignment,
     run_size_experiment,
-    simulate_strata,
 )
 from paircluster import montecarlo
 from paircluster.randomize import MAX_CHILDREN, ChildStreams
+from oracles import simulate_strata
 
 COUNT = 5
 

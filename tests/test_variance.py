@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from paircluster import (
+from paircluster import validate_dataset, variance_set
+from paircluster.errors import (
+    DegeneratePair,
+    NotPaired,
+    NoVariationInTreatment,
+    ReplicationError,
+    ZeroVariance,
+)
+from paircluster.variance import unit_sum_stats
+from oracles import (
+    DegenerateDOF,
+    RankDeficient,
+    ShapeMismatch,
+    ZeroResiduals,
     cluster_robust_covariance,
     diff_in_means,
     dof_adjust,
@@ -10,22 +23,11 @@ from paircluster import (
     pair_clustered_variance,
     pair_effects,
     pair_sample_variance,
+    pair_sizes,
+    per_pair_counts,
+    totals,
     unit_clustered_variance,
-    validate_dataset,
-    variance_set,
 )
-from paircluster.errors import (
-    DegenerateDOF,
-    DegeneratePair,
-    NotPaired,
-    NoVariationInTreatment,
-    RankDeficient,
-    ReplicationError,
-    ShapeMismatch,
-    ZeroResiduals,
-    ZeroVariance,
-)
-from paircluster.variance import unit_sum_stats
 from helpers import dense_designs, paired_rows, random_paired, rel_err
 
 MINIMAL_ROWS = [
@@ -234,8 +236,8 @@ def test_one_obs_per_unit_dof_equivalence():
         data, assignment = random_paired(rng, P=P, uniform_size=1)
         fe = fe_estimate(data, assignment)
         w = assignment.observation_vector(data).astype(float)
-        t_p, _ = assignment.per_pair_counts(data)
-        x = w - (t_p / data.pair_sizes)[data.obs_pair]
+        t_p, _ = per_pair_counts(data, assignment)
+        x = w - (t_p / pair_sizes(data))[data.obs_pair]
         v_singleton = cluster_robust_covariance(x, fe.residuals, np.arange(data.n_total))[0, 0]
         adjusted = dof_adjust(v_singleton, 2 * P, P + 1)
         target = (P / (P - 1)) * pair_clustered_variance(data, assignment, fe)
@@ -302,7 +304,7 @@ def test_stratified_sandwich_path():
     fit = diff_in_means(data, assignment)
     x_nofe, x_fe, obs_pair, obs_unit = dense_designs(data, assignment)
     v_strat = cluster_robust_covariance(x_nofe, fit.residuals, obs_pair)[1, 1]
-    T, C = assignment.totals(data)
+    T, C = totals(data, assignment)
     w_obs = assignment.observation_vector(data)
     set_p = np.bincount(data.obs_pair, weights=fit.residuals * w_obs)
     seu_p = np.bincount(data.obs_pair, weights=fit.residuals * ~w_obs)
