@@ -10,30 +10,38 @@ it exactly.
 
 Reading has one fast path and one fallback.  The fast path checks the
 header with ``csv.reader`` and parses the data rows with one
-``np.loadtxt`` call on the same handle.  numpy's C tokenizer yields the
-ids as objects and the treatments and outcomes as int64 and float64
-arrays, so no number ever becomes a Python string; on a 1M-row file this
-cuts peak memory by about a fifth.  It hands its rows on only when they
-are exactly what the csv module and ``int``/``float`` would give, so it
-gives up on a file when:
+``np.loadtxt`` call on the same handle, opened as Latin-1 so that each
+byte is one character.  numpy's C tokenizer yields the ids as fixed-width
+``S`` fields holding their exact UTF-8 bytes, as wide as the longest line
+but at most 64 bytes, and the treatments and outcomes as int64 and
+float64 arrays, so no field ever becomes a Python string and the ids are
+ranked by integer sorts (see ``data._sorted_codes``).  It hands its rows
+on only when they are exactly what the csv module and ``int``/``float``
+would give, so it gives up on a file when:
 
 - numpy refuses it or warns (a row it cannot split or convert, no data
-  rows, or an older numpy reading ``1.0`` as an integer);
+  rows, or an older numpy reading ``1.0`` as an integer), or the header
+  is not the expected one;
 - an outcome is not finite;
-- a line is longer than the csv module's field size limit, a line break
-  falls inside a quoted field, or a byte is in 0x1c-0x1f, which numpy
-  strips from numbers and ``float`` does not;
+- the byte scan before the call finds a line longer than the csv
+  module's field size limit, a line break inside a quoted field, a byte
+  in 0x1c-0x1f, which numpy strips from numbers and ``float`` does not, a
+  NUL byte, which an ``S`` field drops from the end of an id, or bytes
+  that are not UTF-8;
+- an id fills a 64-byte field on a longer line, so may have been cut;
 - the path is not a regular file, which could not be read twice.
 
 The fallback then reads the file in one ``csv.reader`` pass into columns
 of strings.  It alone decides such files: it raises the ``ParseError``
 of the first bad row with its file line (worked out only then), or reads
 what Python accepts and numpy does not, such as whitespace-only lines,
-``1_000``, non-ASCII digits and integers beyond int64.
+``1_000``, non-ASCII digits and integers beyond int64.  An id holding a
+NUL character is a ``ParseError`` on its line.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import os
@@ -43,15 +51,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Assignment, ExperimentData, _binary_code, canonicalize
+from .data import (
+    _WIDEST,
+    Assignment,
+    ExperimentData,
+    _binary_code,
+    _id_column,
+    _nul_id,
+    canonicalize,
+)
 from .errors import EmptyInput, ParseError
 
 __all__ = ["CSV_HEADER", "read_csv", "write_csv"]
 
 CSV_HEADER = ["pair_id", "unit_id", "treatment", "outcome"]
-# Object ids, not fixed-width strings: those cost the longest id times the
-# rows, and numpy strips their trailing NULs.
-_ROW = np.dtype([("pair", object), ("unit", object), ("treatment", np.int64), ("outcome", float)])
+_BOM = codecs.BOM_UTF8.decode("latin-1")
 
 
 def _first_parse_error(treatments, outcomes, line) -> ParseError | None:
@@ -91,6 +105,13 @@ def _read_columns(path):
     def line(k):  # the line of data row k: the header, k rows and the blanks before it
         return k + 2 + bisect_right(blanks, k)
 
+    def first_bad_row():  # the error of the first row read whose id or number is bad, if any
+        nul = _nul_id(pairs, units)
+        k = len(pairs) if nul is None else nul[0]
+        return _first_parse_error(treatments[:k], outcomes[:k], line) or (
+            nul and ParseError(nul[1], line=line(k))
+        )
+
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader, error = csv.reader(handle), None
         try:
@@ -108,7 +129,7 @@ def _read_columns(path):
                 elif not record or (len(record) == 1 and not record[0].strip()):
                     blanks.append(len(pairs))
                 else:
-                    raise _first_parse_error(treatments, outcomes, line) or ParseError(
+                    raise first_bad_row() or ParseError(
                         f"expected 4 fields, got {len(record)}", line=line(len(pairs))
                     )
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -117,65 +138,93 @@ def _read_columns(path):
             ahead = exc.object.count(b"\n", 0, exc.start)
             error = ParseError(f"not UTF-8 text ({exc.reason})", line=reader.line_num + 1 + ahead)
     if error is not None:  # loses to an earlier row that does not parse, as above
-        raise _first_parse_error(treatments, outcomes, line) or error
+        raise first_bad_row() or error
     if not pairs:
         raise EmptyInput(f"{path}: no data rows")
+    if _nul_id(pairs, units) is not None:
+        raise first_bad_row()
     return pairs, units, treatments, outcomes, line
 
 
-def _numpy_may_differ(path) -> bool:
-    """Whether numpy might read the file otherwise than the csv module and int/float.
+def _longest_line(path) -> int | None:
+    """The length in bytes of the file's longest line, or None where numpy might
+    read the file otherwise than the csv module and int/float.
 
-    True for a line longer than the csv module's field size limit, or a
+    None for a line longer than the csv module's field size limit, or a
     line break inside a quoted field, either of which could hold a field
-    the csv module refuses, and for any of the bytes 0x1c-0x1f, which numpy
-    strips from numbers as whitespace and int/float do not.  A line break
-    is inside a quoted field when an odd number of quotes precede it.  A
-    quote inside an unquoted field shifts that count.  Such quotes can
-    hide a line break only inside a quoted field of their own row, and
-    then either the row ends at an odd count or one of its numbers holds
-    a quote, which numpy refuses.
+    the csv module refuses; for any of the bytes 0x1c-0x1f, which numpy
+    strips from numbers as whitespace and int/float do not, and 0x00,
+    which an ``S`` field drops from the end of an id; and for bytes that
+    are not UTF-8, which the Latin-1 view of ``_load_table`` would read
+    (numpy strips a stray 0x85 or 0xa0 from a number as whitespace).  A
+    line break is inside a quoted field when an odd number of quotes
+    precede it.  A quote inside an unquoted field shifts that count.  Such
+    quotes can hide a line break only inside a quoted field of their own
+    row, and then either the row ends at an odd count or one of its
+    numbers holds a quote, which numpy refuses.
     """
     limit = csv.field_size_limit()
+    utf8 = codecs.getincrementaldecoder("utf-8")()
+    longest = 0
     with open(path, "rb") as handle:
         start = offset = 0  # file offsets of the current line and of the chunk
         quotes = 0  # quotes before the chunk
         while chunk := handle.read(1 << 20):
             codes = np.frombuffer(chunk, np.uint8)
-            if np.any(codes - np.uint8(0x1C) < 4):
-                return True
+            if np.any((codes - np.uint8(0x1C) < 4) | (codes == 0)):
+                return None
+            try:  # an ASCII chunk needs decoding only to end a character
+                if not chunk.isascii() or utf8.getstate()[0]:
+                    utf8.decode(chunk)
+            except UnicodeDecodeError:
+                return None
             breaks = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
             if quotes % 2 or b'"' in chunk:  # a file without quotes skips this
                 at = np.flatnonzero(codes == ord('"'))
                 if np.any((quotes + np.searchsorted(at, breaks)) % 2):
-                    return True
+                    return None
                 quotes += at.size
             ends = offset + breaks
             offset += len(chunk)
             if ends.size:
-                if np.diff(ends, prepend=start - 1).max() > limit + 1:
-                    return True
+                longest = max(longest, int(np.diff(ends, prepend=start - 1).max()) - 1)
                 start = int(ends[-1]) + 1
-            if offset - start > limit:
-                return True
-    return False
+            if max(longest, offset - start) > limit:
+                return None
+    if utf8.getstate()[0]:  # the file ends inside a character
+        return None
+    return max(longest, offset - start)
+
+
+def _fills_field(table: np.ndarray, name: str) -> bool:
+    """Whether an id of the ``S`` field ``name`` fills the field, so may have been cut."""
+    dtype, offset = table.dtype.fields[name][:2]
+    return bool(table.view(np.uint8).reshape(table.size, -1)[:, offset + dtype.itemsize - 1].any())
 
 
 def _load_table(path) -> np.ndarray | None:
-    """The data rows as a ``_ROW`` array, or None where the csv pass must decide."""
-    if not os.path.isfile(path) or _numpy_may_differ(path):
+    """The data rows as a structured array, or None where the csv pass must decide."""
+    longest = _longest_line(path) if os.path.isfile(path) else None
+    if longest is None:
         return None
-    with open(path, newline="", encoding="utf-8-sig") as handle, warnings.catch_warnings():
+    # Ids as S fields, which numpy fills from the Latin-1 text, so each holds its
+    # id's UTF-8 bytes.  Such a field drops trailing NULs: the scan refused NUL bytes.
+    width = min(longest, _WIDEST)
+    row = np.dtype([("pair", f"S{width}"), ("unit", f"S{width}"), ("treatment", np.int64),
+                    ("outcome", float)])
+    with open(path, newline="", encoding="latin-1") as handle, warnings.catch_warnings():
         warnings.simplefilter("error")
+        if handle.read(len(_BOM)) != _BOM:
+            handle.seek(0)
         try:
             _check_header(csv.reader(handle), path)
             table = np.loadtxt(
-                handle, _ROW, delimiter=",", quotechar='"', comments=None, ndmin=1
+                handle, row, delimiter=",", quotechar='"', comments=None, ndmin=1
             )  # comments=None: ids may contain "#"
-        except (ParseError, EmptyInput):
-            raise
-        except (csv.Error, ValueError, Warning):  # ValueError covers UnicodeDecodeError
+        except (csv.Error, ValueError, Warning):  # also a header error: the csv pass words it
             return None
+    if width < longest and (_fills_field(table, "pair") or _fills_field(table, "unit")):
+        return None
     return table if np.isfinite(table["outcome"]).all() else None
 
 
@@ -197,7 +246,8 @@ def read_csv(path) -> tuple[ExperimentData, Assignment]:
         raise _first_parse_error(treatments, outcomes, line)
     del outcomes  # free one string per row before canonicalizing
     treated = np.fromiter(map(codes.__getitem__, treatments), np.int8, len(treatments))
-    return canonicalize(pairs, units, treated, y, lambda k: int(treatments[k]))
+    return canonicalize(_id_column(pairs), _id_column(units), treated, y,
+                        lambda k: int(treatments[k]))
 
 
 def write_csv(path, data: ExperimentData, assignment: Assignment) -> None:

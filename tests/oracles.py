@@ -14,7 +14,8 @@ computes the same numbers another way and exists only to check it:
   degrees-of-freedom and pair-sample-variance identities;
 - normal-reference t-tests with any null and reference variance;
 - the observation-level generator ``simulate_strata``, the check on the
-  Monte Carlo engine's unit-sum shortcut, and null resampling.
+  Monte Carlo engine's unit-sum shortcut, and null resampling;
+- the dict-based id ranking ``sorted_codes``.
 
 Closed forms.  For paired designs with exactly two units per pair (read
 through ``ExperimentData.pair_columns``), closed forms replace the matrix
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,6 +77,19 @@ class DegenerateDOF(EstimationError):
 
 class ZeroResiduals(EstimationError):
     """All cluster residual sums vanish; a variance ratio is undefined."""
+
+
+# -- id ranking ------------------------------------------------------------------
+
+
+def sorted_codes(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct stripped ids of a column in sorted order, and each row's index into them."""
+    texts = set(column)
+    ids = sorted({text.strip() for text in texts})
+    index = dict(zip(ids, range(len(ids))))
+    index.update({text: index[text.strip()] for text in texts - index.keys()})  # padded ids
+    codes = np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+    return np.array(ids, dtype=object), codes
 
 
 # -- per-pair counts ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from paircluster import (
 )
 from paircluster.errors import (
     AssignmentMismatch,
+    DataError,
     DegeneratePair,
     EmptyInput,
     MixedTreatmentWithinUnit,
@@ -123,6 +124,14 @@ def test_row_order_irrelevant():
     assert assign_a == assign_b
 
 
+def test_each_unit_keeps_its_rows_in_input_order():
+    units = np.random.default_rng(6).choice(["a", "b"], 200).tolist()
+    rows = [("p1", unit, int(unit == "a"), float(k)) for k, unit in enumerate(units)]
+    data, _ = validate_dataset(rows)
+    in_order = sorted(rows, key=lambda row: row[1])  # a stable sort by unit
+    assert data.outcomes.tolist() == [row[3] for row in in_order]
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(77)
     data, assignment = random_paired(rng, P=6, max_size=4)
@@ -216,6 +225,14 @@ def test_experiment_data_rejects_ids_that_are_not_strings():
         ExperimentData([0.0, 1.0] * 3, [0, 0, 1, 1, 2, 2], [1] * 6, [2, 10, 30], ["a", "b"] * 3)
     with pytest.raises(ValueError, match="unit id None is not a string"):
         ExperimentData([0.0, 1.0], [0, 0], [1, 1], ["p"], ["a", None])
+
+
+def test_experiment_data_rejects_nul_in_ids():
+    # read_csv refuses such ids, so they would not survive a write_csv round trip
+    with pytest.raises(DataError, match=re.escape("unit id 'a\\x00' contains a NUL character")):
+        ExperimentData([0.0, 1.0], [0, 0], [1, 1], ["p"], ["a", "a\x00"])
+    with pytest.raises(DataError, match=re.escape("pair id 'p\\x00q' contains a NUL character")):
+        ExperimentData([0.0, 1.0], [0, 0], [1, 1], ["p\x00q"], ["a", "b"])
 
 
 def test_subset_pairs():

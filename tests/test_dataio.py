@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -12,16 +13,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paircluster import Assignment, read_csv, validate_dataset, write_csv
+from paircluster import data as data_module
 from paircluster import dataio
 from paircluster.dataio import CSV_HEADER
 from paircluster.errors import (
     DataError,
+    DegeneratePair,
     EmptyInput,
     MixedTreatmentWithinUnit,
     NonBinaryTreatment,
     ParseError,
 )
-from oracles import totals
+from oracles import sorted_codes, totals
 from helpers import paired_rows
 
 
@@ -299,7 +302,21 @@ def _ending_first_chunk(tail):
 def test_scan_finds_line_breaks_inside_quotes(tmp_path, row, differs):
     path = tmp_path / "scan.csv"
     path.write_bytes(f"{_HEAD}{row}\np1,b,0,1.0\n".encode())
-    assert dataio._numpy_may_differ(path) is differs
+    assert (dataio._longest_line(path) is None) is differs
+
+
+def test_scan_finds_a_character_split_around_an_ascii_chunk(tmp_path):
+    # The first 1 MB ends with a lead byte, the next is ASCII, and the one
+    # after starts with the two bytes that would complete the character.
+    first = (_HEAD + _ending_first_chunk("p")).encode()[:-1] + b"\xe3"
+    second = (b",b,0,1.0\n" + b"p1,b,0,1.0\n" * (1 << 17))[:1 << 20]
+    path = tmp_path / "split.csv"
+    path.write_bytes(first + second + b"\x81\x82,b,0,1.0\n")
+    assert dataio._longest_line(path) is None
+    path.write_bytes(first + b"\x81\x82" + second + b"\n")
+    assert dataio._longest_line(path) is not None
+    path.write_bytes(first)  # the file ends inside the character
+    assert dataio._longest_line(path) is None
 
 
 @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
@@ -332,14 +349,17 @@ def test_named_pipe_is_read_once(tmp_path):
 # Differential test: read_csv against the csv module row by row.  Each file is
 # a valid dataset written with awkward texts, plus at most two flaws: a text
 # or a line that numpy's tokenizer and Python's int/float read differently,
-# or a byte that is not UTF-8.
-PAIR_IDS = ["p1", " p1", "p2 ", "p#3", "p,4", 'p"5', "p\n6", "#"]
-TREATED_UNITS = ["a", " a", "u,1", 'u"2']
-CONTROL_UNITS = ["b", "b\t", "u\r\n3", "c#"]
+# a byte that is not UTF-8, or an id holding a NUL.
+PAIR_IDS = ["p1", " p1", "p2 ", "p#3", "p,4", 'p"5', "p\n6", "#",
+            "pà", "p\xa0", "ペア7", "p\U0001F600", "pair0008", "pair00009"]
+TREATED_UNITS = ["a", " a", "u,1", 'u"2', "Å", "unit0008", "unit00009"]
+CONTROL_UNITS = ["b", "b\t", "u\r\n3", "c#", "\xa0х", "ctrl0008", "ctrl00009"]
 TREATED = ["1", "+1", " 1 ", "01"]
 CONTROL = ["0", " 0 ", "00", "-0"]
 OUTCOMES = ["1.5", " -2 ", "1e3", ".5", "-0.0"]
 FLAWS = {
+    0: ["p\x00", "\x00"],  # pair id
+    1: ["a\x00b"],  # unit id
     2: ["1.0", "2", "1_0", "\x1f1", "x"],  # treatment
     3: ["1_000", "\u0661", "\x1e2", "nan", "inf", "-Infinity", "x", ""],  # outcome
     None: [" ", "\t", '""', "p1,a,1", "p1,a,1,2,"],  # a line of its own
@@ -395,6 +415,9 @@ def _oracle(path):
             if len(record) != 4:
                 return ParseError(f"expected 4 fields, got {len(record)}", line=line)
             pair_id, unit_id, w_text, y_text = record
+            for kind, text in (("pair", pair_id), ("unit", unit_id)):
+                if "\x00" in text:
+                    return ParseError(f"{kind} id {text!r} contains a NUL character", line=line)
             try:
                 w = int(w_text)
             except ValueError:
@@ -436,3 +459,144 @@ def test_read_csv_reads_as_the_csv_module(tmp_path, lines, bom, crlf, bad_byte):
         assert getattr(err.value, "line", None) == getattr(expected, "line", None)
     else:
         assert read_csv(path) == expected
+
+
+def _fallbacks(patch):
+    """The paths read_csv hands to the csv pass from now on."""
+    paths, read_columns = [], dataio._read_columns
+    patch.setattr(dataio, "_read_columns", lambda path: paths.append(path) or read_columns(path))
+    return paths
+
+
+def _benchmark_shaped_rows(rng):
+    """Shuffled rows like the benchmark's: ids p%06d and u%07d, outcomes near 1e3."""
+    rows = [(f"p{int(p[1:]):06d}", f"u{2 * int(p[1:]) + int(u[1:]):07d}", w, 1e3 + y)
+            for p, u, w, y in paired_rows(rng, rng.integers(1, 5, size=(40, 2)))]
+    return [rows[k] for k in rng.permutation(len(rows))]
+
+
+def _non_ascii_rows(rng):
+    names = {"ペア": ["あ", "い"], "pé": ["Å", "à"], "p\U0001F600": ["х", "\U0001D538"]}
+    rows = [(pair, f" {unit}\xa0", w, float(rng.normal()))
+            for pair, units in names.items() for unit, w in zip(units, (1, 0))]
+    return rows + [(" pé", "Å", 1, 2.5), ("ペア\t", "い", 0, -1.0)]
+
+
+@pytest.mark.parametrize("make_rows, encoding", [(_benchmark_shaped_rows, "utf-8"),
+                                                 (_non_ascii_rows, "utf-8-sig")])
+def test_typical_files_stay_on_the_fast_path(tmp_path, monkeypatch, make_rows, encoding):
+    rows = make_rows(np.random.default_rng(8))
+    path = tmp_path / "fast.csv"
+    with open(path, "w", newline="", encoding=encoding) as handle:
+        csv.writer(handle).writerows([CSV_HEADER] + rows)
+    fallbacks = _fallbacks(monkeypatch)
+    assert read_csv(path) == validate_dataset(rows)
+    assert fallbacks == []
+
+
+def test_id_over_64_bytes_reads_through_the_fallback(tmp_path, monkeypatch):
+    long_id = "é" * 32 + "x"  # 65 bytes: wider than any S field of the fast path
+    rows = [(long_id, "a", 1, 2.0), (long_id, "b", 0, 1.0), ("p2", "a", 0, 3.0), ("p2", "b", 1, 0.5)]
+    path = tmp_path / "long.csv"
+    write_csv(path, *validate_dataset(rows))
+    fallbacks = _fallbacks(monkeypatch)
+    assert read_csv(path) == validate_dataset(rows)
+    assert fallbacks == [path]
+
+
+@pytest.mark.parametrize("tail", [
+    b"p\xff,c,0,1.0\n",  # not a UTF-8 byte
+    b"p\xc3,c,0,1.0\n",  # a character cut short
+    b"p\xed\xa0\x80,c,0,1.0\n",  # an encoded surrogate
+    b"p\xe3\x81\x82\xe3\x81,c,0,1.0\n",  # a character cut short after a whole one
+    b"p3,c,0,\xa01.0\n",  # numpy would strip 0xa0 from the number read as Latin-1
+    b"p3,c,0,1.0\np\xe3\x81",  # the file ends inside a character
+])
+def test_invalid_utf8_is_the_csv_module_error(tmp_path, tail):
+    head = b"pair_id,unit_id,treatment,outcome\n" + b"p1,a,1,2.0\np1,b,0,1.0\n" * 3000
+    path = tmp_path / "bad.csv"
+    path.write_bytes(head + tail)
+    expected = _oracle(path)
+    assert "not UTF-8 text" in str(expected)
+    with pytest.raises(ParseError) as err:
+        read_csv(path)
+    assert (str(err.value), err.value.line) == (str(expected), expected.line)
+
+
+def test_header_padded_with_no_break_spaces(tmp_path):
+    text = "\xa0pair_id,unit_id\xa0,treatment,outcome\np1,a,1,2.0\np1,b,0,0.5\n"
+    plain = text.replace("\xa0", "")
+    assert read_csv(_write(tmp_path, text)) == read_csv(_write(tmp_path, plain))
+
+
+def test_nul_in_an_id_is_a_data_error(tmp_path):
+    rows = [("p1", "a", 1, 2.0), ("p1", "a\x00", 0, 1.0)]  # an S array would read both as "a"
+    message = "unit id 'a\\x00' contains a NUL character"
+    with pytest.raises(DataError, match=re.escape(message)):
+        validate_dataset(rows)
+    text = "".join(f"{p},{u},{w},{y}\n" for p, u, w, y in rows)
+    with pytest.raises(ParseError) as err:
+        read_csv(_write(tmp_path, "pair_id,unit_id,treatment,outcome\n\n" + text))
+    assert (str(err.value), err.value.line) == (f"line 4: {message}", 4)
+    with pytest.raises(ParseError, match="line 3: outcome 'x'"):  # an earlier bad row wins
+        read_csv(_write(tmp_path, "pair_id,unit_id,treatment,outcome\np0,a,1,1\np0,b,0,x\n" + text))
+    for later in ("p2,c,1\n", "p2,c,1," + "1" * 200_000 + "\n"):  # a later bad row loses
+        with pytest.raises(ParseError, match=re.escape(f"line 3: {message}")):
+            read_csv(_write(tmp_path, "pair_id,unit_id,treatment,outcome\n" + text + later))
+
+
+# Ranking: read_csv (fast path and fallback) and validate_dataset against the
+# dict-based oracle, over ids whose UTF-8 spans one, two or more 8-byte words.
+ID_CHARS = ["a", "Z", "0", "~", "#", ",", '"', "é", "à", "Å", "ÿ", "中", "ペ",
+            "\U0001F600", "\U0001D538"]
+ID_PADS = ["", " ", "\t", "\xa0"]
+ID_BYTES = [7, 8, 9, 16, 17, 64, 65]
+
+
+@st.composite
+def _id_columns(draw):
+    """Pair and unit columns drawn from a few ids of the given UTF-8 lengths, some padded."""
+    ids = []
+    for size in draw(st.lists(st.sampled_from(ID_BYTES), min_size=1, max_size=4)):
+        text = ""
+        for char in draw(st.lists(st.sampled_from(ID_CHARS), max_size=size)):
+            if len((text + char).encode()) > size:
+                break
+            text += char
+        ids.append(text + "x" * (size - len(text.encode())))
+    padded = st.builds(lambda left, text, right: left + text + right,
+                       st.sampled_from(ID_PADS), st.sampled_from(ids), st.sampled_from(ID_PADS))
+    n = draw(st.integers(1, 12))
+    return (draw(st.lists(padded, min_size=n, max_size=n)),
+            draw(st.lists(padded, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=_id_columns())
+def test_id_ranking_equals_the_oracle(tmp_path, monkeypatch, columns):
+    pairs, units = columns
+    rows = [(p, u, k % 2, float(k)) for k, (p, u) in enumerate(zip(pairs, units))]
+    path = tmp_path / "ids.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([CSV_HEADER] + rows)
+    expected = [sorted_codes(pairs), sorted_codes(units)]
+    fast = max(len(text.encode()) for text in pairs + units) < data_module._WIDEST
+    for entry, fallback in ((lambda: read_csv(path), not fast),
+                            (lambda: validate_dataset(rows), False)):
+        ranked, widths, rank = [], [], data_module._sorted_codes
+
+        def record(column):
+            widths.append(0 if column.dtype == object else column.itemsize)
+            ranked.append(rank(column))
+            return ranked[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(data_module, "_sorted_codes", record)
+            fallbacks = _fallbacks(patch)
+            with contextlib.suppress(MixedTreatmentWithinUnit, DegeneratePair):  # only ranks matter
+                entry()
+        assert [(ids.tolist(), codes.tolist()) for ids, codes in ranked] == [
+            (ids.tolist(), codes.tolist()) for ids, codes in expected]
+        assert fallbacks == ([path] if fallback else [])
+        assert max(widths) <= data_module._WIDEST  # 0 for an object column
