@@ -93,17 +93,17 @@ class ExperimentData:
         if np.any(np.diff(pair) < 0) or np.any((pair < 0) | (pair >= P)):
             raise ValueError("unit_pair must be nondecreasing pair indexes below P")
         for kind, ids in (("pair", self.pair_ids), ("unit", self.unit_ids)):
-            distinct = set(ids.tolist())
-            # read_csv reads ids as stripped text, so no other id would round-trip
-            others = [i for i in distinct if not isinstance(i, str)]
+            # read_csv reads ids as stripped text without NULs, so no other id would round-trip
+            bad = [i for i in ids.tolist()
+                   if not isinstance(i, str) or i != i.strip() or "\x00" in i]
+            others = [i for i in bad if not isinstance(i, str)]
             if others:
                 raise ValueError(f"{kind} id {min(others, key=repr)!r} is not a string")
-            padded = [i for i in distinct if i != i.strip()]
+            padded = [i for i in bad if i != i.strip()]
             if padded:
                 raise ValueError(f"{kind} id {min(padded)!r} has surrounding whitespace")
-            if "\x00" in "".join(distinct):  # read_csv refuses such ids
-                nul = min(i for i in distinct if "\x00" in i)
-                raise DataError(f"{kind} id {nul!r} contains a NUL character")
+            if bad:
+                raise DataError(f"{kind} id {min(bad)!r} contains a NUL character")
         if np.any(self.pair_ids[:-1] >= self.pair_ids[1:]):
             raise ValueError("pair ids must be distinct and sorted")
         same = pair[1:] == pair[:-1]
@@ -227,6 +227,7 @@ class Assignment:
 
 # The widest fixed-width id, in bytes: up to it an ``S`` field costs no more
 # than the 8-byte pointer plus the str (at least 57 bytes) it replaces.
+# ``read_csv`` makes each id field as wide as its column's widest field, up to this.
 _WIDEST = 64
 
 

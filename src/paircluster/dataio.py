@@ -10,14 +10,16 @@ it exactly.
 
 Reading has one fast path and one fallback.  The fast path checks the
 header with ``csv.reader`` and parses the data rows with one
-``np.loadtxt`` call on the same handle, opened as Latin-1 so that each
-byte is one character.  numpy's C tokenizer yields the ids as fixed-width
-``S`` fields holding their exact UTF-8 bytes, as wide as the longest line
-but at most 64 bytes, and the treatments and outcomes as int64 and
-float64 arrays, so no field ever becomes a Python string and the ids are
-ranked by integer sorts (see ``data._sorted_codes``).  It hands its rows
-on only when they are exactly what the csv module and ``int``/``float``
-would give, so it gives up on a file when:
+``np.loadtxt`` call, which opens the file by its path and reads it in
+blocks, as Latin-1 so that each byte is one character.  numpy's C
+tokenizer yields the ids as fixed-width ``S`` fields holding their exact
+UTF-8 bytes, each as wide as the widest field of its column (of the
+longest line in a file with quotes) but at most 64 bytes, and the
+treatments and outcomes as int64 and float64 arrays, so no field ever
+becomes a Python string and the ids are ranked by integer sorts (see
+``data._sorted_codes``).  It hands its rows on only when they are
+exactly what the csv module and ``int``/``float`` would give, so it
+gives up on a file when:
 
 - numpy refuses it or warns (a row it cannot split or convert, no data
   rows, or an older numpy reading ``1.0`` as an integer), or the header
@@ -28,8 +30,10 @@ would give, so it gives up on a file when:
   in 0x1c-0x1f, which numpy strips from numbers and ``float`` does not, a
   NUL byte, which an ``S`` field drops from the end of an id, or bytes
   that are not UTF-8;
-- an id fills a 64-byte field on a longer line, so may have been cut;
-- the path is not a regular file, which could not be read twice.
+- an id fills a 64-byte field, so may have been cut;
+- the path is not a regular file, which could not be read twice, or ends
+  in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, which numpy would
+  decompress.
 
 The fallback then reads the file in one ``csv.reader`` pass into columns
 of strings.  It alone decides such files: it raises the ``ParseError``
@@ -47,6 +51,8 @@ import math
 import os
 import warnings
 from bisect import bisect_right
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +72,7 @@ __all__ = ["CSV_HEADER", "read_csv", "write_csv"]
 
 CSV_HEADER = ["pair_id", "unit_id", "treatment", "outcome"]
 _BOM = codecs.BOM_UTF8.decode("latin-1")
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # numpy decompresses a path with these
 
 
 def _first_parse_error(treatments, outcomes, line) -> ParseError | None:
@@ -146,9 +153,10 @@ def _read_columns(path):
     return pairs, units, treatments, outcomes, line
 
 
-def _longest_line(path) -> int | None:
-    """The length in bytes of the file's longest line, or None where numpy might
-    read the file otherwise than the csv module and int/float.
+def _scan(path) -> tuple[int, int, int] | None:
+    """The length in bytes of the file's longest line and of its widest pair-id
+    and unit-id fields, or None where numpy might read the file otherwise than
+    the csv module and int/float.
 
     None for a line longer than the csv module's field size limit, or a
     line break inside a quoted field, either of which could hold a field
@@ -162,38 +170,53 @@ def _longest_line(path) -> int | None:
     quotes can hide a line break only inside a quoted field of their own
     row, and then either the row ends at an odd count or one of its
     numbers holds a quote, which numpy refuses.
+
+    A field is the bytes between two separators (``,``, ``\\n``, ``\\r``).
+    It is a pair id if a line break precedes it, and a unit id if a pair id
+    ended by a comma does; the header's fields count too.  A quoted field
+    may hold a comma, so in a file with a quote both widths are the
+    longest line's.
     """
     limit = csv.field_size_limit()
     utf8 = codecs.getincrementaldecoder("utf-8")()
-    longest = 0
+    longest = pair_width = unit_width = quotes = 0  # quotes: those before the chunk
+    # The last two separators read, as offsets from the chunk, and whether each
+    # is a line break; the file starts as if after one.
+    seen, broke = np.array([-1]), np.array([True])
+    start = -1  # the offset of the last line break
+
+    def widest(k):  # the widest of the fields that start after the separators seen[k]
+        return int((seen[k + 1] - seen[k]).max(initial=1)) - 1
     with open(path, "rb") as handle:
-        start = offset = 0  # file offsets of the current line and of the chunk
-        quotes = 0  # quotes before the chunk
-        while chunk := handle.read(1 << 20):
+        # A line break after the file ends its last field and any character it cuts.
+        for chunk in chain(iter(partial(handle.read, 1 << 19), b""), [b"\n"]):
             codes = np.frombuffer(chunk, np.uint8)
-            if np.any((codes - np.uint8(0x1C) < 4) | (codes == 0)):
+            if codes.min() == 0 or np.any(codes - np.uint8(0x1C) < 4):
                 return None
             try:  # an ASCII chunk needs decoding only to end a character
                 if not chunk.isascii() or utf8.getstate()[0]:
                     utf8.decode(chunk)
             except UnicodeDecodeError:
                 return None
-            breaks = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+            at = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")) | (codes == ord("\r")))
+            seen = np.concatenate((seen[-2:], at))  # repeating two, which no max minds
+            broke = np.concatenate((broke[-2:], codes[at] != ord(",")))
+            breaks = np.flatnonzero(broke)
+            ends = seen[breaks]
             if quotes % 2 or b'"' in chunk:  # a file without quotes skips this
-                at = np.flatnonzero(codes == ord('"'))
-                if np.any((quotes + np.searchsorted(at, breaks)) % 2):
+                marks = np.flatnonzero(codes == ord('"'))
+                if np.any((quotes + np.searchsorted(marks, ends[ends >= 0])) % 2):
                     return None
-                quotes += at.size
-            ends = offset + breaks
-            offset += len(chunk)
-            if ends.size:
-                longest = max(longest, int(np.diff(ends, prepend=start - 1).max()) - 1)
-                start = int(ends[-1]) + 1
-            if max(longest, offset - start) > limit:
+                quotes += marks.size
+            longest = max(longest, int(np.diff(ends, prepend=start).max(initial=0)) - 1)
+            # A pair id follows a line break, a unit id a comma after a pair id.
+            pair_width = max(pair_width, widest(breaks[breaks + 1 < seen.size]))
+            unit_width = max(unit_width, widest(np.flatnonzero(broke[:-2] > broke[1:-1]) + 1))
+            start = (int(ends[-1]) if ends.size else start) - len(chunk)
+            seen = seen[-2:] - len(chunk)
+            if max(longest, -1 - start) > limit:  # -1 - start: the bytes of the open line
                 return None
-    if utf8.getstate()[0]:  # the file ends inside a character
-        return None
-    return max(longest, offset - start)
+    return (longest,) * 3 if quotes else (longest, pair_width, unit_width)
 
 
 def _fills_field(table: np.ndarray, name: str) -> bool:
@@ -204,26 +227,30 @@ def _fills_field(table: np.ndarray, name: str) -> bool:
 
 def _load_table(path) -> np.ndarray | None:
     """The data rows as a structured array, or None where the csv pass must decide."""
-    longest = _longest_line(path) if os.path.isfile(path) else None
-    if longest is None:
+    name = os.path.abspath(os.fsdecode(path))  # numpy would read "http://..." as a URL
+    scan = _scan(path) if os.path.isfile(path) and not name.endswith(_COMPRESSED) else None
+    if scan is None:
         return None
-    # Ids as S fields, which numpy fills from the Latin-1 text, so each holds its
-    # id's UTF-8 bytes.  Such a field drops trailing NULs: the scan refused NUL bytes.
-    width = min(longest, _WIDEST)
-    row = np.dtype([("pair", f"S{width}"), ("unit", f"S{width}"), ("treatment", np.int64),
-                    ("outcome", float)])
-    with open(path, newline="", encoding="latin-1") as handle, warnings.catch_warnings():
+    pair_width, unit_width = (min(width, _WIDEST) for width in scan[1:])
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if handle.read(len(_BOM)) != _BOM:
-            handle.seek(0)
         try:
-            _check_header(csv.reader(handle), path)
-            table = np.loadtxt(
-                handle, row, delimiter=",", quotechar='"', comments=None, ndmin=1
+            with open(path, newline="", encoding="latin-1") as handle:
+                if handle.read(len(_BOM)) != _BOM:
+                    handle.seek(0)
+                _check_header(csv.reader(handle), path)  # so the ids are at least 7 bytes wide
+            # Ids as S fields, which numpy fills from the Latin-1 text, so each holds its
+            # id's UTF-8 bytes.  Such a field drops trailing NULs: the scan refused NUL bytes.
+            row = np.dtype([("pair", f"S{pair_width}"), ("unit", f"S{unit_width}"),
+                            ("treatment", np.int64), ("outcome", float)])
+            table = np.loadtxt(  # by path, numpy reads the file in blocks, not by lines
+                name, row, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                encoding="latin-1", skiprows=1,
             )  # comments=None: ids may contain "#"
         except (csv.Error, ValueError, Warning):  # also a header error: the csv pass words it
             return None
-    if width < longest and (_fills_field(table, "pair") or _fills_field(table, "unit")):
+    if any(width == _WIDEST and _fills_field(table, column)
+           for column, width in (("pair", pair_width), ("unit", unit_width))):
         return None
     return table if np.isfinite(table["outcome"]).all() else None
 

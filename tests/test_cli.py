@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import math
 
@@ -91,6 +92,14 @@ def test_analyze_unreadable_csv_is_a_data_error(tmp_path, capsys, raw, line):
     path.write_bytes(raw)
     assert main(["analyze", "--data", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"data error: line {line}: ")
+
+
+def test_analyze_gzip_file_is_a_data_error(tmp_path, capsys):
+    # read as text, not decompressed, as for any other suffix
+    path = tmp_path / "pairs.csv.gz"
+    path.write_bytes(gzip.compress(MINIMAL_CSV.encode(), mtime=0))
+    assert main(["analyze", "--data", str(path)]) == 2
+    assert capsys.readouterr().err == "data error: line 1: not UTF-8 text (invalid start byte)\n"
 
 
 def test_analyze_nonbinary_treatment_value(tmp_path):

@@ -1,6 +1,9 @@
+import bz2
 import contextlib
 import csv
+import gzip
 import io
+import lzma
 import math
 import os
 import re
@@ -302,7 +305,7 @@ def _ending_first_chunk(tail):
 def test_scan_finds_line_breaks_inside_quotes(tmp_path, row, differs):
     path = tmp_path / "scan.csv"
     path.write_bytes(f"{_HEAD}{row}\np1,b,0,1.0\n".encode())
-    assert (dataio._longest_line(path) is None) is differs
+    assert (dataio._scan(path) is None) is differs
 
 
 def test_scan_finds_a_character_split_around_an_ascii_chunk(tmp_path):
@@ -312,11 +315,11 @@ def test_scan_finds_a_character_split_around_an_ascii_chunk(tmp_path):
     second = (b",b,0,1.0\n" + b"p1,b,0,1.0\n" * (1 << 17))[:1 << 20]
     path = tmp_path / "split.csv"
     path.write_bytes(first + second + b"\x81\x82,b,0,1.0\n")
-    assert dataio._longest_line(path) is None
+    assert dataio._scan(path) is None
     path.write_bytes(first + b"\x81\x82" + second + b"\n")
-    assert dataio._longest_line(path) is not None
+    assert dataio._scan(path) is not None
     path.write_bytes(first)  # the file ends inside the character
-    assert dataio._longest_line(path) is None
+    assert dataio._scan(path) is None
 
 
 @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
@@ -441,10 +444,9 @@ def _oracle(path):
 
 @settings(derandomize=True, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(lines=_lines(), bom=st.booleans(), crlf=st.booleans(),
+@given(lines=_lines(), bom=st.booleans(), eol=st.sampled_from(["\n", "\r\n", "\r"]),
        bad_byte=st.one_of(st.none(), st.none(), st.none(), st.integers(0, 1000)))
-def test_read_csv_reads_as_the_csv_module(tmp_path, lines, bom, crlf, bad_byte):
-    eol = "\r\n" if crlf else "\n"
+def test_read_csv_reads_as_the_csv_module(tmp_path, lines, bom, eol, bad_byte):
     raw = (("\ufeff" if bom else "") + eol.join([",".join(CSV_HEADER)] + lines) + eol).encode()
     if bad_byte is not None:
         at = bad_byte % (len(raw) + 1)
@@ -502,6 +504,73 @@ def test_id_over_64_bytes_reads_through_the_fallback(tmp_path, monkeypatch):
     fallbacks = _fallbacks(monkeypatch)
     assert read_csv(path) == validate_dataset(rows)
     assert fallbacks == [path]
+
+
+# The header (33 bytes) is the longest line; the widest pair id has 12 bytes,
+# the widest unit id 10, and the header's own fields 7.
+WIDTH_ROWS = [("p0000001", "u0000001", 1, 2.0), ("p0000001", "ünit00005", 0, 1.0),
+              ("pair0000002x", "u2", 0, 3.0), ("pair0000002x", "u3", 1, 0.5)]
+
+
+def _width_file(tmp_path, eol, quote=""):
+    lines = [",".join(CSV_HEADER)] + [f"{quote}{p}{quote},{u},{w},{y}" for p, u, w, y in WIDTH_ROWS]
+    path = tmp_path / "widths.csv"
+    path.write_bytes((eol.join(lines) + eol).encode())
+    return path, max(len(line.encode()) for line in lines)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_id_fields_are_as_wide_as_their_widest_ids(tmp_path, eol):
+    path, _ = _width_file(tmp_path, eol)
+    table = dataio._load_table(path)
+    assert (table.dtype["pair"].itemsize, table.dtype["unit"].itemsize) == (12, 10)
+    assert read_csv(path) == validate_dataset(WIDTH_ROWS)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("wide_first", [True, False])
+@pytest.mark.parametrize("split", [0, 1, 13, 14, 15, 16, 30, -2, -1])
+def test_id_widths_carry_across_chunks(tmp_path, eol, wide_first, split):
+    # The first 1 MB the scan reads ends ``split`` bytes into the first of two rows.
+    wide, narrow = "pair0000000003,unit000000000004,0,1.0", "pair000000001,u00000000002,1,2.0"
+    first, second = (wide, narrow) if wide_first else (narrow, wide)
+    first += eol
+    path = tmp_path / "chunks.csv"
+    path.write_bytes((_HEAD + _ending_first_chunk(first[:split]) + first[split:] + second).encode())
+    assert dataio._scan(path)[1:] == (14, 16)
+
+
+def test_a_file_with_a_quoted_id_gets_the_line_width(tmp_path):
+    path, longest = _width_file(tmp_path, "\n", quote='"')  # a quoted id may hold a comma
+    assert longest == len(",".join(CSV_HEADER))
+    table = dataio._load_table(path)
+    assert (table.dtype["pair"].itemsize, table.dtype["unit"].itemsize) == (longest, longest)
+    assert read_csv(path) == validate_dataset(WIDTH_ROWS)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_with_a_compressed_suffix_reads_as_plain_text(tmp_path, suffix):
+    # numpy, given a path, picks a decompressor from the suffix
+    plain = _write(tmp_path, "pair_id,unit_id,treatment,outcome\np1,a,1,2.0\np1,b,0,0.5\n")
+    named = tmp_path / f"x.csv{suffix}"
+    named.write_bytes(plain.read_bytes())
+    assert read_csv(named) == read_csv(plain)
+
+
+@pytest.mark.parametrize("suffix, compress", [
+    (".gz", lambda raw: gzip.compress(raw, mtime=0)),
+    (".bz2", bz2.compress),
+    (".xz", lzma.compress),
+    (".lzma", lambda raw: lzma.compress(raw, format=lzma.FORMAT_ALONE)),
+])
+def test_compressed_file_is_the_csv_module_error(tmp_path, suffix, compress):
+    path = tmp_path / f"x.csv{suffix}"
+    path.write_bytes(compress(b"pair_id,unit_id,treatment,outcome\np1,a,1,2.0\np1,b,0,0.5\n"))
+    expected = _oracle(path)
+    assert isinstance(expected, ParseError)
+    with pytest.raises(ParseError) as err:
+        read_csv(path)
+    assert (str(err.value), err.value.line) == (str(expected), expected.line)
 
 
 @pytest.mark.parametrize("tail", [
