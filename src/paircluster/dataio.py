@@ -142,8 +142,13 @@ def _read_columns(path):
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
             error = ParseError(str(exc), line=reader.line_num)
         except UnicodeDecodeError as exc:  # decoding runs a chunk ahead of the reader
-            ahead = exc.object.count(b"\n", 0, exc.start)
-            error = ParseError(f"not UTF-8 text ({exc.reason})", line=reader.line_num + 1 + ahead)
+            head, lineno = exc.object[: exc.start], reader.line_num + 1
+            if handle.seekable():  # and holds back a \r ending a chunk, so count in the file
+                at = handle.buffer.tell() - len(exc.object) + exc.start  # exc.object ends at tell()
+                handle.buffer.seek(0)
+                head, lineno = handle.buffer.read(at), 1
+            lineno += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")  # as csv counts
+            error = ParseError(f"not UTF-8 text ({exc.reason})", line=lineno)
     if error is not None:  # loses to an earlier row that does not parse, as above
         raise first_bad_row() or error
     if not pairs:

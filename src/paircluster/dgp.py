@@ -5,8 +5,9 @@ n_gp observations per unit with iid standard-normal potential outcomes, an
 additive normal stratum shock with variance ``sigma2_gamma`` and a
 per-stratum treatment effect.  The Monte Carlo engine draws each
 replication's unit outcome sums from it directly.  Normal variates come
-from the inverse CDF (``uniform_to_normal``) applied to the seeded uniform
-stream, so draws are bit-reproducible across platforms.
+from the inverse CDF (``uniform_to_normal``, scipy's ``ndtri``) applied to
+the seeded uniform stream, so draws are bit-reproducible across platforms;
+scipy loads on first use, so ``import paircluster`` needs only numpy.
 """
 
 from __future__ import annotations
@@ -15,13 +16,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import StratumTooSmall
 
 __all__ = ["ConstantEffect", "HeterogeneousEffect", "DGPConfig", "uniform_to_normal"]
 
 _TINY = 2.0**-53
+
+
+def ndtri(p, out=None):
+    """The inverse normal CDF, ``scipy.special.ndtri``; scipy loads on the first call."""
+    from scipy import special
+    return special.ndtri(p, out=out)
 
 
 def uniform_to_normal(u: np.ndarray) -> np.ndarray:

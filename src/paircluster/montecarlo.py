@@ -16,21 +16,21 @@ sums, unit sizes and the assignment, so the synthetic generator draws unit
 sums directly (the sum of n iid standard normals is sqrt(n) times one),
 with the sampling distribution of an observation-level generator; the
 tests check it against one (``simulate_strata`` in ``tests/oracles.py``).
+scipy (``dgp.ndtri``) and the process pool load on first use; the critical
+value comes first, so forked workers inherit scipy already loaded.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import ExperimentData
-from .dgp import DGPConfig, uniform_to_normal
+from .dgp import DGPConfig, ndtri, uniform_to_normal
 from .errors import ReplicationError
 from .randomize import MAX_CHILDREN, ChildStreams, Seed
 from .variance import UnitStats, unit_sum_stats
@@ -100,7 +100,10 @@ class _StratifiedDraw:
         shock = [(P,)] if self.sigma2 > 0.0 else []
         u_order, u_sums, *u_shock = _uniforms(streams, first, count, (P, G), (P * G,), *shock)
         # Each stratum's G // 2 smallest uniforms are treated (ties have probability < G**2 / 2**54).
-        kth = np.partition(u_order, G // 2 - 1, axis=-1)[..., G // 2 - 1 : G // 2]
+        if G == 2:  # the same mask as the partition, ties included, at a fraction of its cost
+            kth = np.minimum(u_order[..., :1], u_order[..., 1:])
+        else:
+            kth = np.partition(u_order, G // 2 - 1, axis=-1)[..., G // 2 - 1 : G // 2]
         treated = (u_order <= kth).reshape(count, P * G)
         sums = np.multiply(uniform_to_normal(u_sums), math.sqrt(n_gp), out=u_sums)
         for u in u_shock:
@@ -228,6 +231,7 @@ def _run_chunks(worker, arg_list, threads):
         threads = os.cpu_count() or 1
     if threads <= 1 or len(arg_list) <= 1:
         return [worker(a) for a in arg_list]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, arg_list))
 

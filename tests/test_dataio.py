@@ -349,6 +349,25 @@ def test_named_pipe_is_read_once(tmp_path):
     assert result == [read_csv(_write(tmp_path, text))]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_non_utf8_byte_in_a_named_pipe_names_its_line(tmp_path):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    errors = []
+    reader = threading.Thread(target=lambda: errors.append(_raised(read_csv, fifo)), daemon=True)
+    reader.start()
+    fifo.write_bytes(b"pair_id,unit_id,treatment,outcome\rp1,a,1,2.0\rp1,b,0,1.0\rp\xff,c,0,1\r")
+    reader.join(timeout=30)
+    assert [(type(e), e.line) for e in errors] == [(ParseError, 4)]
+
+
+def _raised(f, *args):
+    try:
+        f(*args)
+    except Exception as exc:
+        return exc
+
+
 # Differential test: read_csv against the csv module row by row.  Each file is
 # a valid dataset written with awkward texts, plus at most two flaws: a text
 # or a line that numpy's tokenizer and Python's int/float read differently,
@@ -402,7 +421,9 @@ def _oracle(path):
     try:
         text = raw.decode("utf-8").removeprefix("\ufeff")  # error offsets are the file's
     except UnicodeDecodeError as exc:  # a small file is decoded before its first row is read
-        return ParseError(f"not UTF-8 text ({exc.reason})", line=raw.count(b"\n", 0, exc.start) + 1)
+        head = raw[: exc.start]  # \r\n, a lone \r and a lone \n each end a line
+        line = 1 + len(re.findall(rb"\r\n?|\n", head))
+        return ParseError(f"not UTF-8 text ({exc.reason})", line=line)
     records = csv.reader(io.StringIO(text, newline=""))
     rows = []
     try:
@@ -590,6 +611,36 @@ def test_invalid_utf8_is_the_csv_module_error(tmp_path, tail):
     with pytest.raises(ParseError) as err:
         read_csv(path)
     assert (str(err.value), err.value.line) == (str(expected), expected.line)
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+def test_non_utf8_byte_names_its_line_for_any_line_end(tmp_path, eol):
+    path = tmp_path / "bad.csv"
+    lines = [b"pair_id,unit_id,treatment,outcome", b"p1,a,1,2.0", b"p1,b,0,1.0", b"p2,c,0,1.0"]
+    path.write_bytes(eol.join(lines + [b"p\xff,d,1,1.0"]) + eol)
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        read_csv(path)
+    assert err.value.line == 5
+
+
+def test_non_utf8_byte_after_a_lone_cr_that_ends_a_chunk(tmp_path):
+    # Deep in a file, decoding runs a chunk ahead of the reader and holds back
+    # a \r that ends a chunk: here the bad line starts at byte 2**18, a chunk
+    # boundary for any power-of-two chunk size up to that.
+    header = b"pair_id,unit_id,treatment,outcome"
+    rows = [b"p%d,%s,%d,1." % (k // 2, b"ab"[k % 2 : k % 2 + 1], k % 2) for k in range(19_999)]
+    pad, n = divmod(2**18 - len(b"\r".join([header] + rows) + b"\r"), len(rows))
+    rows = [row + b"0" * (pad + (k < n)) for k, row in enumerate(rows)]
+    head = b"\r".join([header] + rows) + b"\r"
+    assert len(head) == 2**18
+    path = tmp_path / "bad.csv"
+    path.write_bytes(head + b"p\xff,d,1,1.0\r")
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        read_csv(path)
+    assert err.value.line == 20_001
+    path.write_bytes(head.replace(b"p0,a,0,", b"p0,a,x,", 1) + b"p\xff,d,1,1.0\r")
+    with pytest.raises(ParseError, match="line 2: treatment 'x'"):  # an earlier bad row wins
+        read_csv(path)
 
 
 def test_header_padded_with_no_break_spaces(tmp_path):

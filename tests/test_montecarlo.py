@@ -13,6 +13,7 @@ from paircluster import (
     validate_dataset,
 )
 from paircluster.errors import ReplicationError, ZeroVariance
+from paircluster.montecarlo import _StratifiedDraw
 from paircluster.variance import unit_sum_stats
 from oracles import (
     diff_in_means,
@@ -64,6 +65,34 @@ def test_g2_raw_ratio_is_root_half_every_rep():
     U, P, n, K = 80, 40, 400, 41
     mult = math.sqrt((U / (U - 1)) / (P / (P - 1)))
     assert cell.mean_se_ratio == pytest.approx(math.sqrt(0.5) * mult, rel=1e-12)
+
+
+class _Replay:
+    """A generator stand-in whose ``random`` hands out the values of ``flat`` in order."""
+
+    def __init__(self, flat):
+        self.flat, self.used = flat, 0
+
+    def random(self, out):
+        out[...] = self.flat[self.used : self.used + out.size].reshape(out.shape)
+        self.used += out.size
+
+
+def test_g2_treated_mask_is_the_partition_rule_ties_included():
+    P, count = 100, 64
+    rng = np.random.default_rng(4)
+    u = rng.random((count, 4 * P))  # per replication: P * G assignment, then P * G sum uniforms
+    order = u[:, : 2 * P].reshape(count, P, 2)
+    ties = rng.random((count, P)) < 0.2
+    order[ties, 1] = order[ties, 0]
+    expected = (order <= np.partition(order, 0, axis=-1)[..., :1]).reshape(count, 2 * P)
+
+    class Streams:
+        rng = staticmethod(lambda k: _Replay(u[k]))
+
+    _, treated = _StratifiedDraw(DGPConfig(G=2, P=P, n_gp=3)).batch(Streams, 0, count)
+    assert np.array_equal(treated, expected)
+    assert treated.reshape(count, P, 2)[ties].all()  # a tie treats both units
 
 
 def test_engine_matches_public_estimators():
