@@ -1,8 +1,8 @@
 """Design-based estimation and cluster-robust inference for paired and
 small-strata randomized experiments.
 
-The library audits a paired experiment and measures test size by
-simulation, both through one statistics kernel
+The library audits a paired or stratified experiment and measures test
+size by simulation, both through one statistics kernel
 (``variance.unit_sum_stats``): validating experiment data, drawing
 paired/stratified assignments, the difference-in-means and fixed-effects
 estimates with all four pair- and unit-clustered variances (``analyze``,

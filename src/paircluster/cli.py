@@ -1,9 +1,9 @@
 """Command-line entry points.
 
-``paircluster analyze`` audits a paired-experiment CSV; ``paircluster
-simulate`` runs the replicated size experiments.  Results go to stdout,
-diagnostics to stderr.  Exit statuses: 0 success, 1 usage error, 2 data
-validation error, 3 runtime/numeric failure.
+``paircluster analyze`` audits a paired or stratified experiment CSV;
+``paircluster simulate`` runs the replicated size experiments.  Results
+go to stdout, diagnostics to stderr.  Exit statuses: 0 success, 1 usage
+error, 2 data validation error, 3 runtime/numeric failure.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="paircluster", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", help="audit a paired experiment CSV")
-    p_an.add_argument("--data", required=True, help="CSV with pair_id,unit_id,treatment,outcome")
+    p_an = sub.add_parser("analyze", help="audit a paired or stratified experiment CSV")
+    p_an.add_argument("--data", required=True, help="CSV with pair_id,unit_id,treatment,outcome; "
+                      "a pair may hold more than 2 units (a stratum)")
     p_an.add_argument("--cluster", choices=["pair", "unit", "both"], default="both")
     p_an.add_argument("--fe", choices=["on", "off", "both"], default="both")
     p_an.add_argument("--level", type=float, default=0.05)

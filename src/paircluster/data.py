@@ -11,10 +11,11 @@ in fixed-width ``S`` arrays at most 64 bytes wide (``read_csv`` reads
 them so; lists are encoded), sorted as big-endian integer words, whose
 order is str order; only the distinct ids become str again.  Lists with
 an id wider than 64 bytes are sorted as str.  An id may not hold a NUL
-character, which an ``S`` array would drop from its end.  Code that
-needs exactly two units per pair reads per-unit values through
-``ExperimentData.pair_columns``, the one place that checks it.  All types
-are immutable after construction and safe to share across threads.
+character, which an ``S`` array would drop from its end.  A pair holds
+two or more units; ``check_contrast`` asks each for a treated and a
+control unit, for ``canonicalize`` and ``report.analyze``, and
+``ExperimentData.require_pairs`` for exactly two.  All types are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -159,17 +160,13 @@ class ExperimentData:
         """Units per pair."""
         return _frozen(np.bincount(self.unit_pair, minlength=self.P), np.int64)
 
-    def pair_columns(self, values) -> np.ndarray:
-        """Per-unit ``values`` as a (P, 2) array, one row per pair.
-
-        The one accessor of paired-only code: raises ``NotPaired`` naming
-        the first pair that does not have exactly two units.
-        """
+    def require_pairs(self) -> None:
+        """The one check of paired-only code: raises ``NotPaired`` naming
+        the first pair that does not have exactly two units."""
         unpaired = self.pair_unit_counts != 2
         if np.any(unpaired):
             bad = self.pair_ids[int(np.argmax(unpaired))]
             raise NotPaired(f"pair {bad!r} does not have exactly 2 units")
-        return np.asarray(values).reshape(-1, 2)
 
     @property
     def centred_unit_sums(self) -> np.ndarray:
@@ -307,6 +304,21 @@ def _sorted_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ids, dtype=object), codes
 
 
+def check_contrast(unit_pair, treated, pair_ids) -> np.ndarray:
+    """Each pair's treated-unit count; ``DegeneratePair`` names the first
+    pair without a treated and a control unit."""
+    treated_units = np.bincount(unit_pair, weights=treated, minlength=pair_ids.size)
+    units = np.bincount(unit_pair, minlength=pair_ids.size)
+    degenerate = (treated_units == 0) | (treated_units == units)
+    if np.any(degenerate):
+        p = int(np.argmax(degenerate))
+        raise DegeneratePair(
+            f"pair {pair_ids[p]!r} has no treated/control contrast "
+            f"(treatments: {[int(treated_units[p] > 0)]}, units: {units[p]})"
+        )
+    return treated_units
+
+
 def canonicalize(pair_col, unit_col, treated, outcomes, treatment_value):
     """Sort, check and pack rows given as columns into a dataset and assignment.
 
@@ -343,15 +355,7 @@ def canonicalize(pair_col, unit_col, treated, outcomes, treatment_value):
             )
         raise MixedTreatmentWithinUnit(f"{context} has both treated and control rows")
 
-    treated_units = np.bincount(unit_pair, weights=unit_w, minlength=pair_ids.size)
-    units = np.bincount(unit_pair, minlength=pair_ids.size)
-    degenerate = (treated_units == 0) | (treated_units == units)
-    if np.any(degenerate):
-        p = int(np.argmax(degenerate))
-        raise DegeneratePair(
-            f"pair {pair_ids[p]!r} has no treated/control contrast "
-            f"(treatments: {[int(treated_units[p] > 0)]}, units: {units[p]})"
-        )
+    check_contrast(unit_pair, unit_w, pair_ids)
     data = ExperimentData(outcomes[order], unit_pair, unit_sizes, pair_ids, unit_ids)
     return data, Assignment(unit_w.astype(bool))
 

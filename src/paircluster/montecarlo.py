@@ -117,7 +117,7 @@ class _PairedResample:
     """Fixed unit sums of a paired dataset under fresh coin-flip assignments."""
 
     def __init__(self, data: ExperimentData):
-        data.pair_columns(data.unit_sizes)  # raises NotPaired unless every pair has 2 units
+        data.require_pairs()
         self.sums = data.centred_unit_sums
         self.sizes = data.unit_sizes.astype(float)
         self.block = data.unit_pair
@@ -232,7 +232,7 @@ def _run_chunks(worker, arg_list, threads):
     if threads <= 1 or len(arg_list) <= 1:
         return [worker(a) for a in arg_list]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(arg_list))) as pool:
         return list(pool.map(worker, arg_list))
 
 

@@ -1,14 +1,12 @@
 """Treatment assignment draws for paired and stratified designs, and seed streams.
 
 Every random stream is a child of a master seed: child i of ``Seed(m)``
-with spawn-key prefix ``prefix`` draws exactly what
-``np.random.default_rng(SeedSequence(m, spawn_key=prefix + (i,)))`` draws
-(seed stream v1).  ``ChildStreams`` is the one place that derives these
-streams; it does so in bulk, for a whole range of children at once.
-Stratum j of an assignment draws from child j (prefix ``()``), so draws
-are reproducible and independent of how the strata are iterated.  Subset
-sampling uses a seeded shuffle: exact uniformity over subsets, no
-rejection loop.
+draws exactly what ``np.random.default_rng(SeedSequence(m, spawn_key=(i,)))``
+draws (seed stream v1).  ``ChildStreams`` is the one place that derives
+these streams; it does so in bulk, for a whole range of children at once.
+Stratum j of an assignment draws from child j, so draws are reproducible
+and independent of how the strata are iterated.  Subset sampling uses a
+seeded shuffle: exact uniformity over subsets, no rejection loop.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ def _fold(x: np.ndarray) -> np.ndarray:
 class ChildStreams:
     """The PCG64 streams of children ``start .. start + count - 1`` of a seed.
 
-    Child i is ``default_rng(SeedSequence(seed.master, spawn_key=prefix + (i,)))``,
+    Child i is ``default_rng(SeedSequence(seed.master, spawn_key=(i,)))``,
     bit for bit, but no ``SeedSequence`` or ``Generator`` is built per child.
     numpy's ``SeedSequence`` hash runs for all the children in one
     vectorized pass: starting from the pool of ``SeedSequence(master)``, each
@@ -62,21 +60,20 @@ class ChildStreams:
     hashes the pool into four words.  PCG64 seeds itself from those words
     with two steps of its LCG; the same steps give each child's
     ``(state, inc)``.  ``rng(k)`` then sets one shared generator to child
-    ``start + k``.  Each prefix entry must be below 2**32.
+    ``start + k``.
     """
 
-    def __init__(self, seed: Seed, start: int, count: int, prefix: tuple[int, ...] = ()):
+    def __init__(self, seed: Seed, start: int, count: int):
         if not 0 <= start <= start + count <= MAX_CHILDREN:
             raise ValueError(f"child indexes must lie in [0, {MAX_CHILDREN})")
         mixer = np.tile(np.random.SeedSequence(seed.master).pool, (count, 1))
         const = _SPAWN_CONST
         children = np.arange(start, start + count, dtype=np.uint32)
-        for word in (*(np.full(count, w, np.uint32) for w in prefix), children):
-            for dst in range(4):  # mix(mixer[dst], hashmix(word)), hashmix advancing const
-                value = word ^ np.uint32(const)
-                const = const * _MULT_A & _M32
-                value = _fold(value * np.uint32(const))
-                mixer[:, dst] = _fold(np.uint32(_MIX_L) * mixer[:, dst] - np.uint32(_MIX_R) * value)
+        for dst in range(4):  # mix(mixer[dst], hashmix(children)), hashmix advancing const
+            value = children ^ np.uint32(const)
+            const = const * _MULT_A & _M32
+            value = _fold(value * np.uint32(const))
+            mixer[:, dst] = _fold(np.uint32(_MIX_L) * mixer[:, dst] - np.uint32(_MIX_R) * value)
         words = np.empty((count, 8), np.uint32)  # generate_state(4, uint64) as 32-bit words
         const = _INIT_B
         for dst in range(8):
@@ -104,27 +101,22 @@ class ChildStreams:
         return self._generator
 
 
-def _stratified_treated(unit_counts: list[int], seed: Seed, prefix: tuple[int, ...] = ()):
-    """Treated mask over all units: floor(G/2) treated per stratum, uniform over subsets.
-
-    Stratum j permutes its units with child j of ``seed`` under ``prefix``.
-    """
-    streams = ChildStreams(seed, 0, len(unit_counts), prefix)
-    starts = np.cumsum([0, *unit_counts[:-1]]).tolist()
-    treated = np.zeros(sum(unit_counts), dtype=bool)
-    treated[np.concatenate([
-        streams.rng(j).permutation(count)[: count // 2] + first
-        for j, (count, first) in enumerate(zip(unit_counts, starts))
-    ])] = True
-    return treated
-
-
 def draw_stratified_assignment(data: ExperimentData, seed: Seed) -> Assignment:
     """Draw floor(G/2) treated units per stratum, independently across strata.
 
-    With an odd stratum size G this leaves ceil(G/2) = (G+1)/2 controls.
+    Stratum j permutes its units with child j of ``seed``, uniform over
+    subsets.  With an odd stratum size G this leaves ceil(G/2) = (G+1)/2
+    controls.
     """
-    return Assignment(_stratified_treated(data.pair_unit_counts.tolist(), seed))
+    counts = data.pair_unit_counts.tolist()
+    streams = ChildStreams(seed, 0, len(counts))
+    starts = np.cumsum([0, *counts[:-1]]).tolist()
+    treated = np.zeros(data.n_units, dtype=bool)
+    treated[np.concatenate([
+        streams.rng(j).permutation(count)[: count // 2] + first
+        for j, (count, first) in enumerate(zip(counts, starts))
+    ])] = True
+    return Assignment(treated)
 
 
 def draw_paired_assignment(data: ExperimentData, seed: Seed) -> Assignment:
@@ -132,5 +124,5 @@ def draw_paired_assignment(data: ExperimentData, seed: Seed) -> Assignment:
 
     The stratified draw at G = 2, after checking that every pair has two units.
     """
-    data.pair_columns(data.unit_sizes)
+    data.require_pairs()
     return draw_stratified_assignment(data, seed)

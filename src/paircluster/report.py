@@ -2,9 +2,9 @@
 
 The report mirrors how paired-experiment results are audited: both point
 estimators, all four clustered variances with their unit/pair ratio, and
-the t-tests the caller selected.  Every reported standard error is the
-square root of a reported variance; JSON output carries full precision
-and the text rendering rounds for display only.
+the t-tests the caller selected, for pairs and strata alike.  Every
+reported standard error is the square root of a reported variance; JSON
+output carries full precision and the text rendering rounds for display.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Assignment, ExperimentData
-from .errors import DegeneratePair, ZeroVariance
+from .data import Assignment, ExperimentData, check_contrast
+from .errors import ZeroVariance
 from .variance import VarianceSet, dataset_stats
 
 __all__ = ["AnalysisReport", "analyze"]
@@ -86,8 +86,9 @@ class AnalysisReport:
 
     def to_text(self) -> str:
         d = self.dataset
+        design = "stratified" if d["units"] > 2 * d["P"] else "paired"  # a block of 3+ units
         lines = [
-            "paired experiment analysis",
+            f"{design} experiment analysis",
             f"  pairs: {d['P']}   units: {d['units']}   observations: {d['n_total']}",
             f"  observations per unit: min {d['unit_size_min']}, max {d['unit_size_max']}",
             f"  max within-pair size ratio: {d['max_within_pair_size_ratio']:.3f}",
@@ -105,12 +106,11 @@ class AnalysisReport:
                 f"var={v:.6g}  se={math.sqrt(v):.6g}  n/(n-K)={self.variances.dof_factors[key]:.6g}"
             )
         if self.ratio is not None:
-            lo, hi = self.ratio_m_range
+            bounds = ""
+            if self.ratio_m_range is not None:
+                bounds = " (per-pair share bounds: {:.6g} to {:.6g})".format(*self.ratio_m_range)
             lines.append("")
-            lines.append(
-                f"  unit/pair variance ratio (FE): {self.ratio:.6g} "
-                f"(per-pair share bounds: {lo:.6g} to {hi:.6g})"
-            )
+            lines.append(f"  unit/pair variance ratio (FE): {self.ratio:.6g}{bounds}")
         if self.tests:
             lines.append("")
             lines.append(f"  two-sided t-tests of zero effect, level {self.level:g}:")
@@ -130,34 +130,27 @@ def analyze(
     fe: str = "both",
     level: float = 0.05,
 ) -> AnalysisReport:
-    """Full audit of a paired experiment.
+    """Full audit of a paired or stratified experiment.
 
     ``cluster`` picks the clustering level(s) for the reported t-tests
     ("pair", "unit", or "both"); ``fe`` picks the model(s) ("on", "off",
-    "both").  Variances and the unit/pair ratio are always reported.
+    "both").  Variances and the unit/pair ratio are always reported.  A
+    "pair" is a block of any size, and each diagnostic reduces per block:
+    size ratio, balance, and the block effect (mean of treated minus mean
+    of control unit means).  ``ratio_m_range``, the range of each pair's
+    sum of squared size shares, bounds the FE ratio on pairs only: None on
+    strata.
     """
     if cluster not in ("pair", "unit", "both"):
         raise ValueError("cluster must be 'pair', 'unit', or 'both'")
     if fe not in ("on", "off", "both"):
         raise ValueError("fe must be 'on', 'off', or 'both'")
 
-    # Two units per pair are checked first: the diagnostics below are paired-only.
-    sizes = data.pair_columns(data.unit_sizes).astype(float)
-    treated = data.pair_columns(assignment.unit_vector(data))
-    no_contrast = treated.sum(axis=1) != 1
-    if np.any(no_contrast):
-        bad = data.pair_ids[int(np.argmax(no_contrast))]
-        raise DegeneratePair(f"pair {bad!r} does not have exactly one treated unit")
+    treated = assignment.unit_vector(data)
+    block, P = data.unit_pair, data.P
+    n_treated = check_contrast(block, treated, data.pair_ids)
     stats = dataset_stats(data, assignment)
     variances = VarianceSet.from_stats(data, stats)
-    if stats.block_fe > 0.0:
-        ratio = stats.unit_fe / stats.block_fe
-        m_p = np.sum((sizes / sizes.sum(axis=1, keepdims=True)) ** 2, axis=1)
-        m_range = (float(m_p.min()), float(m_p.max()))
-    else:
-        ratio = None
-        m_range = None
-
     clusters = _CLUSTERS if cluster == "both" else (cluster,)
     models = _MODELS if fe == "both" else (("fe",) if fe == "on" else ("nofe",))
     tests: dict[tuple[str, str], TestResult] = {}
@@ -166,19 +159,27 @@ def analyze(
             tau = stats.tau_fe if m == "fe" else stats.tau_nofe
             tests[(c, m)] = _normal_test(tau, variances.value(c, m), level)
 
-    means = data.pair_columns(data.unit_means)
-    first_minus_second = means[:, 0] - means[:, 1]  # negated exactly where the second is treated
-    pair_effect = np.where(treated[:, 0], first_minus_second, -first_minus_second)
-    within_ratio = np.maximum(sizes[:, 0] / sizes[:, 1], sizes[:, 1] / sizes[:, 0])
+    sizes = data.unit_sizes.astype(float)
+    ratio = m_range = None
+    if stats.block_fe > 0.0:
+        ratio = stats.unit_fe / stats.block_fe
+        if data.n_units == 2 * P:
+            m_b = np.bincount(block, (sizes / np.bincount(block, sizes, P)[block]) ** 2, P)
+            m_range = (float(m_b.min()), float(m_b.max()))
+    starts = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first unit
+    largest, smallest = np.maximum.reduceat(sizes, starts), np.minimum.reduceat(sizes, starts)
+    n_control = data.pair_unit_counts - n_treated
+    contrast = np.where(treated, 1.0 / n_treated[block], -1.0 / n_control[block])
+    block_effect = np.bincount(block, contrast * data.unit_means, P)
     dataset = {
-        "P": data.P,
+        "P": P,
         "units": data.n_units,
         "n_total": data.n_total,
         "unit_size_min": int(data.unit_sizes.min()),
         "unit_size_max": int(data.unit_sizes.max()),
-        "max_within_pair_size_ratio": float(within_ratio.max()),
-        "balanced_within_pairs": bool(np.all(sizes[:, 0] == sizes[:, 1])),
-        "pair_effect_spread": float(np.ptp(pair_effect)),
+        "max_within_pair_size_ratio": float((largest / smallest).max()),
+        "balanced_within_pairs": bool(np.all(largest == smallest)),
+        "pair_effect_spread": float(np.ptp(block_effect)),
     }
     return AnalysisReport(
         tau_nofe=stats.tau_nofe,

@@ -18,7 +18,7 @@ computes the same numbers another way and exists only to check it:
 - the dict-based id ranking ``sorted_codes``.
 
 Closed forms.  For paired designs with exactly two units per pair (read
-through ``ExperimentData.pair_columns``), closed forms replace the matrix
+through ``pair_columns``), closed forms replace the matrix
 algebra.  Each pair p contributes two unit scores a_p and b_p; clustering
 by pair sums (a_p + b_p)^2 and clustering by unit sums a_p^2 + b_p^2.
 The scores are
@@ -57,7 +57,6 @@ from paircluster.errors import (
     NoVariationInTreatment,
     ZeroVariance,
 )
-from paircluster.randomize import ChildStreams, _stratified_treated
 
 
 # -- errors only the oracles raise ---------------------------------------------
@@ -237,12 +236,18 @@ def fe_estimate(data: ExperimentData, assignment: Assignment) -> FitResult:
     )
 
 
+def pair_columns(data: ExperimentData, values) -> np.ndarray:
+    """Per-unit ``values`` as a (P, 2) array, one row per pair; ``NotPaired`` unless paired."""
+    data.require_pairs()
+    return np.asarray(values).reshape(-1, 2)
+
+
 def pair_weights(data: ExperimentData) -> np.ndarray:
     """Harmonic mean of each pair's two unit sizes, normalized to sum to one.
 
     Under equal within-pair sizes the weights are proportional to pair size.
     """
-    sizes = data.pair_columns(data.unit_sizes).astype(float)
+    sizes = pair_columns(data, data.unit_sizes).astype(float)
     harmonic = 1.0 / (1.0 / sizes[:, 0] + 1.0 / sizes[:, 1])
     return harmonic / harmonic.sum()
 
@@ -250,11 +255,11 @@ def pair_weights(data: ExperimentData) -> np.ndarray:
 def pair_effects(data: ExperimentData, assignment: Assignment) -> PairEffects:
     """Within-pair treated-minus-control mean differences, weighted by ``pair_weights``."""
     omega_p = pair_weights(data)
-    w_mat = data.pair_columns(assignment.unit_vector(data))
+    w_mat = pair_columns(data, assignment.unit_vector(data))
     if np.any(w_mat.sum(axis=1) != 1):
         bad = data.pair_ids[int(np.argmax(w_mat.sum(axis=1) != 1))]
         raise DegeneratePair(f"pair {bad!r} does not have exactly one treated unit")
-    means = data.pair_columns(data.unit_means)
+    means = pair_columns(data, data.unit_means)
     first_treated = w_mat[:, 0]
     tau_p = np.where(first_treated, means[:, 0] - means[:, 1], means[:, 1] - means[:, 0])
     return PairEffects(tau_p=tau_p, omega_p=omega_p)
@@ -313,7 +318,7 @@ def _residual_sums(data, assignment, residuals) -> tuple[np.ndarray, np.ndarray]
 
 def _pair_scores(data, assignment, fit: FitResult) -> np.ndarray:
     """The (P, 2) unit scores a_p, b_p of a closed form, for either model."""
-    sizes = data.pair_columns(data.unit_sizes).astype(float)
+    sizes = pair_columns(data, data.unit_sizes).astype(float)
     _check_fit(data, fit, fit.model_kind)
     set_p, seu_p = _residual_sums(data, assignment, fit.residuals)
     if fit.model_kind == "nofe":
@@ -384,11 +389,11 @@ def fe_variance_ratio(data: ExperimentData, fit: FitResult) -> RatioDecompositio
     squared treated-side sum equals the squared first-unit sum and the
     assignment is not needed.
     """
-    sizes = data.pair_columns(data.unit_sizes).astype(float)
+    sizes = pair_columns(data, data.unit_sizes).astype(float)
     _check_fit(data, fit, "fe")
     m_p = np.sum((sizes / sizes.sum(axis=1, keepdims=True)) ** 2, axis=1)
     unit_sums = np.bincount(data.obs_unit, weights=fit.residuals, minlength=data.n_units)
-    s_sq = data.pair_columns(unit_sums)[:, 0] ** 2
+    s_sq = pair_columns(data, unit_sums)[:, 0] ** 2
     total = float(s_sq.sum())
     if total == 0.0:
         raise ZeroResiduals("all within-pair residual sums are zero; ratio undefined")
@@ -494,6 +499,10 @@ def normal_draws(rng: np.random.Generator, size) -> np.ndarray:
     return uniform_to_normal(rng.random(size))
 
 
+def _child(seed: Seed, *spawn_key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed.master, spawn_key=spawn_key))
+
+
 def simulate_strata(
     config: DGPConfig, seed: Seed
 ) -> tuple[ExperimentData, Assignment, PotentialData]:
@@ -504,7 +513,7 @@ def simulate_strata(
     The observed outcome of each observation is its potential outcome
     under the drawn assignment.
     """
-    rng = ChildStreams(seed, 0, 1).rng(0)  # child 0 draws outcomes, child 1's children assign
+    rng = _child(seed, 0)  # child 0 draws outcomes; stratum j assigns from child (1, j)
     n = config.n_obs
     obs_stratum = np.repeat(np.arange(config.P), config.G * config.n_gp)
 
@@ -517,7 +526,9 @@ def simulate_strata(
     taus = config.effect_profile.stratum_effects(config.P)
     y1 = y1 + taus[obs_stratum]
 
-    treated = _stratified_treated([config.G] * config.P, seed, prefix=(1,))
+    treated = np.zeros(config.n_units, dtype=bool)
+    for j in range(config.P):
+        treated[j * config.G + _child(seed, 1, j).permutation(config.G)[: config.G // 2]] = True
     w_obs = np.repeat(treated, config.n_gp)
     observed = np.where(w_obs, y1, y0)
 

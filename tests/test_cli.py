@@ -125,14 +125,24 @@ def test_analyze_degenerate_pair(tmp_path):
 
 
 def test_analyze_stratified_is_not_paired(tmp_path, capsys):
-    path = tmp_path / "strat.csv"
+    # a 3-unit and a 2-unit block: audited, under the stratified header
+    path, json_path = tmp_path / "strat.csv", tmp_path / "strat.json"
     path.write_text(
         "pair_id,unit_id,treatment,outcome\n"
-        "s1,a,1,1.0\ns1,b,0,2.0\ns1,c,0,3.0\ns2,d,1,4.0\ns2,e,0,5.0\n",
+        "s1,a,1,1.0\ns1,b,0,2.0\ns1,c,0,3.5\ns2,d,1,4.0\ns2,e,0,5.0\ns2,e,0,5.5\n",
         encoding="utf-8",
     )
-    assert main(["analyze", "--data", str(path)]) == 2
-    assert "exactly 2 units" in capsys.readouterr().err
+    assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("stratified experiment analysis\n")
+    report = json.loads(json_path.read_text())
+    assert report["dataset"]["units"] == 5
+    assert report["unit_pair_ratio_fe"] > 0.0
+    # the m range bounds the FE ratio only on pairs, so neither output has one
+    assert report["unit_pair_ratio_m_range"] is None
+    assert f"unit/pair variance ratio (FE): {report['unit_pair_ratio_fe']:.6g}\n" in text
+    # block effects: 1 - 2.75 and 4 - 5.25
+    assert report["dataset"]["pair_effect_spread"] == pytest.approx(0.5)
 
 
 def test_simulate_deterministic_csv(capsys):

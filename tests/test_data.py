@@ -259,7 +259,6 @@ PAIRED_ONLY = {
     "draw_paired_assignment": lambda d, a: draw_paired_assignment(d, Seed(1)),
     "null_resample": lambda d, a: null_resample(d, "paired", Seed(1)),
     "resampling_size_experiment": lambda d, a: resampling_size_experiment(d, 10, 0.05, Seed(1)),
-    "analyze": analyze,
 }
 
 
@@ -279,6 +278,12 @@ def test_paired_only_entry_points_share_one_not_paired_error(entry):
 ])
 def test_analyze_needs_one_treated_unit_per_pair(treated, bad):
     data, _ = random_paired(np.random.default_rng(5), 4)
-    message = f"pair '{bad}' does not have exactly one treated unit"
-    with pytest.raises(DegeneratePair, match=re.escape(message)):
+    message = f"pair '{bad}' has no treated/control contrast"
+    with pytest.raises(DegeneratePair, match=re.escape(message)) as err:
         analyze(data, Assignment(treated))
+    # the same check, and message, as for the rows read by validate_dataset
+    rows = [(data.pair_ids[data.unit_pair[u]], data.unit_ids[u], treated[u], y)
+            for u, y in zip(data.obs_unit, data.outcomes)]
+    with pytest.raises(DegeneratePair) as from_rows:
+        validate_dataset(rows)
+    assert str(from_rows.value) == str(err.value)

@@ -42,6 +42,31 @@ def test_thread_count_does_not_change_results():
     assert serial.to_json_dict() == parallel.to_json_dict()
 
 
+def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:  # records the worker count and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    spec = _spec(reps=300)
+    table = run_size_experiment(spec, threads=500)
+    assert started == [2]  # 300 replications are two chunks
+    assert table.to_csv_text() == run_size_experiment(spec, threads=1).to_csv_text()
+
+
 def test_repeat_run_identical():
     spec = _spec(reps=300, seed=5)
     assert (

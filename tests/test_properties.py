@@ -18,11 +18,13 @@ from paircluster import (
     DGPConfig,
     Seed,
     SizeExperimentSpec,
+    analyze,
     resampling_size_experiment,
     run_size_experiment,
     validate_dataset,
     variance_set,
 )
+from paircluster.errors import ZeroVariance
 from oracles import cluster_robust_covariance, diff_in_means, fe_estimate
 from helpers import dense_designs, random_paired
 
@@ -39,15 +41,15 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def designs(draw, max_units=2, balanced=False):
-    """Rows of a blocked design: 2..max_units units per block, sizes 1-4.
+def designs(draw, max_units=2, balanced=False, min_units=2):
+    """Rows of a blocked design: min_units..max_units units per block, sizes 1-4.
 
     Each block has at least one treated and one control unit.  With
     ``balanced`` every unit of a block has the same size.
     """
     rows = []
     for p in range(draw(st.integers(2, 6))):
-        G = draw(st.integers(2, max_units))
+        G = draw(st.integers(min_units, max_units))
         n_treated = draw(st.integers(1, G - 1))
         block_size = draw(st.integers(1, 4))
         for g in range(G):
@@ -117,22 +119,45 @@ def test_fe_ratio_bounds(rows):
     assert 0.5 - TOL <= ratio <= 1.0 + TOL
 
 
-@PROPERTY
-@given(designs(max_units=6))
-def test_matches_sandwich_for_any_block_size(rows):
-    data, assignment = validate_dataset(rows)
+def _sandwich(data, assignment):
+    """Both explicit fits, and the four variances by the generic sandwich."""
     x_nofe, x_fe, obs_pair, obs_unit = dense_designs(data, assignment)
     fit = diff_in_means(data, assignment)
     fe = fe_estimate(data, assignment)
-    oracle = {
+    return fit, fe, {
         "pair_nofe": cluster_robust_covariance(x_nofe, fit.residuals, obs_pair)[1, 1],
         "unit_nofe": cluster_robust_covariance(x_nofe, fit.residuals, obs_unit)[1, 1],
         "pair_fe": cluster_robust_covariance(x_fe, fe.residuals, obs_pair)[0, 0],
         "unit_fe": cluster_robust_covariance(x_fe, fe.residuals, obs_unit)[0, 0],
     }
+
+
+@PROPERTY
+@given(designs(max_units=6))
+def test_matches_sandwich_for_any_block_size(rows):
+    _, _, oracle = _sandwich(*validate_dataset(rows))
     got = _variances(rows)
     floor = _floor(rows)
     assert all(_close(got[k], oracle[k], floor) for k in KEYS), (got, oracle)
+
+
+@PROPERTY
+@given(designs(min_units=3, max_units=6))
+def test_analyze_matches_sandwich_on_strata(rows):
+    data, assignment = validate_dataset(rows)
+    try:
+        report = analyze(data, assignment)
+    except ZeroVariance:  # a t-test of a variance that is exactly zero
+        assume(False)
+    fit, fe, oracle = _sandwich(data, assignment)
+    scale = float(np.abs(data.outcomes).max())
+    assert abs(report.tau_nofe - fit.tau_hat) <= TOL * max(abs(fit.tau_hat), scale)
+    assert abs(report.tau_fe - fe.tau_hat) <= TOL * max(abs(fe.tau_hat), scale)
+    got = {key: getattr(report.variances, key) for key in KEYS}
+    floor = _floor(rows)
+    assert all(_close(got[k], oracle[k], floor) for k in KEYS), (got, oracle)
+    assert report.ratio_m_range is None  # the m range bounds the FE ratio on pairs only
+    assert report.to_text().startswith("stratified experiment analysis\n")
 
 
 def _serialized(table):
