@@ -329,14 +329,22 @@ def canonicalize(pair_col, unit_col, treated, outcomes, treatment_value):
     ``treatment_value(k)`` is row k's treatment as given, for the error
     message.  Errors name the offending pair or unit; of the treatment
     errors, the one raised is the one a row-by-row pass would meet first.
+
+    Rows are grouped into units by numpy's default (unstable) argsort of
+    their unit keys; a sort of the distinct keys ``unit * n + row`` then
+    puts each unit's rows back in input order.  Any sort of distinct keys
+    gives the stable order, and the two take about half the time of one
+    stable argsort.
     """
     pair_ids, pair_code = _sorted_codes(pair_col)
     names, name_code = _sorted_codes(unit_col)
     # Units are (pair, unit id) keys, sorted by pair and then by unit id.
     row_key = pair_code * len(names) + name_code
     del pair_code, name_code
-    order = np.argsort(row_key, kind="stable")  # keeps input order within a unit
+    order = np.argsort(row_key)
     first, row_unit = _runs(row_key[order], order)
+    n = order.size  # row_unit * n + row fits in int64 for n below 3e9
+    order = np.sort(row_unit * n + np.arange(n)) % n
     starts = np.flatnonzero(first)
     keys = row_key[order[starts]]
     unit_sizes = np.diff(starts, append=order.size)

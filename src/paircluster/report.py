@@ -27,17 +27,22 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class TestResult:
-    """A two-sided test of a zero effect against the standard normal."""
+    """A two-sided test of a zero effect against the standard normal.
 
-    t_stat: float
-    p_value: float
-    reject: bool
+    All three fields are None where the variance is 0, so t is undefined.
+    """
+
+    t_stat: float | None
+    p_value: float | None
+    reject: bool | None
 
 
 def _normal_test(tau_hat: float, v_hat: float, level: float) -> TestResult:
     """Reject when p = erfc(|t| / sqrt(2)) is below ``level``, with t = tau_hat / sqrt(v_hat)."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
+    if v_hat == 0.0:  # e.g. FE scores under an exactly constant effect
+        return TestResult(None, None, None)
     if not v_hat > 0.0:
         raise ZeroVariance(f"variance estimate must be positive, got {v_hat!r}")
     t = tau_hat / math.sqrt(v_hat)
@@ -86,15 +91,23 @@ class AnalysisReport:
 
     def to_text(self) -> str:
         d = self.dataset
-        design = "stratified" if d["units"] > 2 * d["P"] else "paired"  # a block of 3+ units
+        design, block, blocks = (  # a block of 3+ units makes strata
+            ("stratified", "stratum", "strata") if d["units"] > 2 * d["P"]
+            else ("paired", "pair", "pairs")
+        )
+
+        def row(cluster, model):  # a table row's first columns; the "pair" cluster is the block
+            label = block if cluster == "pair" else cluster
+            return f"    cluster={label:<{len(block) + 1}} model={model:<4} "
+
         lines = [
             f"{design} experiment analysis",
-            f"  pairs: {d['P']}   units: {d['units']}   observations: {d['n_total']}",
+            f"  {blocks}: {d['P']}   units: {d['units']}   observations: {d['n_total']}",
             f"  observations per unit: min {d['unit_size_min']}, max {d['unit_size_max']}",
-            f"  max within-pair size ratio: {d['max_within_pair_size_ratio']:.3f}",
+            f"  max within-{block} size ratio: {d['max_within_pair_size_ratio']:.3f}",
             "",
-            f"  effect (diff in means) : {self.tau_nofe:.6g}",
-            f"  effect (pair FE)       : {self.tau_fe:.6g}",
+            f"  {'effect (diff in means)':<23}: {self.tau_nofe:.6g}",
+            f"  {f'effect ({block} FE)':<23}: {self.tau_fe:.6g}",
             "",
             "  variance estimates (raw cluster-robust):",
         ]
@@ -102,24 +115,25 @@ class AnalysisReport:
             cluster, model = key.split("_")
             v = self.variances.value(cluster, model)
             lines.append(
-                f"    cluster={cluster:<5} model={model:<4} "
-                f"var={v:.6g}  se={math.sqrt(v):.6g}  n/(n-K)={self.variances.dof_factors[key]:.6g}"
+                row(cluster, model)
+                + f"var={v:.6g}  se={math.sqrt(v):.6g}  n/(n-K)={self.variances.dof_factors[key]:.6g}"
             )
         if self.ratio is not None:
             bounds = ""
             if self.ratio_m_range is not None:
                 bounds = " (per-pair share bounds: {:.6g} to {:.6g})".format(*self.ratio_m_range)
             lines.append("")
-            lines.append(f"  unit/pair variance ratio (FE): {self.ratio:.6g}{bounds}")
+            lines.append(f"  unit/{block} variance ratio (FE): {self.ratio:.6g}{bounds}")
         if self.tests:
             lines.append("")
             lines.append(f"  two-sided t-tests of zero effect, level {self.level:g}:")
             for (cluster, model), res in self.tests.items():
-                verdict = "reject" if res.reject else "keep"
-                lines.append(
-                    f"    cluster={cluster:<5} model={model:<4} "
-                    f"t={res.t_stat:+.4f}  p={res.p_value:.4g}  {verdict}"
-                )
+                if res.t_stat is None:
+                    outcome = "undefined (variance 0)"
+                else:
+                    verdict = "reject" if res.reject else "keep"
+                    outcome = f"t={res.t_stat:+.4f}  p={res.p_value:.4g}  {verdict}"
+                lines.append(row(cluster, model) + outcome)
         return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,12 @@ from .errors import DegeneratePair, NoVariationInTreatment, ReplicationError, Ze
 
 __all__ = ["UnitStats", "unit_sum_stats", "dataset_stats", "VarianceSet", "variance_set"]
 
+# OpenBLAS splits a dot of more than 10,000 elements across its threads, and
+# the rounding then depends on the thread count.  ``row_dot`` adds up dots of
+# at most this many units, each run on one thread; a row of no more units is
+# one BLAS call, with the bits of a plain ``a @ b``.
+_DOT_UNITS = 8192
+
 
 class UnitStats(NamedTuple):
     """Both effect estimates and the four raw variances; a block is a pair or stratum."""
@@ -56,8 +62,13 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
             return np.bincount(block, values, n_blocks)
         return np.bincount(flat, values.ravel(), len(tf) * n_blocks).reshape(-1, n_blocks)
 
-    def row_dot(a, b):  # per row, the same BLAS dot as a 1-D ``a @ b``
-        return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+    def row_dot(a, b):  # per row, BLAS dots of at most _DOT_UNITS units, added in order
+        if a.shape[-1] <= _DOT_UNITS:
+            return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+        total = row_dot(a[:, :_DOT_UNITS], b[..., :_DOT_UNITS])
+        for k in range(_DOT_UNITS, a.shape[-1], _DOT_UNITS):
+            total += row_dot(a[:, k:k + _DOT_UNITS], b[..., k:k + _DOT_UNITS])
+        return total
 
     def variances(base, slope, x, weight, denom):  # of scores weight * residual, in place
         scores = slope[:, None] * x  # the residual is sums - sizes * (base + slope * x)

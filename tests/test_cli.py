@@ -140,9 +140,38 @@ def test_analyze_stratified_is_not_paired(tmp_path, capsys):
     assert report["unit_pair_ratio_fe"] > 0.0
     # the m range bounds the FE ratio only on pairs, so neither output has one
     assert report["unit_pair_ratio_m_range"] is None
-    assert f"unit/pair variance ratio (FE): {report['unit_pair_ratio_fe']:.6g}\n" in text
+    assert f"unit/stratum variance ratio (FE): {report['unit_pair_ratio_fe']:.6g}\n" in text
+    # the text names blocks as strata; the JSON keys stay
+    assert "  strata: 2   units: 5" in text
+    assert "max within-stratum size ratio: 2.000\n" in text
+    assert "  effect (stratum FE)    : " in text
+    assert "cluster=stratum  model=nofe var=" in text
+    assert "cluster=unit     model=fe   t=" in text
+    assert "pair" not in text
+    assert report["dataset"]["max_within_pair_size_ratio"] == 2.0
     # block effects: 1 - 2.75 and 4 - 5.25
     assert report["dataset"]["pair_effect_spread"] == pytest.approx(0.5)
+
+
+def test_analyze_zero_variance_test_is_undefined(tmp_path, capsys):
+    # a constant effect of 1 in both pairs: the FE scores and the pair no-FE scores are all 0
+    path, json_path = tmp_path / "zero.csv", tmp_path / "zero.json"
+    path.write_text(
+        "pair_id,unit_id,treatment,outcome\np1,a,1,2\np1,b,0,1\np2,c,1,5\np2,d,0,4\n",
+        encoding="utf-8",
+    )
+    assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(json_path.read_text())
+    undefined = {"t_stat": None, "p_value": None, "reject": None}
+    assert report["tests"]["pair_nofe"] == report["tests"]["pair_fe"] == undefined
+    assert report["tests"]["unit_fe"] == undefined
+    assert report["tests"]["unit_nofe"]["t_stat"] == pytest.approx(2.0 / 3.0)
+    assert report["variances"]["unit_fe"]["variance"] == 0.0
+    assert "    cluster=pair  model=fe   undefined (variance 0)\n" in text
+    assert "    cluster=unit  model=nofe t=+0.6667  p=0.505  keep\n" in text
+    assert main(["analyze", "--data", str(path), "--fe", "off"]) == 0
+    assert "cluster=pair  model=nofe undefined (variance 0)\n" in capsys.readouterr().out
 
 
 def test_simulate_deterministic_csv(capsys):

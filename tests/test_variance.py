@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -340,6 +345,48 @@ def test_variance_set_matches_closed_forms():
             rel_err(vs.unit_fe, unit_clustered_variance(data, assignment, fe)),
         )
     assert worst <= 1e-10
+
+
+def test_kernel_over_many_units_matches_closed_forms():
+    # 24,000 units: each row's dots add up three BLAS calls
+    data, assignment = random_paired(np.random.default_rng(8), P=12_000)
+    vs = variance_set(data, assignment)
+    fit, fe = diff_in_means(data, assignment), fe_estimate(data, assignment)
+    assert rel_err(vs.pair_nofe, pair_clustered_variance(data, assignment, fit)) <= 1e-10
+    assert rel_err(vs.unit_nofe, unit_clustered_variance(data, assignment, fit)) <= 1e-10
+    assert rel_err(vs.pair_fe, pair_clustered_variance(data, assignment, fe)) <= 1e-10
+    assert rel_err(vs.unit_fe, unit_clustered_variance(data, assignment, fe)) <= 1e-10
+
+
+# Prints dataset_stats of a seeded dataset of 30,000 units with a large offset.
+STATS = """
+import numpy as np
+from paircluster import Assignment, ExperimentData
+from paircluster.variance import dataset_stats
+rng = np.random.default_rng(2019)
+P = 15_000
+sizes = rng.integers(1, 20, 2 * P)
+data = ExperimentData(
+    rng.normal(1e3, 1.0, sizes.sum()), np.repeat(np.arange(P), 2), sizes,
+    [f"p{j:05d}" for j in range(P)], ["a", "b"] * P,
+)
+first = rng.integers(0, 2, P)
+print(repr(dataset_stats(data, Assignment(np.column_stack([first, 1 - first]).ravel()))))
+"""
+
+
+def test_dataset_stats_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot of more than 10,000 elements across its threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {
+        threads: subprocess.run(
+            [sys.executable, "-c", STATS], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert outputs["1"] == outputs["2"]
+    assert outputs["1"].startswith("UnitStats(")
 
 
 def _ragged_batch(rng, rows):
