@@ -11,8 +11,8 @@ experiments (``run_size_experiment``, ``resampling_size_experiment``).
 """
 
 from . import errors
-from .data import Assignment, ExperimentData, validate_dataset
-from .dataio import read_csv, write_csv
+from .data import Assignment, ExperimentData
+from .dataio import read_csv, validate_dataset, write_csv
 from .dgp import ConstantEffect, DGPConfig, HeterogeneousEffect
 from .montecarlo import (
     SizeCell,

@@ -1,25 +1,31 @@
-"""CSV ingestion and emission.
+"""Ingestion and CSV emission: every dataset is built here.
+
+``validate_dataset`` (rows) and ``read_csv`` (a file) hand their columns
+to one canonicalizer, ``canonicalize``, which strips ids of surrounding
+whitespace, groups the rows into units and checks the whole dataset at
+once.  It ranks the ids of every entry path one way: as UTF-8 bytes in
+fixed-width ``S`` arrays at most 64 bytes wide (``read_csv`` reads them
+so; lists are encoded), sorted as big-endian integer words, whose order
+is str order; only the distinct ids become str again.  Lists with an id
+wider than 64 bytes are sorted as str.  An id may not hold a NUL
+character, which an ``S`` array would drop from its end.
 
 Input is long format, one row per observation, header
 ``pair_id,unit_id,treatment,outcome`` with treatment in {0,1}, in UTF-8
 with or without a byte-order mark.  Row order never affects results;
-writing uses the canonical order, and ids are stripped of surrounding
-whitespace by the canonicalizer on both paths, so a write/read round
-trip of a dataset from ``validate_dataset`` or ``read_csv`` reproduces
-it exactly.
+writing uses the canonical order, so a write/read round trip of a
+dataset from ``validate_dataset`` or ``read_csv`` reproduces it exactly.
 
 Reading has one fast path and one fallback.  The fast path checks the
 header with ``csv.reader`` and parses the data rows with one
 ``np.loadtxt`` call, which opens the file by its path and reads it in
 blocks, as Latin-1 so that each byte is one character.  numpy's C
-tokenizer yields the ids as fixed-width ``S`` fields holding their exact
-UTF-8 bytes, each as wide as the widest field of its column (of the
-longest line in a file with quotes) but at most 64 bytes, and the
-treatments and outcomes as int64 and float64 arrays, so no field ever
-becomes a Python string and the ids are ranked by integer sorts (see
-``data._sorted_codes``).  It hands its rows on only when they are
-exactly what the csv module and ``int``/``float`` would give, so it
-gives up on a file when:
+tokenizer yields the ids as ``S`` fields holding their exact UTF-8
+bytes, each as wide as the widest field of its column (of the longest
+line in a file with quotes) but at most 64 bytes, and the treatments and
+outcomes as int64 and float64 arrays, so no field ever becomes a Python
+string.  It hands its rows on only when they are exactly what the csv
+module and ``int``/``float`` would give, so it gives up on a file when:
 
 - numpy refuses it or warns (a row it cannot split or convert, no data
   rows, or an older numpy reading ``1.0`` as an integer), or the header
@@ -35,45 +41,206 @@ gives up on a file when:
   in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, which numpy would
   decompress.
 
-The fallback then reads the file in one ``csv.reader`` pass into columns
-of strings.  It alone decides such files: it raises the ``ParseError``
-of the first bad row with its file line (worked out only then), or reads
-what Python accepts and numpy does not, such as whitespace-only lines,
-``1_000``, non-ASCII digits and integers beyond int64.  An id holding a
-NUL character is a ``ParseError`` on its line.
+The fallback alone decides such files.  It reads the file's bytes once
+and checks that they are UTF-8 before it parses a row: a file that is
+not is a ``ParseError`` on the line of its first bad byte, for regular
+files and pipes alike.  One ``csv.reader`` pass then reads the text into
+columns of strings.  It raises the ``ParseError`` of the first bad row
+with its file line (worked out only then), or reads what Python accepts
+and numpy does not, such as whitespace-only lines, ``1_000``, non-ASCII
+digits and integers beyond int64.  An id holding a NUL character is a
+``ParseError`` on its line.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import io
 import math
 import os
 import warnings
 from bisect import bisect_right
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import (
-    _WIDEST,
-    Assignment,
-    ExperimentData,
-    _binary_code,
-    _id_column,
-    _nul_id,
-    canonicalize,
-)
-from .errors import EmptyInput, ParseError
+from .data import Assignment, ExperimentData, _binary_code, check_contrast
+from .errors import DataError, EmptyInput, MixedTreatmentWithinUnit, NonBinaryTreatment, ParseError
 
-__all__ = ["CSV_HEADER", "read_csv", "write_csv"]
+__all__ = ["CSV_HEADER", "validate_dataset", "read_csv", "write_csv"]
 
 CSV_HEADER = ["pair_id", "unit_id", "treatment", "outcome"]
 _BOM = codecs.BOM_UTF8.decode("latin-1")
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # numpy decompresses a path with these
 _REFUSED = b"\x00\x1c\x1d\x1e\x1f"  # bytes _scan sends to the csv pass
+
+
+# The widest fixed-width id, in bytes: up to it an ``S`` field costs no more
+# than the 8-byte pointer plus the str (at least 57 bytes) it replaces.
+# ``read_csv`` makes each id field as wide as its column's widest field, up to this.
+_WIDEST = 64
+
+
+def _nul_id(pairs: list[str], units: list[str]) -> tuple[int, str] | None:
+    """The first row with an id holding U+0000, and a message naming that id, if any.
+
+    An ``S`` array drops trailing NULs, so such an id would rank as the id without them.
+    """
+    found = [
+        (next(k for k, text in enumerate(texts) if "\x00" in text), kind, texts)
+        for kind, texts in (("pair", pairs), ("unit", units))
+        if "\x00" in "".join(texts)
+    ]
+    if not found:
+        return None
+    k, kind, texts = min(found, key=itemgetter(0))
+    return k, f"{kind} id {texts[k]!r} contains a NUL character"
+
+
+def _id_column(texts: list[str]) -> np.ndarray:
+    """A list of ids without NULs as an ``S`` array of their UTF-8 bytes, for ``_sorted_codes``.
+
+    ``surrogatepass`` encodes every str, in str order.  The ids are encoded
+    as one text and copied into place with a mask, which makes no Python
+    object per row.  Where an id is wider than ``_WIDEST`` bytes the ids
+    stay str, in an object array.
+    """
+    raw = np.frombuffer("\x00".join(texts).encode("utf-8", "surrogatepass"), np.uint8)
+    ends = raw == 0
+    lengths = np.diff(np.flatnonzero(np.concatenate(([True], ends, [True])))) - 1
+    width = max(int(lengths.max()), 1)
+    if width > _WIDEST:
+        return np.array(texts, dtype=object)
+    column = np.zeros((len(texts), width), np.uint8)
+    column[np.arange(width) < lengths[:, None]] = raw[~ends]
+    return column.view(f"S{width}").ravel()
+
+
+def _runs(ranked: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For keys sorted by ``order``: whether each sorted row starts a run of
+    equal keys, and the run of each row in input order."""
+    step = ranked[1:] != ranked[:-1]
+    first = np.ones(order.size, bool)
+    first[1:] = step if step.ndim == 1 else step.any(axis=1)
+    runs = np.empty(order.size, np.intp)
+    runs[order] = np.cumsum(first) - 1
+    return first, runs
+
+
+def _sorted_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct stripped ids of a column in sorted order, and each row's index into them.
+
+    ``column`` holds each row's id as UTF-8 bytes in an ``S`` array (no id
+    holds a NUL), or as str in an object array.  UTF-8 byte order is code
+    point order, which is str order, so the bytes, zero-padded to whole
+    8-byte words and read as big-endian integers, sort as the ids do.  One
+    integer sort groups the rows; only the distinct ids are decoded,
+    stripped and, where one was padded, merged and sorted again.
+    """
+    n = column.size
+    if column.dtype.kind == "S":
+        words = column.astype(f"S{-(-column.itemsize // 8) * 8}").view(">u8").reshape(n, -1)
+        used = max(int(words.any(axis=0).sum()), 1)  # a zero word ends every id it is in
+        keys = (words[:, 0] if used == 1 else words[:, :used]).astype(np.uint64)
+    else:
+        keys = column
+    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T[::-1])
+    first, codes = _runs(keys[order], order)
+    texts = column[order[first]].tolist()
+    if column.dtype.kind == "S":
+        texts = [raw.decode("utf-8", "surrogatepass") for raw in texts]
+    ids = [text.strip() for text in texts]
+    if ids != texts:  # padded ids: merge each with its stripped form
+        ids = sorted(set(ids))
+        index = dict(zip(ids, range(len(ids))))
+        codes = np.array([index[text.strip()] for text in texts], np.intp)[codes]
+    return np.array(ids, dtype=object), codes
+
+
+def canonicalize(pair_col, unit_col, treated, outcomes, treatment_value):
+    """Sort, check and pack rows given as columns into a dataset and assignment,
+    for ``validate_dataset`` and both paths of ``read_csv``.
+
+    ``pair_col``/``unit_col`` hold each row's ids as ``_sorted_codes``
+    takes them, which are stripped of surrounding whitespace here,
+    ``treated`` its treatment coded 0, 1, or -1 for a value that is not
+    binary, and ``outcomes`` its outcome;
+    ``treatment_value(k)`` is row k's treatment as given, for the error
+    message.  Errors name the offending pair or unit; of the treatment
+    errors, the one raised is the one a row-by-row pass would meet first.
+
+    Rows are grouped into units by numpy's default (unstable) argsort of
+    their unit keys; a sort of the distinct keys ``unit * n + row`` then
+    puts each unit's rows back in input order.  Any sort of distinct keys
+    gives the stable order, and the two take about half the time of one
+    stable argsort.
+    """
+    pair_ids, pair_code = _sorted_codes(pair_col)
+    names, name_code = _sorted_codes(unit_col)
+    # Units are (pair, unit id) keys, sorted by pair and then by unit id.
+    row_key = pair_code * len(names) + name_code
+    del pair_code, name_code
+    order = np.argsort(row_key)
+    first, row_unit = _runs(row_key[order], order)
+    n = order.size  # row_unit * n + row fits in int64 for n below 3e9
+    order = np.sort(row_unit * n + np.arange(n)) % n
+    starts = np.flatnonzero(first)
+    keys = row_key[order[starts]]
+    unit_sizes = np.diff(starts, append=order.size)
+    unit_pair = keys // len(names)
+    unit_ids = names[keys % len(names)]
+
+    unit_w = treated[order[starts]]  # each unit's first row
+    bad = np.flatnonzero((treated < 0) | (treated != unit_w[row_unit]))
+    if bad.size:
+        k = int(bad[0])
+        u = row_unit[k]
+        context = f"unit {unit_ids[u]!r} in pair {pair_ids[unit_pair[u]]!r}"
+        if treated[k] < 0:
+            raise NonBinaryTreatment(
+                f"treatment must be 0 or 1, got {treatment_value(k)!r} ({context})"
+            )
+        raise MixedTreatmentWithinUnit(f"{context} has both treated and control rows")
+
+    check_contrast(unit_pair, unit_w, pair_ids)
+    data = ExperimentData(outcomes[order], unit_pair, unit_sizes, pair_ids, unit_ids)
+    return data, Assignment(unit_w.astype(bool))
+
+
+def validate_dataset(rows: Iterable[Sequence]) -> tuple[ExperimentData, Assignment]:
+    """Group raw (pair_id, unit_id, treatment, outcome) rows into canonical form.
+
+    Treatment must be constant within each unit and must vary within each
+    pair; a pair whose units are all treated (or all control) has no
+    within-pair contrast and is rejected.
+    """
+    rows = list(rows)
+    if not rows:
+        raise EmptyInput("no data rows")
+    bad = next((row for row in rows if len(row) != 4), None)
+    if bad is not None:
+        raise DataError(f"expected 4 fields per row, got {bad!r}")
+    pair_col, unit_col, w_col, y_col = (map(itemgetter(j), rows) for j in range(4))
+    pairs, units, n = list(map(str, pair_col)), list(map(str, unit_col)), len(rows)
+    nul = _nul_id(pairs, units)
+    if nul is not None:
+        raise DataError(nul[1])
+    try:
+        y = np.fromiter(map(float, y_col), float, n)
+    except (TypeError, ValueError):
+        for k, row in enumerate(rows):
+            try:
+                float(row[3])
+            except (TypeError, ValueError):
+                raise DataError(f"outcome {row[3]!r} is not a number (row {k})") from None
+        raise
+    treated = np.fromiter(map(_binary_code, w_col), np.int8, n)
+    return canonicalize(_id_column(pairs), _id_column(units), treated, y, lambda k: rows[k][2])
 
 
 def _first_parse_error(treatments, outcomes, line) -> ParseError | None:
@@ -120,38 +287,36 @@ def _read_columns(path):
             nul and ParseError(nul[1], line=line(k))
         )
 
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader, error = csv.reader(handle), None
-        try:
-            _check_header(reader, path)
-            add_pair, add_unit, add_w, add_y = (
-                pairs.append, units.append, treatments.append, outcomes.append
-            )
-            for record in reader:
-                if len(record) == 4:
-                    pair_id, unit_id, w_text, y_text = record
-                    add_pair(pair_id)  # canonicalize strips each distinct id once
-                    add_unit(unit_id)
-                    add_w(w_text)  # int() and float() ignore surrounding whitespace
-                    add_y(y_text)
-                elif not record or (len(record) == 1 and not record[0].strip()):
-                    blanks.append(len(pairs))
-                else:
-                    raise first_bad_row() or ParseError(
-                        f"expected 4 fields, got {len(record)}", line=line(len(pairs))
-                    )
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            error = ParseError(str(exc), line=reader.line_num)
-        except UnicodeDecodeError as exc:  # decoding runs a chunk ahead of the reader
-            head, lineno = exc.object[: exc.start], reader.line_num + 1
-            if handle.seekable():  # and holds back a \r ending a chunk, so count in the file
-                at = handle.buffer.tell() - len(exc.object) + exc.start  # exc.object ends at tell()
-                handle.buffer.seek(0)
-                head, lineno = handle.buffer.read(at), 1
-            lineno += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")  # as csv counts
-            error = ParseError(f"not UTF-8 text ({exc.reason})", line=lineno)
-    if error is not None:  # loses to an earlier row that does not parse, as above
-        raise first_bad_row() or error
+    with open(path, "rb") as handle:  # once: a pipe cannot be read again
+        raw = handle.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]  # \r\n, a lone \r and a lone \n each end a line, as csv counts
+        line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(f"not UTF-8 text ({exc.reason})", line=line_no) from None
+    # A StringIO of the text would keep 4 bytes per character.
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    try:
+        _check_header(reader, path)
+        add_pair, add_unit, add_w, add_y = (
+            pairs.append, units.append, treatments.append, outcomes.append
+        )
+        for record in reader:
+            if len(record) == 4:
+                pair_id, unit_id, w_text, y_text = record
+                add_pair(pair_id)  # canonicalize strips each distinct id once
+                add_unit(unit_id)
+                add_w(w_text)  # int() and float() ignore surrounding whitespace
+                add_y(y_text)
+            elif not record or (len(record) == 1 and not record[0].strip()):
+                blanks.append(len(pairs))
+            else:
+                raise first_bad_row() or ParseError(
+                    f"expected 4 fields, got {len(record)}", line=line(len(pairs))
+                )
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise first_bad_row() or ParseError(str(exc), line=reader.line_num) from None
     if not pairs:
         raise EmptyInput(f"{path}: no data rows")
     if _nul_id(pairs, units) is not None:

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paircluster import Assignment, read_csv, validate_dataset, write_csv
-from paircluster import data as data_module
 from paircluster import dataio
 from paircluster.dataio import CSV_HEADER
 from paircluster.errors import (
@@ -235,6 +234,19 @@ def test_validate_dataset_reports_the_first_bad_row():
         validate_dataset(binary_first)
 
 
+@pytest.mark.parametrize("row, message", [
+    (("p1", "b", 0), "expected 4 fields per row, got ('p1', 'b', 0)"),
+    (("p1", "b", 0, "x"), "outcome 'x' is not a number (row 1)"),
+    (("p1", "b", 0, None), "outcome None is not a number (row 1)"),
+    (("p1", "b", 0, float("nan")), "unit 'b' has non-finite outcomes"),
+    (("p1", "b", 0, float("inf")), "unit 'b' has non-finite outcomes"),
+], ids=["3-fields", "text-outcome", "none-outcome", "nan-outcome", "inf-outcome"])
+def test_validate_dataset_raises_data_errors_on_malformed_rows(row, message):
+    with pytest.raises(DataError) as err:
+        validate_dataset([("p1", "a", 1, 1.0), row])
+    assert str(err.value) == message
+
+
 def test_padded_ids_round_trip(tmp_path):
     # " p2" sorts before "p1" unless stripped; both paths must strip alike
     rows = [(" p2", "a ", 1, 1.0), (" p2", "\tb", 0, 2.0), ("p1", " c", 1, 3.0), ("p1", "d", 0, 4.0)]
@@ -349,16 +361,52 @@ def test_named_pipe_is_read_once(tmp_path):
     assert result == [read_csv(_write(tmp_path, text))]
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_non_utf8_byte_in_a_named_pipe_names_its_line(tmp_path):
+def _through_pipe(tmp_path, raw):
+    """What read_csv returns or raises for ``raw`` written through a named pipe."""
     fifo = tmp_path / "pipe.csv"
     os.mkfifo(fifo)
-    errors = []
-    reader = threading.Thread(target=lambda: errors.append(_raised(read_csv, fifo)), daemon=True)
+    result = []
+    reader = threading.Thread(target=lambda: result.append(_raised(read_csv, fifo)), daemon=True)
     reader.start()
-    fifo.write_bytes(b"pair_id,unit_id,treatment,outcome\rp1,a,1,2.0\rp1,b,0,1.0\rp\xff,c,0,1\r")
+    fifo.write_bytes(raw)
     reader.join(timeout=30)
-    assert [(type(e), e.line) for e in errors] == [(ParseError, 4)]
+    assert not reader.is_alive()
+    return result[0]
+
+
+def _cr_file_with_a_bad_byte_at_a_chunk_boundary():
+    """20,001 lines ending in a lone \r, the last one starting with p and 0xff at byte 2**18,
+    a chunk boundary for any power-of-two chunk size up to that."""
+    header = b"pair_id,unit_id,treatment,outcome"
+    rows = [b"p%d,%s,%d,1." % (k // 2, b"ab"[k % 2 : k % 2 + 1], k % 2) for k in range(19_999)]
+    pad, n = divmod(2**18 - len(b"\r".join([header] + rows) + b"\r"), len(rows))
+    rows = [row + b"0" * (pad + (k < n)) for k, row in enumerate(rows)]
+    head = b"\r".join([header] + rows) + b"\r"
+    assert len(head) == 2**18
+    return head + b"p\xff,d,1,1.0\r"
+
+
+# A bad outcome on line 3, then a byte that is not UTF-8 on line 5.
+BAD_OUTCOME_THEN_BAD_BYTE = (b"pair_id,unit_id,treatment,outcome\np1,a,1,1.0\np1,b,0,x\n"
+                             b"p2,c,1,1.0\np2,d,0,\xff\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_non_utf8_byte_in_a_named_pipe_names_its_line(tmp_path):
+    raw = b"pair_id,unit_id,treatment,outcome\rp1,a,1,2.0\rp1,b,0,1.0\rp\xff,c,0,1\r"
+    error = _through_pipe(tmp_path, raw)
+    assert (type(error), error.line) == (ParseError, 4)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("raw, line", [
+    (BAD_OUTCOME_THEN_BAD_BYTE, 5),
+    (_cr_file_with_a_bad_byte_at_a_chunk_boundary(), 20_001),
+], ids=["after-a-bad-row", "after-a-lone-cr-ending-a-chunk"])
+def test_non_utf8_byte_in_a_named_pipe_is_decoded_first(tmp_path, raw, line):
+    error = _through_pipe(tmp_path, raw)
+    message = f"line {line}: not UTF-8 text (invalid start byte)"
+    assert (type(error), str(error)) == (ParseError, message)
 
 
 def _raised(f, *args):
@@ -624,22 +672,21 @@ def test_non_utf8_byte_names_its_line_for_any_line_end(tmp_path, eol):
 
 
 def test_non_utf8_byte_after_a_lone_cr_that_ends_a_chunk(tmp_path):
-    # Deep in a file, decoding runs a chunk ahead of the reader and holds back
-    # a \r that ends a chunk: here the bad line starts at byte 2**18, a chunk
-    # boundary for any power-of-two chunk size up to that.
-    header = b"pair_id,unit_id,treatment,outcome"
-    rows = [b"p%d,%s,%d,1." % (k // 2, b"ab"[k % 2 : k % 2 + 1], k % 2) for k in range(19_999)]
-    pad, n = divmod(2**18 - len(b"\r".join([header] + rows) + b"\r"), len(rows))
-    rows = [row + b"0" * (pad + (k < n)) for k, row in enumerate(rows)]
-    head = b"\r".join([header] + rows) + b"\r"
-    assert len(head) == 2**18
+    raw = _cr_file_with_a_bad_byte_at_a_chunk_boundary()
     path = tmp_path / "bad.csv"
-    path.write_bytes(head + b"p\xff,d,1,1.0\r")
+    path.write_bytes(raw)
     with pytest.raises(ParseError, match="not UTF-8 text") as err:
         read_csv(path)
     assert err.value.line == 20_001
-    path.write_bytes(head.replace(b"p0,a,0,", b"p0,a,x,", 1) + b"p\xff,d,1,1.0\r")
-    with pytest.raises(ParseError, match="line 2: treatment 'x'"):  # an earlier bad row wins
+    path.write_bytes(raw.replace(b"p0,a,0,", b"p0,a,x,", 1))
+    with pytest.raises(ParseError, match="line 20001: not UTF-8 text"):  # the file is decoded first
+        read_csv(path)
+
+
+def test_non_utf8_byte_wins_over_an_earlier_bad_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(BAD_OUTCOME_THEN_BAD_BYTE)
+    with pytest.raises(ParseError, match="line 5: not UTF-8 text"):
         read_csv(path)
 
 
@@ -701,10 +748,10 @@ def test_id_ranking_equals_the_oracle(tmp_path, monkeypatch, columns):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows([CSV_HEADER] + rows)
     expected = [sorted_codes(pairs), sorted_codes(units)]
-    fast = max(len(text.encode()) for text in pairs + units) < data_module._WIDEST
+    fast = max(len(text.encode()) for text in pairs + units) < dataio._WIDEST
     for entry, fallback in ((lambda: read_csv(path), not fast),
                             (lambda: validate_dataset(rows), False)):
-        ranked, widths, rank = [], [], data_module._sorted_codes
+        ranked, widths, rank = [], [], dataio._sorted_codes
 
         def record(column):
             widths.append(0 if column.dtype == object else column.itemsize)
@@ -712,11 +759,11 @@ def test_id_ranking_equals_the_oracle(tmp_path, monkeypatch, columns):
             return ranked[-1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(data_module, "_sorted_codes", record)
+            patch.setattr(dataio, "_sorted_codes", record)
             fallbacks = _fallbacks(patch)
             with contextlib.suppress(MixedTreatmentWithinUnit, DegeneratePair):  # only ranks matter
                 entry()
         assert [(ids.tolist(), codes.tolist()) for ids, codes in ranked] == [
             (ids.tolist(), codes.tolist()) for ids, codes in expected]
         assert fallbacks == ([path] if fallback else [])
-        assert max(widths) <= data_module._WIDEST  # 0 for an object column
+        assert max(widths) <= dataio._WIDEST  # 0 for an object column
