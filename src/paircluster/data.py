@@ -58,8 +58,9 @@ class ExperimentData:
     count and pair index; ``pair_ids`` and ``unit_ids`` are the ids of the
     pairs and of the units (a unit id is unique within its pair only).
     The per-observation indexes and the per-unit and per-pair totals are
-    derived on first use.  ``dataio.validate_dataset`` and ``dataio.read_csv``
-    build it; direct construction checks that the arrays are canonical.
+    derived on first use.  Direct construction checks that the arrays are
+    canonical; ``dataio.canonicalize``, which builds them so, uses the private
+    ``_canonical``, which freezes them and checks only that outcomes are finite.
     """
 
     outcomes: np.ndarray
@@ -104,6 +105,16 @@ class ExperimentData:
             raise ValueError(f"unit {self.unit_ids[u]!r} has no outcomes")
         if self.outcomes.size != self.unit_sizes.sum():
             raise ValueError("unit sizes do not add up to the number of outcomes")
+        self._require_finite()
+
+    @classmethod
+    def _canonical(cls, *arrays) -> ExperimentData:
+        data = cls.__new__(cls)  # arrays canonical by construction: no id or order checks
+        data.__dict__.update((name, _frozen(a, dtype)) for (name, dtype), a in zip(_FIELDS, arrays))
+        data._require_finite()
+        return data
+
+    def _require_finite(self) -> None:
         finite = np.isfinite(self.outcomes)
         if not finite.all():
             u = self.obs_unit[int(np.argmin(finite))]

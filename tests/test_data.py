@@ -1,7 +1,10 @@
+import csv
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paircluster import (
     Assignment,
@@ -14,6 +17,7 @@ from paircluster import (
     validate_dataset,
     write_csv,
 )
+from paircluster import dataio
 from paircluster.errors import (
     AssignmentMismatch,
     DataError,
@@ -130,6 +134,84 @@ def test_each_unit_keeps_its_rows_in_input_order():
     data, _ = validate_dataset(rows)
     in_order = sorted(rows, key=lambda row: row[1])  # a stable sort by unit
     assert data.outcomes.tolist() == [row[3] for row in in_order]
+
+
+PADS = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def _shuffled_rows(draw):
+    """Rows of 1-4 strata of 2-3 units, unit ids reused across strata and padded
+    with whitespace, 1-4 rows per unit, shuffled, with up to two treatments replaced."""
+    rows = []
+    for p in range(draw(st.integers(1, 4))):
+        G = draw(st.integers(2, 3))
+        names = draw(st.lists(st.sampled_from("abcd"), min_size=G, max_size=G, unique=True))
+        treated = draw(st.permutations([1, 0] + [draw(st.integers(0, 1))] * (G - 2)))
+        for name, w in zip(names, treated):
+            for _ in range(draw(st.integers(1, 4))):
+                pair_id, unit_id = (draw(PADS) + text + draw(PADS) for text in (f"p{p}", name))
+                rows.append([pair_id, unit_id, w, draw(st.floats(-1e3, 1e3))])
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, len(rows) - 1))][2] = draw(st.sampled_from([2, -1, 0, 1]))
+    return [tuple(row) for row in draw(st.permutations(rows))]
+
+
+def _row_by_row(rows):
+    """validate_dataset's result, or its error, built row by row in input order:
+    units in a stable sort by (pair id, unit id, input row), ids stripped."""
+    first = {}  # each (pair id, unit id)'s first treatment
+    for pair_id, unit_id, w, _ in rows:
+        unit = (pair_id.strip(), unit_id.strip())
+        context = f"unit {unit[1]!r} in pair {unit[0]!r}"
+        if w not in (0, 1):
+            return NonBinaryTreatment(f"treatment must be 0 or 1, got {w!r} ({context})")
+        if first.setdefault(unit, w) != w:
+            return MixedTreatmentWithinUnit(f"{context} has both treated and control rows")
+    order = sorted(range(len(rows)), key=lambda k: (rows[k][0].strip(), rows[k][1].strip(), k))
+    units = sorted(first)
+    pair_ids = sorted({pair_id for pair_id, _ in units})
+    for pair_id in pair_ids:
+        treated = [first[unit] for unit in units if unit[0] == pair_id]
+        if sum(treated) in (0, len(treated)):
+            return DegeneratePair(f"pair {pair_id!r} has no treated/control contrast "
+                                  f"(treatments: [{int(sum(treated) > 0)}], units: {len(treated)})")
+    sizes = [sum((row[0].strip(), row[1].strip()) == unit for row in rows) for unit in units]
+    data = ExperimentData([rows[k][3] for k in order],
+                          [pair_ids.index(pair_id) for pair_id, _ in units], sizes, pair_ids,
+                          [unit_id for _, unit_id in units])
+    return data, Assignment([first[unit] for unit in units])
+
+
+@pytest.mark.parametrize("pack_bits", [dataio._PACK_BITS, 0], ids=["one-sort", "two-sorts"])
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_shuffled_rows())
+def test_canonical_order_equals_a_row_by_row_oracle(tmp_path, monkeypatch, pack_bits, rows):
+    monkeypatch.setattr(dataio, "_PACK_BITS", pack_bits)  # 0 forces the two-sort fallback
+    path = tmp_path / "rows.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([dataio.CSV_HEADER] + rows)
+    expected = _row_by_row(rows)
+    for entry in (lambda: validate_dataset(rows), lambda: read_csv(path)):
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as err:
+                entry()
+            assert str(err.value) == str(expected)
+        else:
+            assert entry() == expected
+
+
+def test_canonical_constructor_equals_the_checked_one():
+    data, _ = validate_dataset([(p, u, int(u in "ad"), float(k)) for k, (p, u) in
+                                enumerate([("s2", "d"), ("s1", "b"), ("s1", "a"), ("s2", "e"),
+                                           ("s1", "a"), ("s1", "c"), ("s2", "d")])])
+    arrays = [data.outcomes, data.unit_pair, data.unit_sizes, data.pair_ids, data.unit_ids]
+    trusted, checked = ExperimentData._canonical(*arrays), ExperimentData(*arrays)
+    assert trusted == checked == data
+    for name in ("outcomes", "unit_pair", "unit_sizes", "pair_ids", "unit_ids"):
+        ours, theirs = getattr(trusted, name), getattr(checked, name)
+        assert ours.dtype == theirs.dtype and not ours.flags.writeable
 
 
 def test_csv_round_trip(tmp_path):

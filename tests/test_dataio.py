@@ -236,11 +236,14 @@ def test_validate_dataset_reports_the_first_bad_row():
 
 @pytest.mark.parametrize("row, message", [
     (("p1", "b", 0), "expected 4 fields per row, got ('p1', 'b', 0)"),
+    (None, "expected 4 fields per row, got None"),
+    (7, "expected 4 fields per row, got 7"),
     (("p1", "b", 0, "x"), "outcome 'x' is not a number (row 1)"),
     (("p1", "b", 0, None), "outcome None is not a number (row 1)"),
     (("p1", "b", 0, float("nan")), "unit 'b' has non-finite outcomes"),
     (("p1", "b", 0, float("inf")), "unit 'b' has non-finite outcomes"),
-], ids=["3-fields", "text-outcome", "none-outcome", "nan-outcome", "inf-outcome"])
+], ids=["3-fields", "none-row", "int-row", "text-outcome", "none-outcome", "nan-outcome",
+        "inf-outcome"])
 def test_validate_dataset_raises_data_errors_on_malformed_rows(row, message):
     with pytest.raises(DataError) as err:
         validate_dataset([("p1", "a", 1, 1.0), row])
