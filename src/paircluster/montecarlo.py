@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import ExperimentData
 from .dgp import DGPConfig, ndtri, uniform_to_normal
-from .errors import ReplicationError
+from .errors import ReplicationError, ZeroVariance
 from .randomize import MAX_CHILDREN, ChildStreams, Seed
 from .variance import UnitStats, unit_sum_stats
 
@@ -137,13 +137,14 @@ def _run_chunk(args):
     step, stats = max(1, _SUB_BATCH // draw.sizes.size), []
     for lo in range(0, count, step):
         sums, treated = draw.batch(streams, lo, min(step, count - lo))
-        try:
-            rows = unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs)
-        except ReplicationError as exc:  # exc.index counts from the sub-batch's first row
-            raise ReplicationError(start + lo + exc.index, exc.cause) from exc.cause
+        rows = unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs)
         stats.append(np.column_stack(rows))
     stats = np.concatenate(stats)
     variances = stats[:, _VAR_COLS]
+    failed = ~(variances > 0).all(axis=1)  # t needs every variance positive
+    if failed.any():
+        cause = ZeroVariance("a clustered variance estimate is zero")
+        raise ReplicationError(start + int(np.argmax(failed)), cause)
     t = stats[:, _TAU_COLS] / np.sqrt(variances)
     ratios = np.sqrt(variances[:, 1] / variances[:, 3])  # unit over block, FE
     return {

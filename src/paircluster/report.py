@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Assignment, ExperimentData, check_contrast
+from .data import Assignment, ExperimentData
 from .errors import ZeroVariance
 from .variance import VarianceSet, dataset_stats
 
@@ -160,10 +160,9 @@ def analyze(
     if fe not in ("on", "off", "both"):
         raise ValueError("fe must be 'on', 'off', or 'both'")
 
-    treated = assignment.unit_vector(data)
-    block, P = data.unit_pair, data.P
-    n_treated = check_contrast(block, treated, data.pair_ids)
-    stats = dataset_stats(data, assignment)
+    stats = dataset_stats(data, assignment)  # checks that every block has a contrast
+    treated, block, P = assignment.treated, data.unit_pair, data.P
+    n_treated = np.bincount(block, treated, P)
     variances = VarianceSet.from_stats(data, stats)
     clusters = _CLUSTERS if cluster == "both" else (cluster,)
     models = _MODELS if fe == "both" else (("fe",) if fe == "on" else ("nofe",))

@@ -5,10 +5,11 @@ Every statistic the package reports or tallies comes from one kernel,
 block fixed-effects regression) and all four clustered variances (by
 unit and by block, each with and without fixed effects) from per-unit
 outcome sums, unit sizes and the assignment, for any number of units per
-block and unequal unit sizes.  ``dataset_stats`` feeds it a dataset,
-``VarianceSet``/``variance_set`` carry the variances with their
-degrees-of-freedom factors, and ``report.analyze`` and the Monte Carlo
-engine call it.  All estimators are the raw cluster-robust forms.
+block and unequal unit sizes; it checks nothing.  ``dataset_stats``
+feeds it a dataset and checks the assignment, ``VarianceSet``/
+``variance_set`` carry the variances with their degrees-of-freedom
+factors, and ``report.analyze`` and the Monte Carlo engine call it.  All
+estimators are the raw cluster-robust forms.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Assignment, ExperimentData
-from .errors import DegeneratePair, NoVariationInTreatment, ReplicationError, ZeroVariance
+from .data import Assignment, ExperimentData, check_contrast
 
 __all__ = ["UnitStats", "unit_sum_stats", "dataset_stats", "VarianceSet", "variance_set"]
 
@@ -50,11 +50,13 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
     fits and the cluster scores depend on the data only through these, so
     any number of units per block and any unit sizes are handled.
 
-    A (rows, units) ``treated`` holds one replication per row, with (rows,
-    units) ``sums`` or shared (units,) ones, and gives (rows,) fields; its
-    first failing row, here also by a variance <= 0, raises ReplicationError.
+    ``treated`` is (rows, units), one assignment per row, with (rows, units)
+    ``sums`` or shared (units,) ones; every field is (rows,).  Every block
+    of every row must hold a treated and a control unit.  The kernel checks
+    nothing: ``dataset_stats`` checks an assignment from outside, and the
+    Monte Carlo engine fails a replication whose variance is not positive.
     """
-    tf = np.atleast_2d(treated).astype(float)
+    tf = treated.astype(float)
     flat = (block + n_blocks * np.arange(len(tf))[:, None]).ravel()  # one bin per (row, block)
 
     def block_sums(values):  # per row of (rows, units) values; shared for (units,) ones
@@ -81,46 +83,31 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
 
     T = row_dot(tf, sizes)
     C = n_obs - T
-    treated_b = block_sums(sizes * tf)
+    sum_t = row_dot(tf, sums)
+    alpha = (sums.sum(axis=-1) - sum_t) / C
+    tau = sum_t / T - alpha
+    x = tf - (T / n_obs)[:, None]
+    unit_nofe, block_nofe = variances(alpha[:, None], tau, tf, x, T * C / n_obs)
+
     size_b = block_sums(sizes)
-    degenerate = (treated_b == 0) | (treated_b == size_b)
-    with np.errstate(divide="ignore", invalid="ignore"):  # only in rows that fail below
-        sum_t = row_dot(tf, sums)
-        alpha = (sums.sum(axis=-1) - sum_t) / C
-        tau = sum_t / T - alpha
-        x = tf - (T / n_obs)[:, None]
-        unit_nofe, block_nofe = variances(alpha[:, None], tau, tf, x, T * C / n_obs)
-
-        x_fe = tf - np.take(treated_b / size_b, block, axis=-1)
-        denom_fe = row_dot(x_fe * x_fe, sizes)
-        tau_fe = row_dot(x_fe, sums) / denom_fe
-        mean_b = np.take(block_sums(sums) / size_b, block, axis=-1)
-        unit_fe, block_fe = variances(mean_b, tau_fe, x_fe, x_fe, denom_fe)
-
-    stats = UnitStats(tau, tau_fe, unit_nofe, block_nofe, unit_fe, block_fe)
-    failed = degenerate.any(axis=1)  # so is every row without treatment variation
-    if batch := np.ndim(treated) == 2:
-        failed |= np.min(stats[2:], axis=0) <= 0.0
-    if failed.any():
-        row = int(np.argmax(failed))
-        if T[row] == 0 or C[row] == 0:
-            cause = NoVariationInTreatment("all units share one treatment status")
-        elif degenerate[row].any():
-            first = np.argmax(degenerate[row])
-            cause = DegeneratePair(f"block {first} lacks a treated/control contrast")
-        else:
-            cause = ZeroVariance("a clustered variance estimate is zero")
-        raise ReplicationError(row, cause) if batch else cause
-    return stats if batch else UnitStats(*(float(v[0]) for v in stats))
+    x_fe = tf - np.take(block_sums(sizes * tf) / size_b, block, axis=-1)
+    denom_fe = row_dot(x_fe * x_fe, sizes)
+    tau_fe = row_dot(x_fe, sums) / denom_fe
+    mean_b = np.take(block_sums(sums) / size_b, block, axis=-1)
+    unit_fe, block_fe = variances(mean_b, tau_fe, x_fe, x_fe, denom_fe)
+    return UnitStats(tau, tau_fe, unit_nofe, block_nofe, unit_fe, block_fe)
 
 
 def dataset_stats(data: ExperimentData, assignment: Assignment) -> UnitStats:
-    """``unit_sum_stats`` of a dataset under an assignment, blocks being pairs."""
+    """``unit_sum_stats`` of a dataset under an assignment, as floats; blocks are pairs.
+    ``DegeneratePair`` names the first pair without a treated and a control unit."""
     treated = assignment.unit_vector(data)
+    check_contrast(data.unit_pair, treated, data.pair_ids)
     sizes = data.unit_sizes.astype(float)
-    return unit_sum_stats(
-        data.centred_unit_sums, sizes, treated, data.unit_pair, data.P, data.n_total
+    stats = unit_sum_stats(
+        data.centred_unit_sums, sizes, treated[None], data.unit_pair, data.P, data.n_total
     )
+    return UnitStats(*(float(v[0]) for v in stats))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from paircluster import (
     read_csv,
     resampling_size_experiment,
     validate_dataset,
+    variance_set,
     write_csv,
 )
 from paircluster import dataio
@@ -27,6 +28,7 @@ from paircluster.errors import (
     NonBinaryTreatment,
     NotPaired,
 )
+from paircluster.variance import dataset_stats
 from oracles import (
     diff_in_means,
     fe_estimate,
@@ -361,8 +363,9 @@ def test_paired_only_entry_points_share_one_not_paired_error(entry):
 def test_analyze_needs_one_treated_unit_per_pair(treated, bad):
     data, _ = random_paired(np.random.default_rng(5), 4)
     message = f"pair '{bad}' has no treated/control contrast"
-    with pytest.raises(DegeneratePair, match=re.escape(message)) as err:
-        analyze(data, Assignment(treated))
+    for entry in (analyze, variance_set, dataset_stats):  # dataset_stats checks for all three
+        with pytest.raises(DegeneratePair, match=re.escape(message)) as err:
+            entry(data, Assignment(treated))
     # the same check, and message, as for the rows read by validate_dataset
     rows = [(data.pair_ids[data.unit_pair[u]], data.unit_ids[u], treated[u], y)
             for u, y in zip(data.obs_unit, data.outcomes)]

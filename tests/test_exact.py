@@ -1,15 +1,25 @@
 """The paper's finite-sample claim, checked exactly over every assignment.
 
 For each design every assignment the randomization can draw (floor(G/2)
-treated units in each of P strata, all equally likely) goes through one
-batched ``unit_sum_stats`` call.  The randomization variance V of the FE
-estimate is then the variance of its values over the assignments, and the
-expectation of a variance estimator is its mean.  With equal unit sizes
-and a constant effect, the block-clustered FE variance times P/(P-1) has
-expectation exactly V, and on pairs the unit-clustered one exactly V/2;
-under heterogeneous effects the pair-clustered one is conservative.  The
-ratio of the expected unit- and block-clustered FE variances is then
-(G-1)/G + c_G/(P-1), whatever the outcomes, with c_3 = 1/6 and c_4 = 1/2.
+treated units in each of P strata, or one unit of each pair, all equally
+likely) goes through one batched ``unit_sum_stats`` call.  The
+randomization variance V of the FE estimate is then the variance of its
+values over the assignments, and the expectation of a variance estimator
+is its mean.  Under a constant effect:
+
+- with equal unit sizes, the block-clustered FE variance times P/(P-1) has
+  expectation exactly V, and on pairs the unit-clustered one exactly V/2;
+  under heterogeneous effects the pair-clustered one is conservative;
+- on pairs of any unit sizes, with pair weights w_p = h_p / sum(h), where
+  h_p = n_p1 n_p2 / (n_p1 + n_p2), and control-mean differences
+  d_p = ybar_p1(0) - ybar_p2(0), V = sum(w_p^2 d_p^2) and
+  E[PCVE_FE] = V (1 + sum(w^2)) - 2 sum(w_p^3 d_p^2), so E[PCVE_FE] / V
+  lies in [1 + sum(w^2) - 2 max(w), 1 + sum(w^2) - 2 min(w)]; only equal
+  weights give (P-1)/P;
+- with equal unit sizes, the ratio of the expected unit- and
+  block-clustered FE variances is (G-1)/G + c_G/(P-1), whatever the
+  outcomes, where c_G = (G-2)/G for even G and (G-2)/G - 4/(G(G^2-1))
+  for odd G.
 """
 
 import functools
@@ -24,7 +34,8 @@ from hypothesis import strategies as st
 from paircluster.variance import unit_sum_stats
 
 TOL = 1e-10
-N_OBS = 3  # observations per unit, in every unit
+N_OBS = 3  # observations per unit, in every stratified unit
+OFFSET = 1e3  # of the paired designs' outcomes
 
 
 @functools.cache
@@ -75,13 +86,69 @@ def test_pair_clustered_fe_variance_is_conservative_under_heterogeneous_effects(
     assert pcve >= V * (1 - TOL)
 
 
+def _paired_stats(sizes, control, effect):
+    """The statistics of all 2**P assignments of pairs; unit k of pair p is column (p, k)."""
+    P = len(sizes)
+    first = (np.arange(2**P)[:, None] >> np.arange(P)) & 1 == 1  # row r treats unit 0 of pair p
+    treated = np.stack([first, ~first], axis=2).reshape(2**P, 2 * P)
+    n = sizes.ravel().astype(float)
+    sums = n * (control.ravel() + effect * treated)
+    return unit_sum_stats(sums, n, treated, np.repeat(np.arange(P), 2), P, int(sizes.sum()))
+
+
+def _pair_weight_law(sizes, control):
+    """The pair weights w, V and E[PCVE_FE] of the pair-weight law."""
+    h = sizes[:, 0] * sizes[:, 1] / sizes.sum(axis=1)
+    w = h / h.sum()
+    d2 = (control[:, 0] - control[:, 1]) ** 2
+    V = np.sum(w**2 * d2)
+    return w, V, V * (1 + np.sum(w**2)) - 2 * np.sum(w**3 * d2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), P=st.integers(3, 10), effect=st.floats(-5, 5))
+def test_pair_clustered_fe_variance_follows_the_pair_weight_law(data, P, effect):
+    sizes = np.array(data.draw(st.lists(st.integers(1, 20), min_size=2 * P, max_size=2 * P)))
+    sizes = sizes.reshape(P, 2)
+    control = OFFSET + np.array(
+        data.draw(st.lists(st.floats(-10, 10), min_size=2 * P, max_size=2 * P))
+    ).reshape(P, 2)
+    w, V, E = _pair_weight_law(sizes, control)
+    assume(np.any(sizes[:, 0] != sizes[:, 1]) and np.ptp(w) > 0)  # unequal within and across
+    assume(min(V, E) > 1e-2)  # else the offset's rounding, about 1e-12, shows at TOL
+    stats = _paired_stats(sizes, control, effect)
+    assert np.var(stats.tau_fe) == pytest.approx(V, rel=TOL)
+    pcve = stats.block_fe.mean()
+    assert pcve == pytest.approx(E, rel=TOL)
+    # the range that the pair weights alone, known from the data, give
+    base = 1 + np.sum(w**2)
+    assert (base - 2 * w.max()) * (1 - TOL) <= pcve / V <= (base - 2 * w.min()) * (1 + TOL)
+
+
+def test_pair_clustered_fe_variance_is_biased_under_unequal_pair_weights():
+    # pairs balanced within, of 1, 2, 4 and 8 observations per unit, each d_p = 1
+    sizes = np.repeat([[1], [2], [4], [8]], 2, axis=1)
+    control = OFFSET + np.array([[1.0, 0.0]] * 4)
+    stats = _paired_stats(sizes, control, 0.7)
+    V, P = np.var(stats.tau_fe), len(sizes)
+    assert stats.block_fe.mean() == pytest.approx(_pair_weight_law(sizes, control)[2], rel=TOL)
+    assert stats.block_fe.mean() * P / (P - 1) < 0.9 * V  # about 0.61 V
+
+
+def _c(G):
+    """c_G of the unit/stratum ratio law."""
+    return (G - 2) / G - (4 / (G * (G * G - 1)) if G % 2 else 0.0)
+
+
 OUTCOMES = st.one_of(st.floats(-100, 100), st.integers(-3, 3).map(float))  # ties too
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(data=st.data(), effect=st.floats(-5, 5))
-@pytest.mark.parametrize("G, P, c_G", [(3, 4, 1 / 6), (3, 6, 1 / 6), (3, 8, 1 / 6),
-                                       (4, 3, 1 / 2), (4, 5, 1 / 2)])
+@pytest.mark.parametrize("G, P, c_G", [(G, P, _c(G)) for G, P in [
+    (3, 4), (3, 6), (3, 8), (4, 3), (4, 5),  # c_3 = 1/6 and c_4 = 1/2
+    (2, 3), (3, 3), (5, 3), (6, 2), (7, 2), (8, 2),  # every G from 2 to 8
+]])
 def test_unit_to_stratum_ratio_of_expected_fe_variances(G, P, c_G, data, effect):
     control = np.array(data.draw(st.lists(OUTCOMES, min_size=P * G, max_size=P * G)))
     strata = control.reshape(P, G)

@@ -126,7 +126,7 @@ def test_engine_matches_public_estimators():
     stats = unit_sum_stats(
         data.unit_sums,
         data.unit_sizes.astype(float),
-        assignment.unit_vector(data),
+        assignment.unit_vector(data)[None],
         data.unit_pair,
         data.P,
         data.n_total,
@@ -141,7 +141,7 @@ def test_engine_matches_public_estimators():
     s2 = unit_sum_stats(
         data2.unit_sums,
         data2.unit_sizes.astype(float),
-        assign2.unit_vector(data2),
+        assign2.unit_vector(data2)[None],
         data2.unit_pair,
         data2.P,
         data2.n_total,

@@ -6,15 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paircluster import validate_dataset, variance_set
-from paircluster.errors import (
-    DegeneratePair,
-    NotPaired,
-    NoVariationInTreatment,
-    ReplicationError,
-    ZeroVariance,
-)
-from paircluster.variance import unit_sum_stats
+from paircluster import Assignment, ExperimentData, validate_dataset, variance_set
+from paircluster.errors import NotPaired
+from paircluster.variance import dataset_stats, unit_sum_stats
 from oracles import (
     DegenerateDOF,
     RankDeficient,
@@ -411,33 +405,26 @@ def test_batched_kernel_matches_rows(rows, shared):
         sums = sums[0]
     batch = unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs)
     for r in range(rows):
-        one = unit_sum_stats(sums if shared else sums[r], sizes, treated[r], block, n_blocks, n_obs)
-        assert all(isinstance(v, float) for v in one)
+        one = unit_sum_stats(
+            sums if shared else sums[r:r + 1], sizes, treated[r:r + 1], block, n_blocks, n_obs
+        )
         for field, value in zip(one._fields, one):
-            assert rel_err(getattr(batch, field)[r], value) <= 1e-12, field
+            assert value.shape == (1,)
+            assert rel_err(getattr(batch, field)[r], value[0]) <= 1e-12, field
+    # dataset_stats is the one-row call on a dataset's centred sums, as floats
+    data = ExperimentData(
+        np.random.default_rng(rows).normal(size=n_obs), block, sizes.astype(int),
+        [f"b{b:02d}" for b in range(n_blocks)], [f"u{u:03d}" for u in range(block.size)],
+    )
+    stats = dataset_stats(data, Assignment(treated[-1]))
+    one = unit_sum_stats(data.centred_unit_sums, sizes, treated[-1:], block, n_blocks, n_obs)
+    assert all(isinstance(v, float) for v in stats)
+    assert stats == tuple(float(v[0]) for v in one)
 
 
-@pytest.mark.parametrize(
-    "spoil, cause",
-    [
-        (lambda sums, treated, block: treated.fill(False), NoVariationInTreatment),
-        (lambda sums, treated, block: treated.__setitem__(block == 0, True), DegeneratePair),
-        (lambda sums, treated, block: sums.fill(1.0), ZeroVariance),  # constant outcomes
-    ],
-)
-def test_batched_kernel_reports_first_failing_row(spoil, cause):
-    sums, sizes, treated, block, n_blocks, _ = _ragged_batch(np.random.default_rng(3), 6)
-    sizes[:] = 1.0
-    n_obs = sizes.size
-    for k in (4, 2):  # row 2 fails first, row 4 later
-        spoil(sums[k], treated[k], block)
-    with pytest.raises(ReplicationError) as err:
-        unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs)
-    assert err.value.index == 2
-    assert isinstance(err.value.cause, cause)
-    assert unit_sum_stats(sums[:2], sizes, treated[:2], block, n_blocks, n_obs).tau_fe.shape == (2,)
-    if cause is ZeroVariance:  # a single dataset's statistics may hold a zero variance
-        assert min(unit_sum_stats(sums[2], sizes, treated[2], block, n_blocks, n_obs)[2:]) == 0.0
-    else:
-        with pytest.raises(cause):
-            unit_sum_stats(sums[2], sizes, treated[2], block, n_blocks, n_obs)
+def test_dataset_stats_may_hold_a_zero_variance():
+    # constant outcomes: every residual is 0; the Monte Carlo engine alone fails on this
+    rows = [(p, u, int(u in "ac"), 1.0) for p, units in (("p1", "ab"), ("p2", "cde")) for u in units]
+    stats = dataset_stats(*validate_dataset(rows))
+    assert all(isinstance(v, float) for v in stats)
+    assert stats[2:] == (0.0, 0.0, 0.0, 0.0)
