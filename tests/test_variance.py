@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from paircluster import Assignment, ExperimentData, validate_dataset, variance_set
-from paircluster.errors import NotPaired
+from paircluster.errors import DegeneratePair, NotPaired, NoVariationInTreatment
 from paircluster.variance import dataset_stats, unit_sum_stats
 from oracles import (
     DegenerateDOF,
@@ -420,6 +420,40 @@ def test_batched_kernel_matches_rows(rows, shared):
     one = unit_sum_stats(data.centred_unit_sums, sizes, treated[-1:], block, n_blocks, n_obs)
     assert all(isinstance(v, float) for v in stats)
     assert stats == tuple(float(v[0]) for v in one)
+
+
+@pytest.mark.parametrize(
+    "spoil, cause",  # cause: what the kernel raised for such a row when it still checked
+    [
+        (lambda treated, block: treated.fill(False), NoVariationInTreatment),
+        (lambda treated, block: treated.__setitem__(block == 0, True), DegeneratePair),
+    ],
+)
+def test_batched_kernel_reports_first_failing_row(spoil, cause):
+    # The kernel checks no contrast; dataset_stats checks it before the kernel runs and
+    # reports either row as check_contrast's DegeneratePair, naming the first pair.
+    _, sizes, treated, block, n_blocks, n_obs = _ragged_batch(np.random.default_rng(3), 6)
+    data = ExperimentData(
+        np.random.default_rng(3).normal(size=n_obs), block, sizes.astype(int),
+        [f"b{b:02d}" for b in range(n_blocks)], [f"u{u:03d}" for u in range(block.size)],
+    )
+    for k in (4, 2):  # row 2 fails first, row 4 later
+        spoil(treated[k], block)
+    failed = []
+    for r in range(len(treated)):
+        try:
+            stats = dataset_stats(data, Assignment(treated[r]))
+        except DegeneratePair as exc:
+            failed.append((r, str(exc)))
+        else:
+            one = unit_sum_stats(
+                data.centred_unit_sums, sizes, treated[r:r + 1], block, n_blocks, n_obs
+            )
+            assert stats == tuple(float(v[0]) for v in one)
+    assert [r for r, _ in failed] == [2, 4]
+    treatments = int(cause is DegeneratePair)  # an all-control row, or pair b00 all treated
+    message = f"pair 'b00' has no treated/control contrast (treatments: [{treatments}]"
+    assert failed[0][1].startswith(message)
 
 
 def test_dataset_stats_may_hold_a_zero_variance():
