@@ -44,12 +44,12 @@ module and ``int``/``float`` would give, so it gives up on a file when:
 The fallback alone decides such files.  It reads the file's bytes once
 and checks that they are UTF-8 before it parses a row: a file that is
 not is a ``ParseError`` on the line of its first bad byte, for regular
-files and pipes alike.  One ``csv.reader`` pass then reads the text into
-columns of strings.  It raises the ``ParseError`` of the first bad row
-with its file line (worked out only then), or reads what Python accepts
-and numpy does not, such as whitespace-only lines, ``1_000``, non-ASCII
-digits and integers beyond int64.  An id holding a NUL character is a
-``ParseError`` on its line.
+files and pipes alike.  One loop over the ``csv.reader`` records then
+checks each where it is read: after skipping blank lines, its field count,
+a NUL in an id, an integer treatment, a numeric and finite outcome.  It
+raises the first ``ParseError`` on the line its record starts on, or reads
+what Python accepts and numpy does not, such as whitespace-only lines,
+``1_000``, non-ASCII digits and integers beyond int64.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import io
 import math
 import os
 import warnings
-from bisect import bisect_right
+from array import array
 from functools import partial
 from itertools import chain
 from operator import itemgetter, length_hint
@@ -87,8 +87,8 @@ _WIDEST = 64
 _PACK_BITS = 63  # canonicalize sorts unit key and row as one int64 while P·N·n < 2**_PACK_BITS
 
 
-def _nul_id(pairs: list[str], units: list[str]) -> tuple[int, str] | None:
-    """The first row with an id holding U+0000, and a message naming that id, if any.
+def _nul_id(pairs: list[str], units: list[str]) -> str | None:
+    """A message naming the first row's id that holds U+0000, if any.
 
     An ``S`` array drops trailing NULs, so such an id would rank as the id without them.
     """
@@ -100,7 +100,7 @@ def _nul_id(pairs: list[str], units: list[str]) -> tuple[int, str] | None:
     if not found:
         return None
     k, kind, texts = min(found, key=itemgetter(0))
-    return k, f"{kind} id {texts[k]!r} contains a NUL character"
+    return f"{kind} id {texts[k]!r} contains a NUL character"
 
 
 def _id_column(texts: list[str]) -> np.ndarray:
@@ -225,9 +225,8 @@ def validate_dataset(rows: Iterable[Sequence]) -> tuple[ExperimentData, Assignme
         raise DataError(f"expected 4 fields per row, got {bad[0]!r}")
     pair_col, unit_col, w_col, y_col = (map(itemgetter(j), rows) for j in range(4))
     pairs, units, n = list(map(str, pair_col)), list(map(str, unit_col)), len(rows)
-    nul = _nul_id(pairs, units)
-    if nul is not None:
-        raise DataError(nul[1])
+    if message := _nul_id(pairs, units):
+        raise DataError(message)
     try:
         y = np.fromiter(map(float, y_col), float, n)
     except (TypeError, ValueError):
@@ -241,22 +240,6 @@ def validate_dataset(rows: Iterable[Sequence]) -> tuple[ExperimentData, Assignme
     return canonicalize(_id_column(pairs), _id_column(units), treated, y, lambda k: rows[k][2])
 
 
-def _first_parse_error(treatments, outcomes, line) -> ParseError | None:
-    """The error of the first row whose treatment or outcome does not parse, if any."""
-    for k, (w_text, y_text) in enumerate(zip(treatments, outcomes)):
-        try:  # the texts as read: str.strip drops more than int() and float() ignore
-            int(w_text)
-        except ValueError:
-            return ParseError(f"treatment {w_text.strip()!r} is not an integer", line=line(k))
-        try:
-            outcome = float(y_text)
-        except ValueError:
-            return ParseError(f"outcome {y_text.strip()!r} is not a number", line=line(k))
-        if not math.isfinite(outcome):
-            return ParseError(f"outcome {y_text.strip()!r} is not finite", line=line(k))
-    return None
-
-
 def _check_header(reader, path) -> None:
     header = next(reader, None)
     if header is None:
@@ -268,23 +251,8 @@ def _check_header(reader, path) -> None:
 
 
 def _read_columns(path):
-    """One pass over the file into columns of the raw field texts.
-
-    Also returns ``line(k)``, the file line of data row k.
-    """
-    pairs, units, treatments, outcomes = [], [], [], []
-    blanks = []  # the number of data rows read before each skipped blank line
-
-    def line(k):  # the line of data row k: the header, k rows and the blanks before it
-        return k + 2 + bisect_right(blanks, k)
-
-    def first_bad_row():  # the error of the first row read whose id or number is bad, if any
-        nul = _nul_id(pairs, units)
-        k = len(pairs) if nul is None else nul[0]
-        return _first_parse_error(treatments[:k], outcomes[:k], line) or (
-            nul and ParseError(nul[1], line=line(k))
-        )
-
+    """``canonicalize``'s arguments from one loop over the file's records; the first
+    bad record raises its ``ParseError`` on the line it starts on."""
     with open(path, "rb") as handle:  # once: a pipe cannot be read again
         raw = handle.read()
     try:
@@ -293,33 +261,49 @@ def _read_columns(path):
         head = raw[: exc.start]  # \r\n, a lone \r and a lone \n each end a line, as csv counts
         line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise ParseError(f"not UTF-8 text ({exc.reason})", line=line_no) from None
+    nul = b"\x00" in raw
     # A StringIO of the text would keep 4 bytes per character.
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    pairs, units, treatments, outcomes, parsed = [], [], [], array("d"), {}
+    add_pair, add_unit, add_w, add_y = pairs.append, units.append, treatments.append, outcomes.append
     try:
         _check_header(reader, path)
-        add_pair, add_unit, add_w, add_y = (
-            pairs.append, units.append, treatments.append, outcomes.append
-        )
+        end = reader.line_num  # the line the last record read ends on
         for record in reader:
-            if len(record) == 4:
-                pair_id, unit_id, w_text, y_text = record
-                add_pair(pair_id)  # canonicalize strips each distinct id once
-                add_unit(unit_id)
-                add_w(w_text)  # int() and float() ignore surrounding whitespace
-                add_y(y_text)
-            elif not record or (len(record) == 1 and not record[0].strip()):
-                blanks.append(len(pairs))
-            else:
-                raise first_bad_row() or ParseError(
-                    f"expected 4 fields, got {len(record)}", line=line(len(pairs))
-                )
+            line, end = end + 1, reader.line_num
+            if len(record) != 4:
+                if not record or (len(record) == 1 and not record[0].strip()):
+                    continue
+                raise ParseError(f"expected 4 fields, got {len(record)}", line=line)
+            pair_id, unit_id, w_text, y_text = record
+            if nul and (message := _nul_id([pair_id], [unit_id])):
+                raise ParseError(message, line=line)
+            # int() and float() ignore surrounding whitespace; str.strip drops more
+            w = parsed.get(w_text)
+            if w is None:
+                try:
+                    w = parsed[w_text] = int(w_text)
+                except ValueError:
+                    raise ParseError(f"treatment {w_text.strip()!r} is not an integer",
+                                     line=line) from None
+            try:
+                y = float(y_text)
+            except ValueError:
+                raise ParseError(f"outcome {y_text.strip()!r} is not a number", line=line) from None
+            if not math.isfinite(y):
+                raise ParseError(f"outcome {y_text.strip()!r} is not finite", line=line)
+            add_pair(pair_id)  # canonicalize strips each distinct id once
+            add_unit(unit_id)
+            add_w(w)
+            add_y(y)
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise first_bad_row() or ParseError(str(exc), line=reader.line_num) from None
+        raise ParseError(str(exc), line=reader.line_num) from None
     if not pairs:
         raise EmptyInput(f"{path}: no data rows")
-    if _nul_id(pairs, units) is not None:
-        raise first_bad_row()
-    return pairs, units, treatments, outcomes, line
+    codes = {w: _binary_code(w) for w in parsed.values()}
+    treated = np.fromiter(map(codes.__getitem__, treatments), np.int8, len(treatments))
+    return (_id_column(pairs), _id_column(units), treated, np.frombuffer(outcomes),
+            treatments.__getitem__)
 
 
 def _scan(path) -> tuple[int, int, int] | None:
@@ -433,23 +417,11 @@ def _load_table(path) -> np.ndarray | None:
 def read_csv(path) -> tuple[ExperimentData, Assignment]:
     """Parse and validate an experiment CSV file."""
     table = _load_table(path)
-    if table is not None:
-        w = table["treatment"]
-        treated = np.where((w == 0) | (w == 1), w, -1).astype(np.int8)
-        return canonicalize(table["pair"], table["unit"], treated, table["outcome"],
-                            lambda k: int(w[k]))
-    pairs, units, treatments, outcomes, line = _read_columns(path)
-    try:
-        codes = {text: _binary_code(int(text)) for text in set(treatments)}
-        y = np.fromiter(map(float, outcomes), float, len(outcomes))
-    except ValueError:
-        y = None
-    if y is None or not np.isfinite(y).all():
-        raise _first_parse_error(treatments, outcomes, line)
-    del outcomes  # free one string per row before canonicalizing
-    treated = np.fromiter(map(codes.__getitem__, treatments), np.int8, len(treatments))
-    return canonicalize(_id_column(pairs), _id_column(units), treated, y,
-                        lambda k: int(treatments[k]))
+    if table is None:
+        return canonicalize(*_read_columns(path))
+    w = table["treatment"]
+    treated = np.where((w == 0) | (w == 1), w, -1).astype(np.int8)
+    return canonicalize(table["pair"], table["unit"], treated, table["outcome"], lambda k: int(w[k]))
 
 
 def write_csv(path, data: ExperimentData, assignment: Assignment) -> None:

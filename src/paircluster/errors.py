@@ -56,10 +56,6 @@ class EstimationError(PairClusterError, ValueError):
     """Numeric failure during estimation or inference."""
 
 
-class NoVariationInTreatment(EstimationError):
-    """All observations share one treatment status."""
-
-
 class ZeroVariance(EstimationError):
     """A variance estimate is zero (or negative); the t-statistic is undefined."""
 

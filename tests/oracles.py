@@ -54,12 +54,15 @@ from paircluster.dgp import uniform_to_normal
 from paircluster.errors import (
     DegeneratePair,
     EstimationError,
-    NoVariationInTreatment,
     ZeroVariance,
 )
 
 
 # -- errors only the oracles raise ---------------------------------------------
+
+
+class NoVariationInTreatment(EstimationError):
+    """All observations share one treatment status."""
 
 
 class RankDeficient(EstimationError):

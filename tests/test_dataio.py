@@ -182,6 +182,13 @@ def test_first_bad_row_wins_across_checks(tmp_path):
     assert err.value.line == 4
 
 
+def test_parse_error_names_the_line_after_quoted_line_breaks(tmp_path):
+    text = 'pair_id,unit_id,treatment,outcome\n"p\n1",a,1,1.0\n"p\n1",b,0,2.0\np2,c,1,x\n'
+    with pytest.raises(ParseError, match="line 6: outcome 'x' is not a number") as err:
+        read_csv(_write(tmp_path, text))
+    assert err.value.line == 6
+
+
 def test_oversized_field_is_a_parse_error(tmp_path):
     text = "pair_id,unit_id,treatment,outcome\np1,a,1,2.0\n\np1,b,0," + "1" * 200_000 + "\n"
     with pytest.raises(ParseError, match="field larger than field limit") as err:
@@ -484,7 +491,9 @@ def _oracle(path):
         if [h.strip() for h in header] != CSV_HEADER:
             got = ",".join(header)
             return ParseError(f"expected header {','.join(CSV_HEADER)!r}, got {got!r}", line=1)
-        for line, record in enumerate(records, start=2):
+        end = records.line_num  # the line the last record read ends on
+        for record in records:
+            line, end = end + 1, records.line_num  # the line the record starts on
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
             if len(record) != 4:

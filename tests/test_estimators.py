@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from paircluster import Assignment, validate_dataset
-from paircluster.errors import DegeneratePair, NotPaired, NoVariationInTreatment
-from oracles import diff_in_means, fe_estimate, pair_effects, pair_sizes
+from paircluster.errors import DegeneratePair, NotPaired
+from oracles import NoVariationInTreatment, diff_in_means, fe_estimate, pair_effects, pair_sizes
 from helpers import dense_designs, lstsq_fit, random_paired
 
 MINIMAL_ROWS = [

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from paircluster import Assignment, ExperimentData, validate_dataset, variance_set
-from paircluster.errors import DegeneratePair, NotPaired, NoVariationInTreatment
+from paircluster.errors import DegeneratePair, NotPaired
 from paircluster.variance import dataset_stats, unit_sum_stats
 from oracles import (
     DegenerateDOF,
+    NoVariationInTreatment,
     RankDeficient,
     ShapeMismatch,
     ZeroResiduals,
