@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--level", type=float, default=0.05)
     p_sim.add_argument("--threads", type=int, default=None,
-                       help="Monte Carlo worker cap (default: all cores)")
+                       help="Monte Carlo worker cap, at most the core count (default: all cores)")
     p_sim.add_argument("--csv-out", help="also write the size table CSV here")
     p_sim.add_argument("--json-out", help="also write the size table JSON here")
     return parser

@@ -7,8 +7,8 @@ each pair, and each unit's outcomes in input order, so results never
 depend on input row order.  ``dataio`` builds it from rows or a CSV
 file.  A pair holds two or more units; ``check_contrast`` asks each for
 a treated and a control unit, for ``dataio.canonicalize`` and
-``report.analyze``, and ``ExperimentData.require_pairs`` for exactly
-two.  All types are immutable after construction and safe to share
+``variance.dataset_stats``, and ``ExperimentData.require_pairs`` for
+exactly two.  All types are immutable after construction and safe to share
 across threads.
 """
 

@@ -16,26 +16,26 @@ with or without a byte-order mark.  Row order never affects results;
 writing uses the canonical order, so a write/read round trip of a
 dataset from ``validate_dataset`` or ``read_csv`` reproduces it exactly.
 
-Reading has one fast path and one fallback.  The fast path checks the
-header with ``csv.reader`` and parses the data rows with one
-``np.loadtxt`` call, which opens the file by its path and reads it in
-blocks, as Latin-1 so that each byte is one character.  numpy's C
-tokenizer yields the ids as ``S`` fields holding their exact UTF-8
-bytes, each as wide as the widest field of its column (of the longest
-line in a file with quotes) but at most 64 bytes, and the treatments and
-outcomes as int64 and float64 arrays, so no field ever becomes a Python
-string.  It hands its rows on only when they are exactly what the csv
-module and ``int``/``float`` would give, so it gives up on a file when:
+Reading has one fast path and one fallback.  The fast path scans the
+bytes in chunks of whole lines, checking the header with ``csv.reader`` on
+the first chunk, and parses the data rows with one ``np.loadtxt`` call,
+which opens the file by its path and reads it in blocks, as Latin-1 so
+that each byte is one character.  numpy's C tokenizer yields the ids as
+``S`` fields holding their exact UTF-8 bytes, each as wide as the widest
+field of its column (of the longest line in a file with quotes) but at
+most 64 bytes, and the treatments and outcomes as int64 and float64
+arrays, so no field ever becomes a Python string.  It hands its rows on
+only when they are exactly what the csv module and ``int``/``float``
+would give, so it gives up on a file when:
 
-- numpy refuses it or warns (a row it cannot split or convert, no data
-  rows, or an older numpy reading ``1.0`` as an integer), or the header
-  is not the expected one;
+- the scan finds a header that is not the expected one, a line longer
+  than the csv module's field size limit, a line break inside a quoted
+  field, a byte in 0x1c-0x1f, which numpy strips from numbers and
+  ``float`` does not, a NUL byte, which an ``S`` field drops from the end
+  of an id, or bytes that are not UTF-8;
+- numpy refuses the rows or warns (a row it cannot split or convert, no
+  data rows, or an older numpy reading ``1.0`` as an integer);
 - an outcome is not finite;
-- the byte scan before the call finds a line longer than the csv
-  module's field size limit, a line break inside a quoted field, a byte
-  in 0x1c-0x1f, which numpy strips from numbers and ``float`` does not, a
-  NUL byte, which an ``S`` field drops from the end of an id, or bytes
-  that are not UTF-8;
 - an id fills a 64-byte field, so may have been cut;
 - the path is not a regular file, which could not be read twice, or ends
   in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, which numpy would
@@ -54,7 +54,6 @@ what Python accepts and numpy does not, such as whitespace-only lines,
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import math
@@ -75,7 +74,6 @@ from .errors import DataError, EmptyInput, MixedTreatmentWithinUnit, NonBinaryTr
 __all__ = ["CSV_HEADER", "validate_dataset", "read_csv", "write_csv"]
 
 CSV_HEADER = ["pair_id", "unit_id", "treatment", "outcome"]
-_BOM = codecs.BOM_UTF8.decode("latin-1")
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # numpy decompresses a path with these
 _REFUSED = b"\x00\x1c\x1d\x1e\x1f"  # bytes _scan sends to the csv pass
 
@@ -309,73 +307,64 @@ def _read_columns(path):
 def _scan(path) -> tuple[int, int, int] | None:
     """The length in bytes of the file's longest line and of its widest pair-id
     and unit-id fields, or None where numpy might read the file otherwise than
-    the csv module and int/float.
+    the csv module and int/float, or the header is not the expected one.
 
-    None for a line longer than the csv module's field size limit, or a
-    line break inside a quoted field, either of which could hold a field
-    the csv module refuses; for any of the bytes 0x1c-0x1f, which numpy
-    strips from numbers as whitespace and int/float do not, and 0x00,
-    which an ``S`` field drops from the end of an id; and for bytes that
-    are not UTF-8, which the Latin-1 view of ``_load_table`` would read
-    (numpy strips a stray 0x85 or 0xa0 from a number as whitespace).  A
-    line break is inside a quoted field when an odd number of quotes
-    precede it.  A quote inside an unquoted field shifts that count.  Such
-    quotes can hide a line break only inside a quoted field of their own
-    row, and then either the row ends at an odd count or one of its
-    numbers holds a quote, which numpy refuses.
+    None for a line longer than the csv module's field size limit, or a line
+    break inside a quoted field, either of which could hold a field the csv
+    module refuses; for any of the bytes 0x1c-0x1f, which numpy strips from
+    numbers as whitespace and int/float do not, and 0x00, which an ``S`` field
+    drops from the end of an id; and for bytes that are not UTF-8, which
+    ``np.loadtxt``'s Latin-1 view would read (numpy strips a stray 0x85 or 0xa0
+    from a number as whitespace).  A line break is inside a quoted field when
+    an odd number of quotes precede it.  A quote inside an unquoted field
+    shifts that count.  Such quotes can hide a line break only inside a quoted
+    field of their own row, and then either the row ends at an odd count or
+    one of its numbers holds a quote, which numpy refuses.
 
-    A field is the bytes between two separators (``,``, ``\\n``, ``\\r``).
-    It is a pair id if a line break precedes it, and a unit id if a pair id
-    ended by a comma does; the header's fields count too.  A quoted field
-    may hold a comma, so in a file with a quote both widths are the
-    longest line's.
+    A field is the bytes between two separators (``,``, ``\\n``, ``\\r``).  A
+    line's first field is its pair id and, where a comma ends that, its second
+    is its unit id; the header's fields count too.  A quoted field may hold a
+    comma, so in a file with a quote both widths are the longest line's.
 
-    Each chunk is searched for the refused bytes with one ``memchr`` per
-    byte value, and indexes every separator, about four a row.  Indexing
-    only the line breaks and looking up each line's first two fields from
-    its start is no faster in numpy: the per-line gathers cost as much as
-    the separators they skip.
+    Each block read is cut after its last line break and the rest carried into
+    the next, so each chunk holds whole lines and is checked on its own, the
+    first with the header; the file ends as if a line break followed it.
     """
     limit = csv.field_size_limit()
-    utf8 = codecs.getincrementaldecoder("utf-8")()
-    longest = pair_width = unit_width = quotes = 0  # quotes: those before the chunk
-    # The last two separators read, as offsets from the chunk, and whether each
-    # is a line break; the file starts as if after one.
-    seen, broke = np.array([-1]), np.array([True])
-    start = -1  # the offset of the last line break
-
-    def widest(k):  # the widest of the fields that start after the separators seen[k]
-        return int((seen[k + 1] - seen[k]).max(initial=1)) - 1
+    longest = pair_width = unit_width = 0
+    quoted, carry, header = False, b"", True
     with open(path, "rb") as handle:
-        # A line break after the file ends its last field and any character it cuts.
-        for chunk in chain(iter(partial(handle.read, 1 << 19), b""), [b"\n"]):
-            if any(byte in chunk for byte in _REFUSED):
+        for block in chain(iter(partial(handle.read, 1 << 19), b""), [b"\n"]):
+            block = carry + block
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+            chunk, carry = block[:cut], block[cut:]
+            if len(carry) > limit or any(byte in chunk for byte in _REFUSED):
                 return None
-            codes = np.frombuffer(chunk, np.uint8)
-            try:  # an ASCII chunk needs decoding only to end a character
-                if not chunk.isascii() or utf8.getstate()[0]:
-                    utf8.decode(chunk)
-            except UnicodeDecodeError:
+            if not chunk:
+                continue
+            try:  # no character spans two chunks
+                if header:
+                    _check_header(csv.reader(io.StringIO(chunk.decode("utf-8-sig"), "")), path)
+                elif not chunk.isascii():
+                    chunk.decode("utf-8")
+            except (ValueError, csv.Error):  # also a header error: the csv pass words it
                 return None
-            at = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")) | (codes == ord("\r")))
-            seen = np.concatenate((seen[-2:], at))  # repeating two, which no max minds
-            broke = np.concatenate((broke[-2:], codes[at] != ord(",")))
-            breaks = np.flatnonzero(broke)
-            ends = seen[breaks]
-            if quotes % 2 or b'"' in chunk:  # a file without quotes skips this
-                marks = np.flatnonzero(codes == ord('"'))
-                if np.any((quotes + np.searchsorted(marks, ends[ends >= 0])) % 2):
-                    return None
-                quotes += marks.size
-            longest = max(longest, int(np.diff(ends, prepend=start).max(initial=0)) - 1)
-            # A pair id follows a line break, a unit id a comma after a pair id.
-            pair_width = max(pair_width, widest(breaks[breaks + 1 < seen.size]))
-            unit_width = max(unit_width, widest(np.flatnonzero(broke[:-2] > broke[1:-1]) + 1))
-            start = (int(ends[-1]) if ends.size else start) - len(chunk)
-            seen = seen[-2:] - len(chunk)
-            if max(longest, -1 - start) > limit:  # -1 - start: the bytes of the open line
+            codes, header = np.frombuffer(chunk, np.uint8), False
+            ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            quoted = quoted or b'"' in chunk  # a file without quotes skips the count
+            if quoted and np.any(np.searchsorted(np.flatnonzero(codes == ord('"')), ends) % 2):
                 return None
-    return (longest,) * 3 if quotes else (longest, pair_width, unit_width)
+            longest = max(longest, int((ends - starts).max()))
+            # Each line's first two commas, clipped at its end; two pads lie past every end.
+            commas = np.append(np.flatnonzero(codes == ord(",")), [len(chunk)] * 2)
+            k = np.searchsorted(commas, starts)
+            first, second = np.minimum(commas[k], ends), np.minimum(commas[k + 1], ends)
+            pair_width = max(pair_width, int((first - starts).max()))
+            unit_width = max(unit_width, int((second - first)[first < ends].max(initial=1)) - 1)
+    if longest > limit:
+        return None
+    return (longest,) * 3 if quoted else (longest, pair_width, unit_width)
 
 
 def _fills_field(table: np.ndarray, name: str) -> bool:
@@ -394,10 +383,6 @@ def _load_table(path) -> np.ndarray | None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            with open(path, newline="", encoding="latin-1") as handle:
-                if handle.read(len(_BOM)) != _BOM:
-                    handle.seek(0)
-                _check_header(csv.reader(handle), path)  # so the ids are at least 7 bytes wide
             # Ids as S fields, which numpy fills from the Latin-1 text, so each holds its
             # id's UTF-8 bytes.  Such a field drops trailing NULs: the scan refused NUL bytes.
             row = np.dtype([("pair", f"S{pair_width}"), ("unit", f"S{unit_width}"),
@@ -406,7 +391,7 @@ def _load_table(path) -> np.ndarray | None:
                 name, row, delimiter=",", quotechar='"', comments=None, ndmin=1,
                 encoding="latin-1", skiprows=1,
             )  # comments=None: ids may contain "#"
-        except (csv.Error, ValueError, Warning):  # also a header error: the csv pass words it
+        except (ValueError, Warning):
             return None
     if any(width == _WIDEST and _fills_field(table, column)
            for column, width in (("pair", pair_width), ("unit", unit_width))):

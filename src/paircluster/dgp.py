@@ -13,6 +13,7 @@ scipy loads on first use, so ``import paircluster`` needs only numpy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,13 @@ def ndtri(p, out=None):
 def uniform_to_normal(u: np.ndarray) -> np.ndarray:
     """The inverse normal CDF of uniforms in [0, 1), computed in place in ``u``."""
     return ndtri(np.clip(u, _TINY, 1.0 - _TINY, out=u), out=u)
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int (``operator.index``); a ``ValueError`` for a bool or a non-integer."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,8 @@ class DGPConfig:
     effect_profile: ConstantEffect | HeterogeneousEffect = ConstantEffect(0.0)
 
     def __post_init__(self):
+        for name in ("G", "P", "n_gp"):  # as int: a numpy integer would reach the outputs
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.G < 2:
             raise StratumTooSmall(f"need G >= 2 units per stratum, got {self.G}")
         if self.P < 2:

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .data import ExperimentData
-from .dgp import DGPConfig, ndtri, uniform_to_normal
+from .dgp import DGPConfig, _count, ndtri, uniform_to_normal
 from .errors import ReplicationError, ZeroVariance
 from .randomize import MAX_CHILDREN, ChildStreams, Seed
 from .variance import UnitStats, unit_sum_stats
@@ -60,11 +60,11 @@ def _critical_value(level: float) -> float:
     return float(ndtri(1.0 - level / 2.0))
 
 
-def _check_reps(reps: int) -> None:
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if reps >= MAX_CHILDREN:  # replication i is child i of the master seed
-        raise ValueError(f"reps must be below 2**32, got {reps}")
+def _check_reps(reps) -> int:
+    reps = _count("reps", reps)
+    if not 1 <= reps < MAX_CHILDREN:  # replication i is child i of the master seed
+        raise ValueError(f"reps must be >= 1 and below 2**32, got {reps}")
+    return reps
 
 
 def _software_factor(n_clusters: int, n_obs: int, n_params: int) -> float:
@@ -166,7 +166,7 @@ class SizeExperimentSpec:
     level: float = 0.05
 
     def __post_init__(self):
-        _check_reps(self.reps)
+        object.__setattr__(self, "reps", _check_reps(self.reps))
 
 
 @dataclass
@@ -228,12 +228,12 @@ class SizeTable:
 
 
 def _run_chunks(worker, arg_list, threads):
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(arg_list) <= 1:
+    cpus = os.cpu_count() or 1
+    workers = min(threads or cpus, cpus, len(arg_list))  # threads None: all cores
+    if workers <= 1:
         return [worker(a) for a in arg_list]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-    with ProcessPoolExecutor(max_workers=min(threads, len(arg_list))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arg_list))
 
 
@@ -292,7 +292,7 @@ def run_size_experiment(
     forms all four clustered t-tests of a zero effect against the
     standard normal, and records the FE unit/stratum standard-error
     ratio.  Deterministic given the master seed, for any thread count;
-    ``threads`` caps the worker processes (None: all cores) and must be >= 1.
+    ``threads`` (>= 1, None: all cores) and the core count cap the workers.
     """
     cfg = spec.dgp
     return _size_table(
@@ -317,7 +317,7 @@ def resampling_size_experiment(
     effect and rejection rates estimate test size.  ``threads`` is as for
     ``run_size_experiment``.
     """
-    _check_reps(reps)
+    reps = _check_reps(reps)
     if data.P < 2:
         raise ValueError(f"need P >= 2 pairs, got {data.P}")
     return _size_table(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .errors import ZeroVariance
 from .variance import VarianceSet, dataset_stats
 
 __all__ = ["AnalysisReport", "analyze"]
@@ -38,13 +37,12 @@ class TestResult:
 
 
 def _normal_test(tau_hat: float, v_hat: float, level: float) -> TestResult:
-    """Reject when p = erfc(|t| / sqrt(2)) is below ``level``, with t = tau_hat / sqrt(v_hat)."""
+    """Reject when p = erfc(|t| / sqrt(2)) is below ``level``, with t = tau_hat / sqrt(v_hat);
+    ``v_hat`` is finite and not negative, as ``dataset_stats`` gives it."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if v_hat == 0.0:  # e.g. FE scores under an exactly constant effect
         return TestResult(None, None, None)
-    if not v_hat > 0.0:
-        raise ZeroVariance(f"variance estimate must be positive, got {v_hat!r}")
     t = tau_hat / math.sqrt(v_hat)
     p = math.erfc(abs(t) / _SQRT2)
     return TestResult(t_stat=t, p_value=p, reject=p < level)
@@ -62,6 +60,8 @@ class AnalysisReport:
     dataset: dict
 
     def to_json_dict(self) -> dict:
+        def factor(value):  # JSON has no NaN: a factor the dataset is too small for is null
+            return None if math.isnan(value) else value
         return {
             "dataset": self.dataset,
             "estimates": {"nofe": self.tau_nofe, "fe": self.tau_fe},
@@ -69,11 +69,11 @@ class AnalysisReport:
                 key: {
                     "variance": self.variances.value(*key.split("_")),
                     "std_error": math.sqrt(self.variances.value(*key.split("_"))),
-                    "dof_factor": self.variances.dof_factors[key],
+                    "dof_factor": factor(self.variances.dof_factors[key]),
                 }
                 for key in ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe")
             },
-            "pair_small_sample_factor": self.variances.pair_small_sample_factor,
+            "pair_small_sample_factor": factor(self.variances.pair_small_sample_factor),
             "unit_pair_ratio_fe": self.ratio,
             "unit_pair_ratio_m_range": list(self.ratio_m_range)
             if self.ratio_m_range is not None

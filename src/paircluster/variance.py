@@ -1,15 +1,15 @@
 """Cluster-robust variance estimators for paired and stratified experiments.
 
 Every statistic the package reports or tallies comes from one kernel,
-``unit_sum_stats``: both fits (the difference in means and the
-block fixed-effects regression) and all four clustered variances (by
-unit and by block, each with and without fixed effects) from per-unit
-outcome sums, unit sizes and the assignment, for any number of units per
-block and unequal unit sizes; it checks nothing.  ``dataset_stats``
-feeds it a dataset and checks the assignment, ``VarianceSet``/
-``variance_set`` carry the variances with their degrees-of-freedom
-factors, and ``report.analyze`` and the Monte Carlo engine call it.  All
-estimators are the raw cluster-robust forms.
+``unit_sum_stats``: both fits (the difference in means and the block
+fixed-effects regression) and all four clustered variances (by unit and
+by block, each with and without fixed effects) from per-unit outcome
+sums, unit sizes and the assignment, for any number of units per block
+and unequal unit sizes; it checks nothing.  ``dataset_stats`` feeds it a
+dataset, checks the assignment and refuses a statistic that overflows;
+``VarianceSet``/``variance_set`` carry the variances with their
+degrees-of-freedom factors, and ``report.analyze`` and the Monte Carlo
+engine call it.  All estimators are the raw cluster-robust forms.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Assignment, ExperimentData, check_contrast
+from .errors import EstimationError
 
 __all__ = ["UnitStats", "unit_sum_stats", "dataset_stats", "VarianceSet", "variance_set"]
 
@@ -100,14 +101,17 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
 
 def dataset_stats(data: ExperimentData, assignment: Assignment) -> UnitStats:
     """``unit_sum_stats`` of a dataset under an assignment, as floats; blocks are pairs.
-    ``DegeneratePair`` names the first pair without a treated and a control unit."""
+    ``DegeneratePair`` names the first pair without a treated and a control unit, and
+    ``EstimationError`` the first statistic that overflows."""
     treated = assignment.unit_vector(data)
     check_contrast(data.unit_pair, treated, data.pair_ids)
-    sizes = data.unit_sizes.astype(float)
-    stats = unit_sum_stats(
-        data.centred_unit_sums, sizes, treated[None], data.unit_pair, data.P, data.n_total
-    )
-    return UnitStats(*(float(v[0]) for v in stats))
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
+        stats = unit_sum_stats(data.centred_unit_sums, data.unit_sizes.astype(float),
+                               treated[None], data.unit_pair, data.P, data.n_total)
+    stats = UnitStats(*(float(v[0]) for v in stats))
+    if bad := [name for name, value in stats._asdict().items() if not np.isfinite(value)]:
+        raise EstimationError(f"{bad[0]} overflows: the outcomes are too large")
+    return stats
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import csv
 import gzip
 import json
 import math
+import warnings
 
 import pytest
 
@@ -172,6 +173,48 @@ def test_analyze_zero_variance_test_is_undefined(tmp_path, capsys):
     assert "    cluster=unit  model=nofe t=+0.6667  p=0.505  keep\n" in text
     assert main(["analyze", "--data", str(path), "--fe", "off"]) == 0
     assert "cluster=pair  model=nofe undefined (variance 0)\n" in capsys.readouterr().out
+
+
+OVERFLOW_CSV = """pair_id,unit_id,treatment,outcome
+p1,a,1,1e160
+p1,b,0,0
+p2,c,1,0
+p2,d,0,-1e160
+p3,e,1,1
+p3,f,0,2
+"""
+
+
+def test_analyze_variance_overflow_is_a_runtime_error(tmp_path, capsys):
+    # every variance squares a score near 1e160, which overflows float64
+    path, json_path = tmp_path / "huge.csv", tmp_path / "huge.json"
+    path.write_text(OVERFLOW_CSV, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 3
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == "" and "Warning" not in err
+    assert err == "error: unit_nofe overflows: the outcomes are too large\n"
+    assert not json_path.exists()
+    path.write_text(OVERFLOW_CSV.replace("e160", "e150"), encoding="utf-8")  # every square fits
+    assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 0
+    report = json.loads(json_path.read_text())
+    assert all(math.isfinite(v["variance"]) for v in report["variances"].values())
+
+
+def test_analyze_one_pair_writes_strict_json(tmp_path, capsys):
+    # n <= K and P = 1 leave the factors undefined: null in the JSON, nan in the text
+    path, json_path = tmp_path / "one.csv", tmp_path / "one.json"
+    path.write_text("pair_id,unit_id,treatment,outcome\np1,a,1,1\np1,b,0,2\n", encoding="utf-8")
+    assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 0
+    assert "n/(n-K)=nan" in capsys.readouterr().out
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    report = json.loads(json_path.read_text(), parse_constant=refuse)
+    assert report["pair_small_sample_factor"] is None
+    assert [v["dof_factor"] for v in report["variances"].values()] == [None] * 4
 
 
 def test_simulate_deterministic_csv(capsys):

@@ -608,7 +608,7 @@ def test_id_fields_are_as_wide_as_their_widest_ids(tmp_path, eol):
     assert read_csv(path) == validate_dataset(WIDTH_ROWS)
 
 
-@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("wide_first", [True, False])
 @pytest.mark.parametrize("split", [0, 1, 13, 14, 15, 16, 30, -2, -1])
 def test_id_widths_carry_across_chunks(tmp_path, eol, wide_first, split):
@@ -619,6 +619,18 @@ def test_id_widths_carry_across_chunks(tmp_path, eol, wide_first, split):
     path = tmp_path / "chunks.csv"
     path.write_bytes((_HEAD + _ending_first_chunk(first[:split]) + first[split:] + second).encode())
     assert dataio._scan(path)[1:] == (14, 16)
+
+
+def test_a_long_line_across_chunks_stays_on_the_fast_path(tmp_path):
+    # A 100 KiB outcome, under the csv field size limit, straddles the end of the first 1 MB.
+    wide, long = "pair0000000003,unit000000000004,0,1.0", "p1,u1,1,2." + "0" * 100_000
+    path = tmp_path / "long.csv"
+    text = _HEAD + _ending_first_chunk(long[:50_000]) + long[50_000:] + "\n" + wide + "\n"
+    path.write_bytes(text.encode())
+    assert dataio._scan(path) == (len(long), 14, 16)
+    table = dataio._load_table(path)
+    assert (table.dtype["pair"].itemsize, table.dtype["unit"].itemsize) == (14, 16)
+    assert table["outcome"][-2:].tolist() == [2.0, 1.0]
 
 
 def test_a_file_with_a_quoted_id_gets_the_line_width(tmp_path):

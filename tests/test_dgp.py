@@ -32,6 +32,15 @@ def test_config_validation():
         DGPConfig(G=2, P=5, n_gp=1, effect_profile=HeterogeneousEffect(np.zeros(4)))
 
 
+@pytest.mark.parametrize("field", ["G", "P", "n_gp"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_counts_must_be_integers(field, value):
+    counts = {"G": 3, "P": 3, "n_gp": 2, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        DGPConfig(**counts)
+    DGPConfig(**{**counts, field: np.int64(3)})  # a numpy integer is a count
+
+
 def test_observed_equals_selected_potential():
     cfg = DGPConfig(G=2, P=6, n_gp=3, sigma2_gamma=0.3)
     data, assignment, potentials = simulate_strata(cfg, Seed(4))

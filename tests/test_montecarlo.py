@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -61,10 +63,31 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     spec = _spec(reps=300)
     table = run_size_experiment(spec, threads=500)
     assert started == [2]  # 300 replications are two chunks
     assert table.to_csv_text() == run_size_experiment(spec, threads=1).to_csv_text()
+    started.clear()
+    run_size_experiment(_spec(P=4, reps=5 * 256), threads=500)
+    assert started == [2]  # five chunks, and never more workers than cores
+
+
+@pytest.mark.parametrize("reps", [True, 1.5, 2.0, "3"])
+def test_reps_must_be_an_integer(reps):
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        _spec(reps=reps)
+    data, _ = random_paired(np.random.default_rng(0), P=3, uniform_size=1)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        resampling_size_experiment(data, reps, 0.05, Seed(1))
+
+
+def test_numpy_integer_counts_are_ints_in_the_outputs():
+    spec = _spec(G=np.int64(2), P=np.int32(8), n_gp=np.int64(2), reps=np.int64(3))
+    assert [type(v) for v in (spec.reps, spec.dgp.G, spec.dgp.P, spec.dgp.n_gp)] == [int] * 4
+    table = run_size_experiment(spec)
+    assert table.to_csv_text() == run_size_experiment(_spec(P=8, n_gp=2, reps=3)).to_csv_text()
+    json.dumps(table.to_json_dict())
 
 
 def test_repeat_run_identical():
