@@ -93,8 +93,6 @@ def _parse_scan(text: str) -> range:
 
 
 def _cmd_simulate(args) -> int:
-    if not 0.0 < args.level < 1.0:
-        raise _UsageError("--level must be in (0, 1)")
     if args.threads is not None and args.threads < 1:
         raise _UsageError("--threads must be >= 1")
     if args.design == "paired":
@@ -118,13 +116,8 @@ def _cmd_simulate(args) -> int:
         try:
             dgp = DGPConfig(G=g, P=args.P, n_gp=args.n, sigma2_gamma=args.sigma2_gamma,
                             effect_profile=ConstantEffect(args.effect))
-            spec = SizeExperimentSpec(
-                dgp=dgp,
-                reps=args.reps,
-                master_seed=Seed(args.seed),
-                level=args.level,
-            )
-        except ValueError as exc:  # an out-of-range flag value
+            spec = SizeExperimentSpec(dgp, args.reps, Seed(args.seed), args.level)
+        except ValueError as exc:  # an out-of-range flag value, --level's too
             raise _UsageError(str(exc)) from None
         table = run_size_experiment(spec, threads=args.threads)
         tables.append(table)

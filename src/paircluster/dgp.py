@@ -6,8 +6,8 @@ additive normal stratum shock with variance ``sigma2_gamma`` and a
 per-stratum treatment effect.  The Monte Carlo engine draws each
 replication's unit outcome sums from it directly.  Normal variates come
 from the inverse CDF (``uniform_to_normal``, scipy's ``ndtri``) applied to
-the seeded uniform stream, so draws are bit-reproducible across platforms;
-scipy loads on first use, so ``import paircluster`` needs only numpy.
+the seeded uniform stream, so draws are bit-reproducible across platforms.  They
+are scipy's one use, so ``import paircluster``, ``analyze`` and resampling need numpy only.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ __all__ = ["ConstantEffect", "HeterogeneousEffect", "DGPConfig", "uniform_to_nor
 _TINY = 2.0**-53
 
 
-def ndtri(p, out=None):
-    """The inverse normal CDF, ``scipy.special.ndtri``; scipy loads on the first call."""
-    from scipy import special
-    return special.ndtri(p, out=out)
-
-
 def uniform_to_normal(u: np.ndarray) -> np.ndarray:
     """The inverse normal CDF of uniforms in [0, 1), computed in place in ``u``."""
+    from scipy.special import ndtri  # the package's one use of scipy, loaded on the first call
     return ndtri(np.clip(u, _TINY, 1.0 - _TINY, out=u), out=u)
 
 

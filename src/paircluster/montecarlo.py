@@ -16,8 +16,9 @@ sums, unit sizes and the assignment, so the synthetic generator draws unit
 sums directly (the sum of n iid standard normals is sqrt(n) times one),
 with the sampling distribution of an observation-level generator; the
 tests check it against one (``simulate_strata`` in ``tests/oracles.py``).
-scipy (``dgp.ndtri``) and the process pool load on first use; the critical
-value comes first, so forked workers inherit scipy already loaded.
+Every test rejects when |t| > ``variance.critical_value(level)``, as in ``analyze``.
+scipy serves only the generator's normal draws, and ``_StratifiedDraw`` loads it in
+the parent; resampling needs numpy only.  The process pool loads on first use.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .data import ExperimentData
-from .dgp import DGPConfig, _count, ndtri, uniform_to_normal
+from .dgp import DGPConfig, _count, uniform_to_normal
 from .errors import ReplicationError, ZeroVariance
 from .randomize import MAX_CHILDREN, ChildStreams, Seed
-from .variance import UnitStats, unit_sum_stats
+from .variance import UnitStats, critical_value, unit_sum_stats
 
 __all__ = [
     "SizeExperimentSpec",
@@ -52,12 +53,6 @@ _VAR_COLS = [UnitStats._fields.index(f"{c}_{model}") for c, model in _INTERNAL_T
 _CHUNK = 256
 _SUB_BATCH = 2**14  # at most this many (replication, unit) elements per kernel call
 _CSV_HEADER = "test,model,G,reps,rejection_rate,mc_se,mean_se_ratio"
-
-
-def _critical_value(level: float) -> float:
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    return float(ndtri(1.0 - level / 2.0))
 
 
 def _check_reps(reps) -> int:
@@ -93,6 +88,7 @@ class _StratifiedDraw:
         self.n_blocks = cfg.P
         self.sizes = np.full(cfg.n_units, float(cfg.n_gp))
         self.n_obs = cfg.n_obs
+        uniform_to_normal(np.empty(0))  # loads scipy here, so a forked pool inherits it
 
     def batch(self, streams, first, count):
         """(sums, treated) of the ``count`` replications from ``first``, each (count, units)."""
@@ -166,6 +162,8 @@ class SizeExperimentSpec:
     level: float = 0.05
 
     def __post_init__(self):
+        critical_value(self.level)
+        object.__setattr__(self, "level", float(self.level))
         object.__setattr__(self, "reps", _check_reps(self.reps))
 
 
@@ -174,8 +172,8 @@ class SizeCell:
     """Rejection tally for one (test, G) cell.
 
     ``rejection_rate`` uses the raw cluster-robust variances (the limit
-    theory's convention); ``rejection_rate_dof`` applies the software
-    small-sample factor.  ``mean_se_ratio`` is the unit/block FE
+    theory's convention); ``rejection_rate_dof`` scales each by the software
+    factor c/(c-1)*(n-1)/(n-K).  ``mean_se_ratio`` is the unit/block FE
     standard-error ratio as software reports it; the raw-variance ratio
     is kept alongside.  Ratios are populated on FE rows only.
     """
@@ -241,7 +239,7 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
     """Run ``reps`` replications of ``draw`` in chunks and tabulate them."""
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    z_crit = _critical_value(level)
+    z_crit = critical_value(level)
     n_units, n_blocks, n_obs = draw.sizes.size, draw.n_blocks, draw.n_obs
     factors = np.array(  # in the order of _INTERNAL_TESTS
         [_software_factor(c, n_obs, k) for c in (n_units, n_blocks) for k in (2, n_blocks + 1)]
@@ -317,10 +315,11 @@ def resampling_size_experiment(
     effect and rejection rates estimate test size.  ``threads`` is as for
     ``run_size_experiment``.
     """
+    critical_value(level)  # the level is checked before the data
     reps = _check_reps(reps)
     if data.P < 2:
         raise ValueError(f"need P >= 2 pairs, got {data.P}")
     return _size_table(
-        _PairedResample(data), reps, level, seed, threads, collect_tstats, 2, "pair",
+        _PairedResample(data), reps, float(level), seed, threads, collect_tstats, 2, "pair",
         f"resampled(P={data.P})",
     )

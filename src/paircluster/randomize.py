@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
+from .dgp import _count
 
 __all__ = ["Seed", "ChildStreams", "draw_paired_assignment", "draw_stratified_assignment"]
 
@@ -40,9 +41,9 @@ class Seed:
     master: int
 
     def __post_init__(self):
-        if not (0 <= int(self.master) < _MAX_SEED):
+        object.__setattr__(self, "master", _count("seed", self.master))
+        if not 0 <= self.master < _MAX_SEED:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "master", int(self.master))
 
 
 def _fold(x: np.ndarray) -> np.ndarray:

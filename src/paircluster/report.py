@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .variance import VarianceSet, dataset_stats
+from .variance import VarianceSet, critical_value, dataset_stats
 
 __all__ = ["AnalysisReport", "analyze"]
 
@@ -36,16 +36,13 @@ class TestResult:
     reject: bool | None
 
 
-def _normal_test(tau_hat: float, v_hat: float, level: float) -> TestResult:
-    """Reject when p = erfc(|t| / sqrt(2)) is below ``level``, with t = tau_hat / sqrt(v_hat);
+def _normal_test(tau_hat: float, v_hat: float, z: float) -> TestResult:
+    """t = tau_hat / sqrt(v_hat), rejected when |t| > z, with p = erfc(|t| / sqrt(2));
     ``v_hat`` is finite and not negative, as ``dataset_stats`` gives it."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     if v_hat == 0.0:  # e.g. FE scores under an exactly constant effect
         return TestResult(None, None, None)
     t = tau_hat / math.sqrt(v_hat)
-    p = math.erfc(abs(t) / _SQRT2)
-    return TestResult(t_stat=t, p_value=p, reject=p < level)
+    return TestResult(t_stat=t, p_value=math.erfc(abs(t) / _SQRT2), reject=abs(t) > z)
 
 
 @dataclass
@@ -159,6 +156,7 @@ def analyze(
         raise ValueError("cluster must be 'pair', 'unit', or 'both'")
     if fe not in ("on", "off", "both"):
         raise ValueError("fe must be 'on', 'off', or 'both'")
+    z, level = critical_value(level), float(level)
 
     stats = dataset_stats(data, assignment)  # checks that every block has a contrast
     treated, block, P = assignment.treated, data.unit_pair, data.P
@@ -170,7 +168,7 @@ def analyze(
     for c in clusters:
         for m in models:
             tau = stats.tau_fe if m == "fe" else stats.tau_nofe
-            tests[(c, m)] = _normal_test(tau, variances.value(c, m), level)
+            tests[(c, m)] = _normal_test(tau, variances.value(c, m), z)
 
     sizes = data.unit_sizes.astype(float)
     ratio = m_range = None

@@ -9,7 +9,8 @@ and unequal unit sizes; it checks nothing.  ``dataset_stats`` feeds it a
 dataset, checks the assignment and refuses a statistic that overflows;
 ``VarianceSet``/``variance_set`` carry the variances with their
 degrees-of-freedom factors, and ``report.analyze`` and the Monte Carlo
-engine call it.  All estimators are the raw cluster-robust forms.
+engine call it.  All estimators are the raw cluster-robust forms, and every
+t-test of both rejects when |t| > ``critical_value(level)``.
 """
 
 from __future__ import annotations
@@ -22,13 +23,23 @@ import numpy as np
 from .data import Assignment, ExperimentData, check_contrast
 from .errors import EstimationError
 
-__all__ = ["UnitStats", "unit_sum_stats", "dataset_stats", "VarianceSet", "variance_set"]
+__all__ = ["UnitStats", "unit_sum_stats", "dataset_stats", "VarianceSet", "variance_set",
+           "critical_value"]
 
 # OpenBLAS splits a dot of more than 10,000 elements across its threads, and
 # the rounding then depends on the thread count.  ``row_dot`` adds up dots of
 # at most this many units, each run on one thread; a row of no more units is
 # one BLAS call, with the bits of a plain ``a @ b``.
 _DOT_UNITS = 8192
+
+
+def critical_value(level: float) -> float:
+    """z with P(|N(0, 1)| > z) = ``level``: a two-sided normal test rejects when |t| > z.
+    The one check of a test level: a ``ValueError`` unless 0 < level < 1."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    from statistics import NormalDist  # here, so that ``import paircluster`` loads no more
+    return NormalDist().inv_cdf(1.0 - float(level) / 2.0)
 
 
 class UnitStats(NamedTuple):

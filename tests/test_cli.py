@@ -261,8 +261,10 @@ def test_simulate_usage_errors(capsys):
     assert main(base + ["--reps", "5", "--G", "1"]) == 1
     assert main(base + ["--reps", "5", "--scan-G", "5"]) == 1
     assert main(base + ["--reps", "5", "--G", "3", "--scan-G", "3..4"]) == 1
+    assert main(base + ["--reps", "5", "--scan-G", "5..3"]) == 1
     paired = ["simulate", "--design", "paired", "--P", "10", "--n", "1", "--seed", "1"]
     assert main(paired + ["--reps", "5", "--G", "3"]) == 1
+    assert main(paired + ["--reps", "5", "--scan-G", "2..3"]) == 1
     assert main(["simulate", "--design", "nope", "--P", "1", "--n", "1",
                  "--reps", "1", "--seed", "1"]) == 1
 
@@ -307,6 +309,8 @@ def test_simulate_effect_flag(capsys):
         ("--effect", "-inf"),
         ("--threads", "0"),
         ("--threads", "-2"),
+        ("--level", "0"),
+        ("--level", "1.5"),
     ],
 )
 def test_simulate_out_of_range_values_are_usage_errors(flag, value, capsys):

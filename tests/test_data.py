@@ -288,6 +288,12 @@ def test_experiment_data_requires_canonical_arrays():
         ExperimentData([1.0] * 4, [0, 0, 1, 1], [1] * 4, ["q", "p"], ["a", "b"] * 2)
     with pytest.raises(ValueError, match="add up"):
         ExperimentData([1.0, 2.0], [0, 0], [1, 2], ["p"], ["a", "b"])
+    with pytest.raises(EmptyInput):
+        ExperimentData([], [], [], [], [])
+    with pytest.raises(ValueError, match="one entry per unit"):
+        ExperimentData([1.0, 2.0], [0, 0], [1, 1], ["p"], ["a"])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        ExperimentData([1.0] * 4, [1, 1, 0, 0], [1] * 4, ["p", "q"], ["a", "b"] * 2)
 
 
 @pytest.mark.parametrize(

@@ -633,6 +633,18 @@ def test_a_long_line_across_chunks_stays_on_the_fast_path(tmp_path):
     assert table["outcome"][-2:].tolist() == [2.0, 1.0]
 
 
+def test_a_last_line_without_a_line_break_across_chunks(tmp_path):
+    # The last line starts in the first 1 MB and has no line break, so the last
+    # 512 KiB block the scan reads holds none: the file ends as if one followed.
+    long = "p0,a,1,2." + "0" * 100_000
+    text = _HEAD + _ending_first_chunk(long[:50_000]) + long[50_000:]
+    ended, unended = tmp_path / "ended.csv", tmp_path / "unended.csv"
+    ended.write_bytes((text + "\n").encode())
+    unended.write_bytes(text.encode())
+    assert dataio._scan(unended) == dataio._scan(ended) == (len(long), 7, 7)  # the header's
+    assert read_csv(unended) == read_csv(ended)
+
+
 def test_a_file_with_a_quoted_id_gets_the_line_width(tmp_path):
     path, longest = _width_file(tmp_path, "\n", quote='"')  # a quoted id may hold a comma
     assert longest == len(",".join(CSV_HEADER))

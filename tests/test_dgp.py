@@ -30,6 +30,8 @@ def test_config_validation():
         DGPConfig(G=2, P=5, n_gp=1, sigma2_gamma=-0.1)
     with pytest.raises(ValueError):
         DGPConfig(G=2, P=5, n_gp=1, effect_profile=HeterogeneousEffect(np.zeros(4)))
+    with pytest.raises(ValueError, match="finite"):
+        HeterogeneousEffect([np.nan, 0.0])
 
 
 @pytest.mark.parametrize("field", ["G", "P", "n_gp"])

@@ -1,7 +1,8 @@
-"""What a fresh process loads: ``import paircluster`` and ``analyze`` need
-only numpy; scipy and the process pool load when the Monte Carlo engine
-first runs.  Each test runs its own interpreter, since this one has long
-since loaded everything.
+"""What a fresh process loads: ``import paircluster``, ``analyze`` and null
+resampling need only numpy.  scipy serves only the synthetic generator's
+normal draws and loads when a size experiment first runs; the process pool
+loads when a multi-worker run starts.  Each test runs its own interpreter,
+since this one has long since loaded everything.
 """
 
 import json
@@ -13,9 +14,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from paircluster import SizeCell
+from paircluster import Seed, SizeCell, draw_paired_assignment, write_csv
 from test_cli import MINIMAL_CSV
-from test_golden import SIMULATE_GOLDEN, _tallies
+from test_golden import REPS, RESAMPLE_GOLDEN, SIMULATE_GOLDEN, _tallies, _unbalanced_pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,6 +41,19 @@ table = run_size_experiment(spec, threads={threads})
 print("scipy.special" in sys.modules)
 print(json.dumps(table.to_json_dict()["cells"]))
 """
+
+# After analyze, null resampling runs with scipy blocked: it draws no normals.
+RESAMPLE = ANALYZE + """
+import json
+from paircluster import Seed, read_csv, resampling_size_experiment
+data, _ = read_csv({pairs!r})
+table = resampling_size_experiment(data, {reps}, 0.05, Seed(2020), threads={threads})
+print(json.dumps(table.to_json_dict()["cells"]))
+"""
+
+
+def _cells(line):
+    return SimpleNamespace(cells=[SizeCell(**cell) for cell in json.loads(line)])
 
 
 def _run(script, tmp_path, name, block_scipy=False, **fields):
@@ -74,5 +88,16 @@ def test_size_experiment_after_analyze_loads_scipy(tmp_path, threads):
     loaded, has_special, cells = out.splitlines()[-3:]
     assert loaded == "[]"
     assert has_special == "True"
-    table = SimpleNamespace(cells=[SizeCell(**cell) for cell in json.loads(cells)])
-    assert _tallies(table) == SIMULATE_GOLDEN[2]
+    assert _tallies(_cells(cells)) == SIMULATE_GOLDEN[2]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_resampling_runs_with_scipy_blocked(tmp_path, threads):
+    data = _unbalanced_pairs()
+    pairs = tmp_path / "pairs.csv"
+    write_csv(pairs, data, draw_paired_assignment(data, Seed(0)))  # resampling redraws it
+    out, _ = _run(RESAMPLE, tmp_path, "blocked", block_scipy=True,
+                  pairs=str(pairs), reps=REPS, threads=threads)
+    loaded, cells = out.splitlines()[-2:]
+    assert loaded == "[]"
+    assert _tallies(_cells(cells)) == RESAMPLE_GOLDEN

@@ -1,11 +1,14 @@
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from paircluster import analyze
 from paircluster.errors import ZeroVariance
+from paircluster.variance import critical_value
 from oracles import (
     NORMAL_VARIANCE_TWO,
     NormalReference,
@@ -98,3 +101,32 @@ def test_report_tests_equal_the_standard_normal_oracle():
         assert (res.t_stat, res.p_value, res.reject) == (
             expected.t_stat, expected.p_value, expected.reject
         )
+
+
+@pytest.mark.parametrize("level", [0.01, 0.05, 0.1, 0.2])
+def test_critical_value_is_the_normal_quantile(level):
+    z = critical_value(level)
+    expected = float(ndtri(1.0 - level / 2.0))  # scipy's inverse normal CDF
+    assert type(z) is float
+    assert abs(z - expected) <= 4 * math.ulp(expected)
+    # |t| > z and p = erfc(|t| / sqrt(2)) < level agree down to 1e-12 of z, on either side
+    for k in range(1, 1001):
+        for t in (z * (1.0 + k * 1e-12), -z * (1.0 - k * 1e-12)):
+            assert (abs(t) > z) == (math.erfc(abs(t) / math.sqrt(2.0)) < level)
+
+
+@pytest.mark.parametrize("option, message", [
+    ({"cluster": "x"}, "cluster must be"),
+    ({"fe": "x"}, "fe must be"),
+    *(({"level": level}, "level must be in") for level in (0.0, 1.0, -0.5, float("nan"))),
+])
+def test_analyze_refuses_bad_options_before_the_data(option, message):
+    with pytest.raises(ValueError, match=message):  # None would fail as a dataset
+        analyze(None, None, **option)
+
+
+def test_a_numpy_float_level_gives_a_json_report():
+    data, assignment = random_paired(np.random.default_rng(3), 30)
+    report = analyze(data, assignment, level=np.float32(0.05))
+    assert type(report.level) is float
+    assert json.loads(json.dumps(report.to_json_dict()))["level"] == float(np.float32(0.05))

@@ -302,9 +302,26 @@ def test_bad_spec_rejected():
     # replication i draws from child i, whose index is one 32-bit seed word
     with pytest.raises(ValueError, match="below 2\\*\\*32"):
         SizeExperimentSpec(dgp=DGPConfig(G=2, P=5, n_gp=1), reps=2**32, master_seed=Seed(1))
+    with pytest.raises(ValueError, match="level"):
+        SizeExperimentSpec(dgp=DGPConfig(G=2, P=5, n_gp=1), reps=10, master_seed=Seed(1), level=0)
     data, _ = random_paired(np.random.default_rng(4), P=5)
     with pytest.raises(ValueError, match="below 2\\*\\*32"):
         resampling_size_experiment(data, reps=2**32, level=0.05, seed=Seed(1))
+    one_pair, _ = random_paired(np.random.default_rng(4), P=1)
+    with pytest.raises(ValueError, match="level"):  # checked before the data
+        resampling_size_experiment(one_pair, reps=10, level=1.0, seed=Seed(1))
+
+
+def test_a_numpy_float_level_is_kept_as_a_float():
+    level = np.float32(0.05)
+    spec = SizeExperimentSpec(DGPConfig(G=2, P=5, n_gp=1), 20, Seed(1), level=level)
+    assert type(spec.level) is float
+    data, _ = random_paired(np.random.default_rng(4), P=5)
+    for table in (run_size_experiment(spec), resampling_size_experiment(data, 20, level, Seed(1))):
+        assert type(table.level) is float
+        assert json.loads(json.dumps(table.to_json_dict()))["level"] == float(level)
+        with pytest.raises(KeyError):
+            table.cell("x", "fe")
 
 
 @pytest.mark.parametrize("threads", [0, -2])

@@ -35,6 +35,14 @@ def test_single_pair_forced():
         assert assignment.treated.sum() == 1
 
 
+@pytest.mark.parametrize("value", [1.9, np.float64(3.7), True, "5", None, -1, 2**64])
+def test_seed_must_be_a_64_bit_integer(value):
+    with pytest.raises(ValueError, match="seed must be"):
+        Seed(value)
+    master = Seed(np.uint64(2**64 - 1)).master  # a numpy integer is a seed, stored as an int
+    assert type(master) is int and master == 2**64 - 1
+
+
 def test_determinism():
     data = _paired_skeleton(50)
     a1 = draw_paired_assignment(data, Seed(7))
