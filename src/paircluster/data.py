@@ -1,15 +1,13 @@
 """Experiment data model.
 
-A dataset is a collection of pairs (or strata) of randomization units,
-each unit holding one or more observed outcomes.  It is stored as flat
-arrays in canonical order: pairs sorted by id, units sorted by id within
-each pair, and each unit's outcomes in input order, so results never
-depend on input row order.  ``dataio`` builds it from rows or a CSV
-file.  A pair holds two or more units; ``check_contrast`` asks each for
-a treated and a control unit, for ``dataio.canonicalize`` and
-``variance.dataset_stats``, and ``ExperimentData.require_pairs`` for
-exactly two.  All types are immutable after construction and safe to share
-across threads.
+A dataset is a collection of pairs (or strata) of two or more
+randomization units, each unit holding one or more observed outcomes.
+It is stored as flat arrays in canonical order: pairs sorted by id,
+units sorted by id within each pair, and each unit's outcomes in input
+order, so results never depend on input row order.  ``dataio`` builds
+it from rows or a CSV file; arrays built directly must equal what its
+``validate_dataset`` makes of their own rows.  All types are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (AssignmentMismatch, DataError, DegeneratePair, EmptyInput,
-                     NonBinaryTreatment, NotPaired)
+from .errors import AssignmentMismatch, DataError, DegeneratePair, NonBinaryTreatment, NotPaired
 
 __all__ = ["ExperimentData", "Assignment"]
 
@@ -58,9 +55,9 @@ class ExperimentData:
     count and pair index; ``pair_ids`` and ``unit_ids`` are the ids of the
     pairs and of the units (a unit id is unique within its pair only).
     The per-observation indexes and the per-unit and per-pair totals are
-    derived on first use.  Direct construction checks that the arrays are
-    canonical; ``dataio.canonicalize``, which builds them so, uses the private
-    ``_canonical``, which freezes them and checks only that outcomes are finite.
+    derived on first use.  Built directly, the arrays must equal
+    ``dataio.validate_dataset`` of their own rows; ``dataio.canonicalize``
+    uses the private ``_canonical``, which checks only that outcomes are finite.
     """
 
     outcomes: np.ndarray
@@ -72,53 +69,36 @@ class ExperimentData:
     def __post_init__(self):
         for name, dtype in _FIELDS:
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        P, pair = self.P, self.unit_pair
-        if P == 0:
-            raise EmptyInput("dataset has no pairs")
-        if not (pair.size == self.unit_sizes.size == self.unit_ids.size):
+        if not (self.unit_pair.size == self.unit_sizes.size == self.unit_ids.size):
             raise ValueError("unit_pair, unit_sizes and unit_ids need one entry per unit")
-        if np.any(np.diff(pair) < 0) or np.any((pair < 0) | (pair >= P)):
-            raise ValueError("unit_pair must be nondecreasing pair indexes below P")
-        for kind, ids in (("pair", self.pair_ids), ("unit", self.unit_ids)):
-            # read_csv reads ids as stripped text without NULs, so no other id would round-trip
-            bad = [i for i in ids.tolist()
-                   if not isinstance(i, str) or i != i.strip() or "\x00" in i]
-            others = [i for i in bad if not isinstance(i, str)]
-            if others:
-                raise ValueError(f"{kind} id {min(others, key=repr)!r} is not a string")
-            padded = [i for i in bad if i != i.strip()]
-            if padded:
-                raise ValueError(f"{kind} id {min(padded)!r} has surrounding whitespace")
-            if bad:
-                raise DataError(f"{kind} id {min(bad)!r} contains a NUL character")
-        if np.any(self.pair_ids[:-1] >= self.pair_ids[1:]):
-            raise ValueError("pair ids must be distinct and sorted")
-        same = pair[1:] == pair[:-1]
-        if np.any(self.unit_ids[:-1][same] >= self.unit_ids[1:][same]):
-            raise ValueError("unit ids must be distinct and sorted within each pair")
-        counts = self.pair_unit_counts
-        if np.any(counts < 2):
-            p = int(np.argmax(counts < 2))
-            raise ValueError(f"pair {self.pair_ids[p]!r} has {counts[p]} unit(s); need at least 2")
-        if np.any(self.unit_sizes < 1):
-            u = int(np.argmax(self.unit_sizes < 1))
-            raise ValueError(f"unit {self.unit_ids[u]!r} has no outcomes")
-        if self.outcomes.size != self.unit_sizes.sum():
-            raise ValueError("unit sizes do not add up to the number of outcomes")
-        self._require_finite()
+        if np.any((self.unit_pair < 0) | (self.unit_pair >= self.P)):
+            raise ValueError("unit_pair must hold pair indexes in [0, P)")
+        # summed as Python ints: int64 sizes that wrap around would crash np.repeat
+        if np.any(self.unit_sizes < 0) or self.outcomes.size != sum(self.unit_sizes.tolist()):
+            raise ValueError("unit sizes must be >= 0 and add up to the number of outcomes")
+        from .dataio import validate_dataset  # dataio imports this module
+        first = (np.diff(self.unit_pair, prepend=-1) != 0)[self.obs_unit]  # treated units
+        rows = zip(self.pair_ids[self.obs_pair].tolist(), self.unit_ids[self.obs_unit].tolist(),
+                   first.tolist(), self.outcomes.tolist())
+        canonical, _ = validate_dataset(rows)
+        labels = {"pair_ids": "pair id", "unit_ids": "unit id", "unit_pair": "pair index",
+                  "unit_sizes": "unit size", "outcomes": "outcome"}  # ids before layout
+        for name, label in labels.items():
+            ours, theirs = getattr(self, name).tolist(), getattr(canonical, name).tolist()
+            if ours != theirs:  # theirs is never the longer
+                k = next((k for k, (a, b) in enumerate(zip(ours, theirs)) if a != b), len(theirs))
+                raise ValueError(f"{label} {ours[k]!r} at {name}[{k}] differs from "
+                                 "validate_dataset of the dataset's own rows")
 
     @classmethod
     def _canonical(cls, *arrays) -> ExperimentData:
         data = cls.__new__(cls)  # arrays canonical by construction: no id or order checks
         data.__dict__.update((name, _frozen(a, dtype)) for (name, dtype), a in zip(_FIELDS, arrays))
-        data._require_finite()
-        return data
-
-    def _require_finite(self) -> None:
-        finite = np.isfinite(self.outcomes)
+        finite = np.isfinite(data.outcomes)
         if not finite.all():
-            u = self.obs_unit[int(np.argmin(finite))]
-            raise DataError(f"unit {self.unit_ids[u]!r} has non-finite outcomes")
+            u = data.obs_unit[int(np.argmin(finite))]
+            raise DataError(f"unit {data.unit_ids[u]!r} has non-finite outcomes")
+        return data
 
     @property
     def P(self) -> int:

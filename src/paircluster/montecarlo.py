@@ -237,8 +237,10 @@ def _run_chunks(worker, arg_list, threads):
 
 def _size_table(draw, reps, level, seed, threads, collect, G, block_label, design):
     """Run ``reps`` replications of ``draw`` in chunks and tabulate them."""
-    if threads is not None and threads < 1:
+    if threads is not None and _count("threads", threads) < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if not isinstance(seed, Seed):
+        raise TypeError(f"seed must be a Seed, got {seed!r}")
     z_crit = critical_value(level)
     n_units, n_blocks, n_obs = draw.sizes.size, draw.n_blocks, draw.n_obs
     factors = np.array(  # in the order of _INTERNAL_TESTS

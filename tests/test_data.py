@@ -257,7 +257,10 @@ def test_units_need_finite_outcomes():
     rows = [("p1", "a", 1, 1.0), ("p1", "a", 1, float("nan")), ("p1", "b", 0, 0.0)]
     with pytest.raises(ValueError, match="unit 'a' has non-finite outcomes"):
         validate_dataset(rows)
-    with pytest.raises(ValueError, match="unit 'b' has no outcomes"):
+    with pytest.raises(ValueError, match="unit 'b' has non-finite outcomes"):
+        ExperimentData([1.0, float("inf")], [0, 0], [1, 1], ["p"], ["a", "b"])
+    # unit b has no outcomes, so the rows of the arrays hold pair p's treated unit a only
+    with pytest.raises(DegeneratePair, match="pair 'p' has no treated/control contrast"):
         ExperimentData([1.0], [0, 0], [1, 0], ["p"], ["a", "b"])
 
 
@@ -276,24 +279,42 @@ def test_pair_ids_sorted():
 def test_experiment_data_requires_two_units():
     with pytest.raises(DegeneratePair, match="pair 'p'"):
         validate_dataset([("p", "a", 1, 1.0), ("q", "b", 1, 2.0), ("q", "c", 0, 3.0)])
-    with pytest.raises(ValueError, match="pair 'p' has 1 unit"):
+    with pytest.raises(DegeneratePair, match="pair 'p' has no treated/control contrast"):
         ExperimentData([1.0, 2.0, 3.0], [0, 1, 1], [1, 1, 1], ["p", "q"], ["a", "b", "c"])
+
+
+def _refused(message, *arrays):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentData(*arrays)
 
 
 def test_experiment_data_requires_canonical_arrays():
     ExperimentData([1.0, 2.0], [0, 0], [1, 1], ["p"], ["a", "b"])
-    with pytest.raises(ValueError, match="unit ids"):
-        ExperimentData([1.0, 2.0], [0, 0], [1, 1], ["p"], ["b", "a"])
-    with pytest.raises(ValueError, match="pair ids"):
-        ExperimentData([1.0] * 4, [0, 0, 1, 1], [1] * 4, ["q", "p"], ["a", "b"] * 2)
-    with pytest.raises(ValueError, match="add up"):
-        ExperimentData([1.0, 2.0], [0, 0], [1, 2], ["p"], ["a", "b"])
+    _refused("unit id 'b' at unit_ids[0] differs from validate_dataset of the dataset's own rows",
+             [1.0, 2.0], [0, 0], [1, 1], ["p"], ["b", "a"])
+    _refused("pair id 'q' at pair_ids[0] differs",
+             [1.0] * 4, [0, 0, 1, 1], [1] * 4, ["q", "p"], ["a", "b"] * 2)
+    _refused("add up", [1.0, 2.0], [0, 0], [1, 2], ["p"], ["a", "b"])
     with pytest.raises(EmptyInput):
         ExperimentData([], [], [], [], [])
-    with pytest.raises(ValueError, match="one entry per unit"):
-        ExperimentData([1.0, 2.0], [0, 0], [1, 1], ["p"], ["a"])
-    with pytest.raises(ValueError, match="nondecreasing"):
-        ExperimentData([1.0] * 4, [1, 1, 0, 0], [1] * 4, ["p", "q"], ["a", "b"] * 2)
+    _refused("one entry per unit", [1.0, 2.0], [0, 0], [1, 1], ["p"], ["a"])
+    _refused("pair index 1 at unit_pair[0] differs",
+             [1.0] * 4, [1, 1, 0, 0], [1] * 4, ["p", "q"], ["a", "b"] * 2)
+    # a unit id repeated within a pair: the pair's first unit is treated, the others are not
+    _refused("unit 'a' in pair 'p' has both treated and control rows",
+             [1.0, 2.0, 3.0], [0, 0, 0], [1, 1, 1], ["p"], ["a", "a", "b"])
+    _refused("unit id 'b' at unit_ids[2] differs",
+             [1.0, 2.0, 3.0], [0, 0, 0], [1, 1, 1], ["p"], ["a", "b", "b"])
+    _refused("pair id 'p' at pair_ids[1] differs",
+             [1.0] * 4, [0, 0, 1, 1], [1] * 4, ["p", "p"], ["a", "b"] * 2)
+    for index in (-1, 2):
+        _refused("pair indexes in [0, P)",
+                 [1.0] * 4, [0, 0, 1, index], [1] * 4, ["p", "q"], ["a", "b"] * 2)
+    _refused("unit sizes must be >= 0", [1.0, 2.0], [0, 0, 0], [2, 1, -1], ["p"], ["a", "b", "c"])
+    _refused("add up",  # these sizes add up to 2 in int64
+             [1.0, 2.0], [0, 0, 0], [2**63 - 1, 2**63 - 1, 4], ["p"], ["a", "b", "c"])
+    _refused("unit id 'c' at unit_ids[2] differs",  # a unit without outcomes has no rows
+             [1.0, 2.0], [0, 0, 0, 0], [1, 1, 0, 0], ["p"], ["a", "b", "c", "d"])
 
 
 @pytest.mark.parametrize(
@@ -305,16 +326,15 @@ def test_experiment_data_requires_canonical_arrays():
 )
 def test_experiment_data_rejects_padded_ids(pair_ids, unit_ids, message):
     # read_csv strips ids, so a padded id would not survive a write_csv round trip
-    with pytest.raises(ValueError, match=re.escape(f"{message} has surrounding whitespace")):
+    with pytest.raises(ValueError, match=re.escape(message) + r" at \w+_ids\[\d\] differs"):
         ExperimentData([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1], [1] * 4, pair_ids, unit_ids)
 
 
 def test_experiment_data_rejects_ids_that_are_not_strings():
     # write_csv would write 2, 10, 30 as text, and read_csv sorts text: "10" < "2"
-    with pytest.raises(ValueError, match="pair id 10 is not a string"):
-        ExperimentData([0.0, 1.0] * 3, [0, 0, 1, 1, 2, 2], [1] * 6, [2, 10, 30], ["a", "b"] * 3)
-    with pytest.raises(ValueError, match="unit id None is not a string"):
-        ExperimentData([0.0, 1.0], [0, 0], [1, 1], ["p"], ["a", None])
+    _refused("pair id 2 at pair_ids[0] differs",  # validate_dataset gives '10' there
+             [0.0, 1.0] * 3, [0, 0, 1, 1, 2, 2], [1] * 6, [2, 10, 30], ["a", "b"] * 3)
+    _refused("unit id None at unit_ids[1] differs", [0.0, 1.0], [0, 0], [1, 1], ["p"], ["A", None])
 
 
 def test_experiment_data_rejects_nul_in_ids():

@@ -14,6 +14,7 @@ from paircluster import (
     run_size_experiment,
     validate_dataset,
 )
+from paircluster import montecarlo
 from paircluster.errors import ReplicationError, ZeroVariance
 from paircluster.montecarlo import _StratifiedDraw
 from paircluster.variance import unit_sum_stats
@@ -332,3 +333,35 @@ def test_threads_below_one_rejected(threads):
     data, _ = random_paired(np.random.default_rng(1), P=5)
     with pytest.raises(ValueError, match="threads must be >= 1"):
         resampling_size_experiment(data, reps=10, level=0.05, seed=Seed(1), threads=threads)
+
+
+def _both_entry_points(monkeypatch, threads=1, seed=Seed(1)):
+    """Calls of run_size_experiment and resampling_size_experiment; a chunk that runs fails."""
+    monkeypatch.setattr(montecarlo, "_run_chunks", lambda *args: pytest.fail("a chunk ran"))
+    spec = SizeExperimentSpec(DGPConfig(G=2, P=5, n_gp=1), 50, seed)
+    data, _ = random_paired(np.random.default_rng(1), P=5)
+    return (lambda: run_size_experiment(spec, threads=threads),
+            lambda: resampling_size_experiment(data, 10, 0.05, seed, threads=threads))
+
+
+@pytest.mark.parametrize("threads", [2.5, True, "2"], ids=repr)
+def test_threads_must_be_an_integer(monkeypatch, threads):
+    for entry in _both_entry_points(monkeypatch, threads=threads):
+        with pytest.raises(ValueError, match=f"threads must be an integer, got {threads!r}"):
+            entry()
+
+
+@pytest.mark.parametrize("threads", [None, 1, np.int64(2)], ids=repr)
+def test_integer_threads_run(threads):
+    spec = SizeExperimentSpec(DGPConfig(G=2, P=5, n_gp=1), 50, Seed(1))
+    data, _ = random_paired(np.random.default_rng(1), P=5)
+    for run in (lambda t: run_size_experiment(spec, threads=t),
+                lambda t: resampling_size_experiment(data, 50, 0.05, Seed(1), threads=t)):
+        assert run(threads).to_csv_text() == run(1).to_csv_text()
+
+
+@pytest.mark.parametrize("seed", [3, 3.0, None], ids=repr)
+def test_master_seed_must_be_a_seed(monkeypatch, seed):
+    for entry in _both_entry_points(monkeypatch, seed=seed):
+        with pytest.raises(TypeError, match=f"seed must be a Seed, got {seed!r}"):
+            entry()
