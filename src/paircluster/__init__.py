@@ -13,7 +13,7 @@ experiments (``run_size_experiment``, ``resampling_size_experiment``).
 from . import errors
 from .data import Assignment, ExperimentData
 from .dataio import read_csv, validate_dataset, write_csv
-from .dgp import ConstantEffect, DGPConfig, HeterogeneousEffect
+from .dgp import DGPConfig
 from .montecarlo import (
     SizeCell,
     SizeExperimentSpec,
@@ -34,9 +34,7 @@ __all__ = [
     "validate_dataset",
     "read_csv",
     "write_csv",
-    "ConstantEffect",
     "DGPConfig",
-    "HeterogeneousEffect",
     "SizeCell",
     "SizeExperimentSpec",
     "SizeTable",

@@ -3,7 +3,8 @@
 ``paircluster analyze`` audits a paired or stratified experiment CSV;
 ``paircluster simulate`` runs the replicated size experiments.  Results
 go to stdout, diagnostics to stderr.  Exit statuses: 0 success, 1 usage
-error, 2 data validation error, 3 runtime/numeric failure.
+error, 2 data validation error, 3 runtime/numeric failure (an output that
+cannot be written, or a design too large for the machine, included).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from .dataio import read_csv
-from .dgp import ConstantEffect, DGPConfig
+from .dgp import DGPConfig
 from .errors import DataError, PairClusterError
 from .montecarlo import SizeTable, run_size_experiment, SizeExperimentSpec
 from .randomize import Seed
@@ -75,10 +76,17 @@ def _cmd_analyze(args) -> int:
     report = analyze(data, assignment, cluster=args.cluster, fe=args.fe, level=args.level)
     sys.stdout.write(report.to_text())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2)
-            handle.write("\n")
+        _write(args.json_out, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
+
+
+def _write(path: str, text: str) -> None:
+    """Write one output file; a failure is a runtime error that names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise PairClusterError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _parse_scan(text: str) -> range:
@@ -115,11 +123,14 @@ def _cmd_simulate(args) -> int:
     for g in g_values:
         try:
             dgp = DGPConfig(G=g, P=args.P, n_gp=args.n, sigma2_gamma=args.sigma2_gamma,
-                            effect_profile=ConstantEffect(args.effect))
+                            effect=args.effect)
             spec = SizeExperimentSpec(dgp, args.reps, Seed(args.seed), args.level)
         except ValueError as exc:  # an out-of-range flag value, --level's too
             raise _UsageError(str(exc)) from None
-        table = run_size_experiment(spec, threads=args.threads)
+        try:
+            table = run_size_experiment(spec, threads=args.threads)
+        except (MemoryError, ValueError) as exc:  # numpy refuses arrays the machine cannot hold
+            raise PairClusterError(f"G={g}, P={args.P} is too large: {exc}") from None
         tables.append(table)
         cells.extend(table.cells)
 
@@ -132,12 +143,9 @@ def _cmd_simulate(args) -> int:
     csv_text = merged.to_csv_text()
     sys.stdout.write(csv_text)
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(csv_text)
+        _write(args.csv_out, csv_text)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(merged.to_json_dict(), handle, indent=2)
-            handle.write("\n")
+        _write(args.json_out, json.dumps(merged.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
 
 

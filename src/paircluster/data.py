@@ -68,7 +68,10 @@ class ExperimentData:
 
     def __post_init__(self):
         for name, dtype in _FIELDS:
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            try:
+                object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            except OverflowError:  # a Python int beyond int64
+                raise ValueError(f"{name} has an entry {np.dtype(dtype)} cannot hold") from None
         if not (self.unit_pair.size == self.unit_sizes.size == self.unit_ids.size):
             raise ValueError("unit_pair, unit_sizes and unit_ids need one entry per unit")
         if np.any((self.unit_pair < 0) | (self.unit_pair >= self.P)):

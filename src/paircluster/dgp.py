@@ -2,8 +2,8 @@
 
 ``DGPConfig`` describes one synthetic experiment: P strata of G units,
 n_gp observations per unit with iid standard-normal potential outcomes, an
-additive normal stratum shock with variance ``sigma2_gamma`` and a
-per-stratum treatment effect.  The Monte Carlo engine draws each
+additive normal stratum shock with variance ``sigma2_gamma`` and a treatment
+effect, one number or one per stratum.  The Monte Carlo engine draws each
 replication's unit outcome sums from it directly.  Normal variates come
 from the inverse CDF (``uniform_to_normal``, scipy's ``ndtri``) applied to
 the seeded uniform stream, so draws are bit-reproducible across platforms.  They
@@ -12,7 +12,6 @@ are scipy's one use, so ``import paircluster``, ``analyze`` and resampling need 
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import StratumTooSmall
 
-__all__ = ["ConstantEffect", "HeterogeneousEffect", "DGPConfig", "uniform_to_normal"]
+__all__ = ["DGPConfig", "uniform_to_normal"]
 
 _TINY = 2.0**-53
 
@@ -38,51 +37,30 @@ def _count(name: str, value) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
-class ConstantEffect:
-    """The same average effect in every stratum."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.tau):
-            raise ValueError(f"effect must be finite, got {self.tau!r}")
-
-    def stratum_effects(self, n_strata: int) -> np.ndarray:
-        return np.full(n_strata, float(self.tau))
-
-
-@dataclass(frozen=True, eq=False)
-class HeterogeneousEffect:
-    """A fixed per-stratum effect vector, drawn once per experiment."""
-
-    taus: np.ndarray
-
-    def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(taus)):
-            raise ValueError("effects must be finite")
-        taus.setflags(write=False)
-        object.__setattr__(self, "taus", taus)
-
-    def stratum_effects(self, n_strata: int) -> np.ndarray:
-        if self.taus.size != n_strata:
-            raise ValueError(f"expected {n_strata} effects, got {self.taus.size}")
-        return self.taus
+def _real(name: str, value, n: int | None = None):
+    """One number as a float, or ``n`` numbers as a tuple of floats; a ``ValueError`` if not."""
+    values = np.asarray(value)
+    if values.dtype.kind not in "iuf" or values.shape not in [(), (n,)]:  # no bool, str or object
+        expected = "a number" if n is None else f"a number or {n} numbers"
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    if values.ndim == 0:
+        return float(values)
+    return tuple(values.astype(float).tolist())
 
 
 @dataclass(frozen=True)
 class DGPConfig:
     """Parameters of the stratified generator.
 
-    ``sigma2_gamma`` is the *variance* of the additive stratum shock.
+    ``sigma2_gamma`` is the *variance* of the additive stratum shock.  ``effect`` is
+    one number for every stratum or P numbers, one per stratum, kept as a float or a tuple.
     """
 
     G: int
     P: int
     n_gp: int
     sigma2_gamma: float = 0.0
-    effect_profile: ConstantEffect | HeterogeneousEffect = ConstantEffect(0.0)
+    effect: float | tuple[float, ...] = 0.0
 
     def __post_init__(self):
         for name in ("G", "P", "n_gp"):  # as int: a numpy integer would reach the outputs
@@ -93,10 +71,12 @@ class DGPConfig:
             raise ValueError(f"need P >= 2 strata, got {self.P}")
         if self.n_gp < 1:
             raise ValueError(f"need n_gp >= 1 observations per unit, got {self.n_gp}")
-        if not 0 <= self.sigma2_gamma < math.inf:
+        object.__setattr__(self, "sigma2_gamma", _real("sigma2_gamma", self.sigma2_gamma))
+        if not 0 <= self.sigma2_gamma < np.inf:
             raise ValueError(f"sigma2_gamma must be finite and >= 0, got {self.sigma2_gamma!r}")
-        if isinstance(self.effect_profile, HeterogeneousEffect):
-            self.effect_profile.stratum_effects(self.P)
+        object.__setattr__(self, "effect", _real("effect", self.effect, self.P))
+        if not np.isfinite(self.effect).all():
+            raise ValueError(f"effect must be finite, got {self.effect!r}")
 
     @property
     def n_units(self) -> int:

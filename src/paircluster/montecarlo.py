@@ -81,8 +81,7 @@ class _StratifiedDraw:
     """Unit sums and a stratified assignment from the synthetic generator."""
 
     def __init__(self, cfg: DGPConfig):
-        taus = np.asarray(cfg.effect_profile.stratum_effects(cfg.P), dtype=float)
-        self.taus = taus if np.any(taus != 0.0) else None
+        self.taus = np.broadcast_to(cfg.effect, cfg.P) if np.any(cfg.effect) else None
         self.G, self.P, self.n_gp, self.sigma2 = cfg.G, cfg.P, cfg.n_gp, cfg.sigma2_gamma
         self.block = np.repeat(np.arange(cfg.P), cfg.G)
         self.n_blocks = cfg.P

@@ -35,11 +35,13 @@ _DOT_UNITS = 8192
 
 def critical_value(level: float) -> float:
     """z with P(|N(0, 1)| > z) = ``level``: a two-sided normal test rejects when |t| > z.
-    The one check of a test level: a ``ValueError`` unless 0 < level < 1."""
+    The one check of a test level: a ``ValueError`` unless it is a number in (0, 1)."""
+    from .dgp import _real  # the package has loaded dgp by now
+    level = _real("level", level)
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     from statistics import NormalDist  # here, so that ``import paircluster`` loads no more
-    return NormalDist().inv_cdf(1.0 - float(level) / 2.0)
+    return NormalDist().inv_cdf(1.0 - level / 2.0)
 
 
 class UnitStats(NamedTuple):

@@ -526,7 +526,7 @@ def simulate_strata(
         gamma = normal_draws(rng, config.P) * np.sqrt(config.sigma2_gamma)
         y0 = y0 + gamma[obs_stratum]
         y1 = y1 + gamma[obs_stratum]
-    taus = config.effect_profile.stratum_effects(config.P)
+    taus = np.broadcast_to(config.effect, config.P)
     y1 = y1 + taus[obs_stratum]
 
     treated = np.zeros(config.n_units, dtype=bool)

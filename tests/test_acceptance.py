@@ -11,7 +11,6 @@ import numpy as np
 
 from paircluster import (
     DGPConfig,
-    HeterogeneousEffect,
     Seed,
     SizeExperimentSpec,
     run_size_experiment,
@@ -220,7 +219,7 @@ def test_criterion_7_conservative_under_heterogeneity():
     taus = rng.normal(0.0, 0.1, size=100)
     taus -= taus.mean()  # the tested null is the true average effect
     spec = SizeExperimentSpec(
-        dgp=DGPConfig(G=2, P=100, n_gp=100, effect_profile=HeterogeneousEffect(taus)),
+        dgp=DGPConfig(G=2, P=100, n_gp=100, effect=taus),
         reps=10_000,
         master_seed=Seed(708),
     )

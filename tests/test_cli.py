@@ -334,3 +334,32 @@ def test_analyze_checks_flags_before_reading(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("paircluster.cli.read_csv", never)
     assert main(["analyze", "--data", missing, "--level", "0"]) == 1
     assert "--level" in capsys.readouterr().err
+
+
+# Each design needs more than the 128 TiB a process can address, so numpy
+# refuses its first array before it touches memory.
+@pytest.mark.parametrize("design", [
+    ["--design", "paired", "--P", "100000000000000"],
+    ["--design", "paired", "--P", "9223372036854775807"],
+    ["--design", "paired", "--P", "18446744073709551616"],
+    ["--design", "stratified", "--G", "100000000000000", "--P", "2"],
+])
+def test_simulate_design_too_large_for_the_machine_is_a_runtime_error(design, capsys):
+    assert main(["simulate", *design, "--n", "1", "--reps", "1", "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_output_is_a_runtime_error(minimal_csv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for flag, argv in [
+        ("--json-out", ["analyze", "--data", str(minimal_csv)]),
+        ("--csv-out", ["simulate", "--design", "paired", "--P", "5", "--n", "1", "--reps", "5",
+                       "--seed", "1", "--threads", "1"]),
+        ("--json-out", ["simulate", "--design", "paired", "--P", "5", "--n", "1", "--reps", "5",
+                        "--seed", "1", "--threads", "1"]),
+    ]:
+        path = str(missing / "out")
+        assert main([*argv, flag, path]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: No such file or directory\n"

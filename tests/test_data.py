@@ -315,6 +315,9 @@ def test_experiment_data_requires_canonical_arrays():
              [1.0, 2.0], [0, 0, 0], [2**63 - 1, 2**63 - 1, 4], ["p"], ["a", "b", "c"])
     _refused("unit id 'c' at unit_ids[2] differs",  # a unit without outcomes has no rows
              [1.0, 2.0], [0, 0, 0, 0], [1, 1, 0, 0], ["p"], ["a", "b", "c", "d"])
+    _refused("unit_sizes has an entry int64 cannot hold", [1.0], [0], [2**64], ["p"], ["a"])
+    _refused("unit_pair has an entry int64 cannot hold",
+             [1.0, 2.0], [0, 2**63], [1, 1], ["p"], ["a", "b"])
 
 
 @pytest.mark.parametrize(

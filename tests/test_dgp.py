@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paircluster import ConstantEffect, DGPConfig, HeterogeneousEffect, Seed
+from paircluster import DGPConfig, Seed
 from paircluster.errors import StratumTooSmall
 from oracles import diff_in_means, null_resample, pair_effects, simulate_strata
 from helpers import random_paired
@@ -29,9 +29,29 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DGPConfig(G=2, P=5, n_gp=1, sigma2_gamma=-0.1)
     with pytest.raises(ValueError):
-        DGPConfig(G=2, P=5, n_gp=1, effect_profile=HeterogeneousEffect(np.zeros(4)))
+        DGPConfig(G=2, P=5, n_gp=1, effect=np.zeros(4))
     with pytest.raises(ValueError, match="finite"):
-        HeterogeneousEffect([np.nan, 0.0])
+        DGPConfig(G=2, P=2, n_gp=1, effect=[np.nan, 0.0])
+    # a bool or a non-number is refused, not stored or left to a later TypeError
+    for value in ("1", None, True, np.bool_(True), [1.0, "a"], 1j):
+        for field in ("sigma2_gamma", "effect"):
+            with pytest.raises(ValueError, match=f"{field} must be a number"):
+                DGPConfig(2, 3, 1, **{field: value})
+    with pytest.raises(ValueError, match="sigma2_gamma must be a number, got"):
+        DGPConfig(2, 3, 1, sigma2_gamma=[1.0, 1.0, 1.0])  # one shock variance, not one per stratum
+    with pytest.raises(ValueError, match="effect must be a number or 3 numbers"):
+        DGPConfig(2, 3, 1, effect=[[0.1, 0.2, 0.3]])
+    cfg = DGPConfig(2, 3, 1, sigma2_gamma=np.float32(1.5), effect=np.int64(2))
+    assert type(cfg.sigma2_gamma) is float and cfg.sigma2_gamma == 1.5
+    assert type(cfg.effect) is float and cfg.effect == 2.0
+
+
+def test_per_stratum_effects_are_a_tuple_compared_by_value():
+    cfg = DGPConfig(2, 3, 1, effect=np.array([0.5, -1, 0.0]))
+    assert cfg.effect == (0.5, -1.0, 0.0) and all(type(tau) is float for tau in cfg.effect)
+    same = DGPConfig(2, 3, 1, effect=[0.5, -1.0, 0])
+    assert cfg == same and hash(cfg) == hash(same)
+    assert cfg != DGPConfig(2, 3, 1, effect=[0.5, -1.0, 0.1])
 
 
 @pytest.mark.parametrize("field", ["G", "P", "n_gp"])
@@ -81,7 +101,7 @@ def test_stratum_shock_is_a_variance():
 
 
 def test_constant_effect_shifts_treated():
-    cfg = DGPConfig(G=2, P=400, n_gp=10, effect_profile=ConstantEffect(1.5))
+    cfg = DGPConfig(G=2, P=400, n_gp=10, effect=1.5)
     data, assignment, potentials = simulate_strata(cfg, Seed(8))
     fit = diff_in_means(data, assignment)
     # tau_hat ~ N(1.5, 2/(P*n_gp)); 4-sigma band
@@ -92,7 +112,7 @@ def test_constant_effect_shifts_treated():
 
 def test_heterogeneous_effects_fixed_per_stratum():
     taus = np.linspace(-1.0, 1.0, 10)
-    cfg = DGPConfig(G=2, P=10, n_gp=200, effect_profile=HeterogeneousEffect(taus))
+    cfg = DGPConfig(G=2, P=10, n_gp=200, effect=taus)
     data, assignment, potentials = simulate_strata(cfg, Seed(9))
     per_stratum_effect = np.array(
         [potentials.effects()[data.obs_pair == p].mean() for p in range(10)]

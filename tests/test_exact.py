@@ -15,7 +15,9 @@ is its mean.  Under a constant effect:
   d_p = ybar_p1(0) - ybar_p2(0), V = sum(w_p^2 d_p^2) and
   E[PCVE_FE] = V (1 + sum(w^2)) - 2 sum(w_p^3 d_p^2), so E[PCVE_FE] / V
   lies in [1 + sum(w^2) - 2 max(w), 1 + sum(w^2) - 2 min(w)]; only equal
-  weights give (P-1)/P;
+  weights give (P-1)/P.  With an effect tau_p per pair, the FE estimate has
+  mean tau_w = sum(w_p tau_p) and still variance V, and E[PCVE_FE] gains
+  sum(w_p^2 (tau_p - tau_w)^2); the range above then no longer holds;
 - with equal unit sizes, the ratio of the expected unit- and
   block-clustered FE variances is (G-1)/G + c_G/(P-1), whatever the
   outcomes, where c_G = (G-2)/G for even G and (G-2)/G - 4/(G(G^2-1))
@@ -96,23 +98,29 @@ def _paired_stats(sizes, control, effect):
     return unit_sum_stats(sums, n, treated, np.repeat(np.arange(P), 2), P, int(sizes.sum()))
 
 
-def _pair_weight_law(sizes, control):
-    """The pair weights w, V and E[PCVE_FE] of the pair-weight law."""
+def _pair_weight_law(sizes, control, taus=0.0):
+    """The pair weights w, V and E[PCVE_FE] of the pair-weight law, under pair effects ``taus``."""
     h = sizes[:, 0] * sizes[:, 1] / sizes.sum(axis=1)
     w = h / h.sum()
     d2 = (control[:, 0] - control[:, 1]) ** 2
     V = np.sum(w**2 * d2)
-    return w, V, V * (1 + np.sum(w**2)) - 2 * np.sum(w**3 * d2)
+    spread = np.sum(w**2 * (taus - np.sum(w * taus)) ** 2)  # 0 under a constant effect
+    return w, V, V * (1 + np.sum(w**2)) - 2 * np.sum(w**3 * d2) + spread
+
+
+def _paired_design(data, P):
+    """Unit sizes 1 to 20 and control means offset by ``OFFSET``, each (P, 2)."""
+    sizes = np.array(data.draw(st.lists(st.integers(1, 20), min_size=2 * P, max_size=2 * P)))
+    control = OFFSET + np.array(
+        data.draw(st.lists(st.floats(-10, 10), min_size=2 * P, max_size=2 * P))
+    )
+    return sizes.reshape(P, 2), control.reshape(P, 2)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data(), P=st.integers(3, 10), effect=st.floats(-5, 5))
 def test_pair_clustered_fe_variance_follows_the_pair_weight_law(data, P, effect):
-    sizes = np.array(data.draw(st.lists(st.integers(1, 20), min_size=2 * P, max_size=2 * P)))
-    sizes = sizes.reshape(P, 2)
-    control = OFFSET + np.array(
-        data.draw(st.lists(st.floats(-10, 10), min_size=2 * P, max_size=2 * P))
-    ).reshape(P, 2)
+    sizes, control = _paired_design(data, P)
     w, V, E = _pair_weight_law(sizes, control)
     assume(np.any(sizes[:, 0] != sizes[:, 1]) and np.ptp(w) > 0)  # unequal within and across
     assume(min(V, E) > 1e-2)  # else the offset's rounding, about 1e-12, shows at TOL
@@ -123,6 +131,19 @@ def test_pair_clustered_fe_variance_follows_the_pair_weight_law(data, P, effect)
     # the range that the pair weights alone, known from the data, give
     base = 1 + np.sum(w**2)
     assert (base - 2 * w.max()) * (1 - TOL) <= pcve / V <= (base - 2 * w.min()) * (1 + TOL)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), P=st.integers(3, 10))
+def test_pair_weight_law_under_heterogeneous_pair_effects(data, P):
+    sizes, control = _paired_design(data, P)
+    taus = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=P, max_size=P)))
+    w, V, E = _pair_weight_law(sizes, control, taus)
+    assume(min(V, E) > 1e-2)  # else the offset's rounding, about 1e-12, shows at TOL
+    stats = _paired_stats(sizes, control, np.repeat(taus, 2))  # both units of pair p get tau_p
+    assert stats.tau_fe.mean() == pytest.approx(np.sum(w * taus), rel=TOL, abs=TOL)
+    assert np.var(stats.tau_fe) == pytest.approx(V, rel=TOL)
+    assert stats.block_fe.mean() == pytest.approx(E, rel=TOL)
 
 
 def test_pair_clustered_fe_variance_is_biased_under_unequal_pair_weights():

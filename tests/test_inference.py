@@ -119,6 +119,7 @@ def test_critical_value_is_the_normal_quantile(level):
     ({"cluster": "x"}, "cluster must be"),
     ({"fe": "x"}, "fe must be"),
     *(({"level": level}, "level must be in") for level in (0.0, 1.0, -0.5, float("nan"))),
+    *(({"level": level}, "level must be a number") for level in ("0.05", None, True)),
 ])
 def test_analyze_refuses_bad_options_before_the_data(option, message):
     with pytest.raises(ValueError, match=message):  # None would fail as a dataset

@@ -7,7 +7,6 @@ import pytest
 
 from paircluster import (
     DGPConfig,
-    HeterogeneousEffect,
     Seed,
     SizeExperimentSpec,
     resampling_size_experiment,
@@ -245,7 +244,7 @@ def test_conservative_under_heterogeneous_effects():
     taus = rng.normal(0.0, 0.1, size=60)
     taus -= taus.mean()
     spec = SizeExperimentSpec(
-        dgp=DGPConfig(G=2, P=60, n_gp=50, effect_profile=HeterogeneousEffect(taus)),
+        dgp=DGPConfig(G=2, P=60, n_gp=50, effect=taus),
         reps=2000,
         master_seed=Seed(31),
     )
@@ -311,6 +310,11 @@ def test_bad_spec_rejected():
     one_pair, _ = random_paired(np.random.default_rng(4), P=1)
     with pytest.raises(ValueError, match="level"):  # checked before the data
         resampling_size_experiment(one_pair, reps=10, level=1.0, seed=Seed(1))
+    for level in ("0.05", None, True):  # not a number: a ValueError, not a TypeError
+        with pytest.raises(ValueError, match="level must be a number"):
+            SizeExperimentSpec(DGPConfig(G=2, P=5, n_gp=1), 10, Seed(1), level=level)
+        with pytest.raises(ValueError, match="level must be a number"):
+            resampling_size_experiment(data, reps=10, level=level, seed=Seed(1))
 
 
 def test_a_numpy_float_level_is_kept_as_a_float():

@@ -8,10 +8,8 @@ import paircluster
 PUBLIC = [
     "AnalysisReport",
     "Assignment",
-    "ConstantEffect",
     "DGPConfig",
     "ExperimentData",
-    "HeterogeneousEffect",
     "Seed",
     "SizeCell",
     "SizeExperimentSpec",
