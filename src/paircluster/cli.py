@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--level", type=float, default=0.05)
     p_sim.add_argument("--threads", type=int, default=None,
-                       help="Monte Carlo worker cap, at most the core count (default: all cores)")
+                       help="Monte Carlo workers, the calling process among them, at most the "
+                            "CPUs this process may use (default: all of them)")
     p_sim.add_argument("--csv-out", help="also write the size table CSV here")
     p_sim.add_argument("--json-out", help="also write the size table JSON here")
     return parser

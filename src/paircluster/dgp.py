@@ -38,14 +38,23 @@ def _count(name: str, value) -> int:
 
 
 def _real(name: str, value, n: int | None = None):
-    """One number as a float, or ``n`` numbers as a tuple of floats; a ``ValueError`` if not."""
-    values = np.asarray(value)
-    if values.dtype.kind not in "iuf" or values.shape not in [(), (n,)]:  # no bool, str or object
+    """One number as a float, or ``n`` numbers as a tuple of floats; a ``ValueError`` if not.
+
+    A bool is no number, alone or in a sequence; an int is the float it equals,
+    and one too large for a float is not finite.
+    """
+    items = np.asarray(value, dtype=object)  # each element as given, so a bool stays one
+    if items.shape not in [(), (n,)] or not all(
+        isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        for v in items.flat
+    ):
         expected = "a number" if n is None else f"a number or {n} numbers"
         raise ValueError(f"{name} must be {expected}, got {value!r}")
-    if values.ndim == 0:
-        return float(values)
-    return tuple(values.astype(float).tolist())
+    try:
+        values = items.astype(float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
+    return float(values) if values.ndim == 0 else tuple(values.tolist())
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,12 @@ with the sampling distribution of an observation-level generator; the
 tests check it against one (``simulate_strata`` in ``tests/oracles.py``).
 Every test rejects when |t| > ``variance.critical_value(level)``, as in ``analyze``.
 scipy serves only the generator's normal draws, and ``_StratifiedDraw`` loads it in
-the parent; resampling needs numpy only.  The process pool loads on first use.
+the parent; resampling needs numpy only.
+
+``threads`` counts the calling process: with w workers, w - 1 forked
+processes take chunks from the front of the queue while the caller runs
+those no process has started, from the back.  The process pool loads on
+the first run with two or more workers.
 """
 
 from __future__ import annotations
@@ -225,13 +230,26 @@ class SizeTable:
 
 
 def _run_chunks(worker, arg_list, threads):
-    cpus = os.cpu_count() or 1
-    workers = min(threads or cpus, cpus, len(arg_list))  # threads None: all cores
+    """``worker`` of each argument, in order; the first chunk to fail, in order, raises."""
+    # the CPUs this process may run on: its affinity mask where the platform has one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads or cpus, cpus, len(arg_list))  # threads None: all CPUs
     if workers <= 1:
         return [worker(a) for a in arg_list]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, arg_list))
+    from concurrent.futures import Future, ProcessPoolExecutor  # loads multiprocessing
+    pool = ProcessPoolExecutor(max_workers=workers - 1)
+    try:
+        futures = [pool.submit(worker, a) for a in arg_list]
+        for i in reversed(range(len(futures))):
+            if futures[i].cancel():  # still queued: the caller runs it
+                futures[i] = Future()
+                try:
+                    futures[i].set_result(worker(arg_list[i]))
+                except Exception as exc:  # raised below, in chunk order
+                    futures[i].set_exception(exc)
+        return [future.result() for future in futures]
+    finally:  # on any early exit too: no process goes on with queued chunks
+        pool.shutdown(cancel_futures=True)
 
 
 def _size_table(draw, reps, level, seed, threads, collect, G, block_label, design):
@@ -291,7 +309,8 @@ def run_size_experiment(
     forms all four clustered t-tests of a zero effect against the
     standard normal, and records the FE unit/stratum standard-error
     ratio.  Deterministic given the master seed, for any thread count;
-    ``threads`` (>= 1, None: all cores) and the core count cap the workers.
+    ``threads`` (>= 1, None: all) and the CPUs this process may use cap the
+    workers, the calling process among them.
     """
     cfg = spec.dgp
     return _size_table(

@@ -46,6 +46,26 @@ def test_config_validation():
     assert type(cfg.effect) is float and cfg.effect == 2.0
 
 
+@pytest.mark.parametrize("effect", [[1, True, 0], [1.0, np.True_, 0.0], np.array([1, 0, 1], bool)],
+                         ids=repr)
+def test_a_bool_inside_a_sequence_is_refused(effect):
+    with pytest.raises(ValueError, match="effect must be a number or 3 numbers"):
+        DGPConfig(2, 3, 1, effect=effect)
+
+
+def test_an_int_beyond_uint64_is_the_float_it_equals():
+    assert DGPConfig(2, 3, 1, effect=2**70).effect == 2.0**70
+    assert DGPConfig(2, 3, 1, effect=[2**70, 0, -(2**70)]).effect == (2.0**70, 0.0, -(2.0**70))
+    assert DGPConfig(2, 3, 1, sigma2_gamma=2**70).sigma2_gamma == 2.0**70
+
+
+@pytest.mark.parametrize("field, value", [("effect", 10**400), ("effect", [0, 10**400, 0]),
+                                          ("sigma2_gamma", 10**400)])
+def test_an_int_too_large_for_a_float_is_not_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite, got "):
+        DGPConfig(2, 3, 1, **{field: value})
+
+
 def test_per_stratum_effects_are_a_tuple_compared_by_value():
     cfg = DGPConfig(2, 3, 1, effect=np.array([0.5, -1, 0.0]))
     assert cfg.effect == (0.5, -1.0, 0.0) and all(type(tau) is float for tau in cfg.effect)

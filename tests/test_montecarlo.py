@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -44,33 +47,75 @@ def test_thread_count_does_not_change_results():
     assert serial.to_json_dict() == parallel.to_json_dict()
 
 
+class _InlinePool:
+    """Stands in for ``ProcessPoolExecutor`` and starts no process.
+
+    It records its worker count and runs the first chunk submitted to it at
+    once, as a process would take it; every later one stays queued, for the
+    caller to claim.
+    """
+
+    started, futures = [], []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def submit(self, fn, arg):
+        future = concurrent.futures.Future()
+        if not self.futures:
+            future.set_running_or_notify_cancel()
+            future.set_result(fn(arg))
+        self.futures.append(future)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        assert cancel_futures  # an early exit leaves no chunk queued
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_pool_is_capped_at_the_chunk_count(monkeypatch):
-    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    for cpus, reps, forked in [(8, 300, 1), (8, 5 * 256, 4), (2, 5 * 256, 1)]:
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(_InlinePool, "futures", [])
+        spec = _spec(P=4, reps=reps)
+        table = run_size_experiment(spec, threads=500)
+        # workers: the chunks (2 or 5) or the CPUs, whichever is fewer; the caller is one
+        assert _InlinePool.started[-1] == forked
+        assert sum(f.cancelled() for f in _InlinePool.futures) >= 1  # chunks the caller ran
+        assert table.to_csv_text() == run_size_experiment(spec, threads=1).to_csv_text()
+    assert len(_InlinePool.started) == 3
 
-    started = []
 
-    class SerialPool:  # records the worker count and starts no process
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+def test_workers_are_capped_by_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    monkeypatch.setattr(_InlinePool, "futures", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    spec = _spec(reps=300)
-    table = run_size_experiment(spec, threads=500)
-    assert started == [2]  # 300 replications are two chunks
-    assert table.to_csv_text() == run_size_experiment(spec, threads=1).to_csv_text()
-    started.clear()
-    run_size_experiment(_spec(P=4, reps=5 * 256), threads=500)
-    assert started == [2]  # five chunks, and never more workers than cores
+    _cpus(monkeypatch, 1)  # as under taskset -c 0 on two cores
+    spec = _spec(reps=600)
+    run_size_experiment(spec, threads=None)
+    assert _InlinePool.started == []  # one worker, the caller: no pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no mask: the CPU count
+    run_size_experiment(spec, threads=None)
+    assert _InlinePool.started == [1]
+
+
+@pytest.mark.parametrize("experiment", ["stratified", "resampled"])
+def test_size_tables_agree_at_one_two_and_three_workers(monkeypatch, experiment):
+    _cpus(monkeypatch, 3)  # three workers even on a two-core host: the caller and two forks
+    if experiment == "stratified":
+        spec = _spec(G=3, P=20, n_gp=2, reps=1100, seed=21, sigma2_gamma=0.3)
+        run = lambda threads: run_size_experiment(spec, threads=threads)
+    else:
+        data, _ = random_paired(np.random.default_rng(21), P=30)
+        run = lambda threads: resampling_size_experiment(data, 1100, 0.05, Seed(21), threads=threads)
+    texts = {run(threads).to_csv_text() for threads in (1, 2, 3)}
+    assert len(texts) == 1
 
 
 @pytest.mark.parametrize("reps", [True, 1.5, 2.0, "3"])
@@ -205,6 +250,29 @@ def test_first_failing_replication_in_a_later_chunk(threads):
         resampling_size_experiment(data, reps=800, level=0.05, seed=Seed(1), threads=threads)
     assert err.value.index == expected
     assert isinstance(err.value.cause, ZeroVariance)
+    assert multiprocessing.active_children() == []  # no worker outlives a failed run
+
+
+_RAN = []  # (process id, chunk) of each chunk; a forked worker appends to its own copy
+
+
+def _slow_chunk(chunk):
+    _RAN.append((os.getpid(), chunk))
+    time.sleep(0.02)  # long enough for the pool's process to take the first chunks
+    if chunk in (1, 7):
+        raise ValueError(chunk)
+    return chunk
+
+
+def test_the_first_failing_chunk_raises_whichever_process_ran_it(monkeypatch):
+    _cpus(monkeypatch, 2)
+    _RAN.clear()
+    with pytest.raises(ValueError) as err:
+        montecarlo._run_chunks(_slow_chunk, range(8), 2)
+    here = {chunk for pid, chunk in _RAN if pid == os.getpid()}
+    assert 7 in here and 1 not in here  # the caller failed on chunk 7, the worker on chunk 1
+    assert err.value.args == (1,)
+    assert multiprocessing.active_children() == []
 
 
 def test_csv_shape():
