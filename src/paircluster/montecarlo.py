@@ -20,10 +20,10 @@ Every test rejects when |t| > ``variance.critical_value(level)``, as in ``analyz
 scipy serves only the generator's normal draws, and ``_StratifiedDraw`` loads it in
 the parent; resampling needs numpy only.
 
-``threads`` counts the calling process: with w workers, w - 1 forked
-processes take chunks from the front of the queue while the caller runs
-those no process has started, from the back.  The process pool loads on
-the first run with two or more workers.
+``threads`` counts the calling process: with w workers it forks w - 1
+processes, and every worker claims the next chunk from one shared counter.
+``multiprocessing`` loads on the first run with two or more workers; where
+the platform cannot fork, runs are serial.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import ExperimentData
 from .dgp import DGPConfig, _count, uniform_to_normal
-from .errors import ReplicationError, ZeroVariance
+from .errors import PairClusterError, ReplicationError, ZeroVariance
 from .randomize import MAX_CHILDREN, ChildStreams, Seed
 from .variance import UnitStats, critical_value, unit_sum_stats
 
@@ -92,7 +92,7 @@ class _StratifiedDraw:
         self.n_blocks = cfg.P
         self.sizes = np.full(cfg.n_units, float(cfg.n_gp))
         self.n_obs = cfg.n_obs
-        uniform_to_normal(np.empty(0))  # loads scipy here, so a forked pool inherits it
+        uniform_to_normal(np.empty(0))  # loads scipy here, so forked workers inherit it
 
     def batch(self, streams, first, count):
         """(sums, treated) of the ``count`` replications from ``first``, each (count, units)."""
@@ -234,22 +234,54 @@ def _run_chunks(worker, arg_list, threads):
     # the CPUs this process may run on: its affinity mask where the platform has one
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads or cpus, cpus, len(arg_list))  # threads None: all CPUs
-    if workers <= 1:
+    if workers > 1:
+        import multiprocessing
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [worker(a) for a in arg_list]
-    from concurrent.futures import Future, ProcessPoolExecutor  # loads multiprocessing
-    pool = ProcessPoolExecutor(max_workers=workers - 1)
+    ctx = multiprocessing.get_context("fork")  # a fork context's lock has no name to track
+    counter, children = ctx.Value("q", 0), []
+
+    def claim():  # (result, exception) by index of each chunk this process claims
+        done = {}
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                counter.value = i + 1
+            if i >= len(arg_list):
+                return done
+            try:
+                done[i] = (worker(arg_list[i]), None)
+            except Exception as exc:  # raised below, in chunk order
+                done[i] = (None, exc)
+
+    def child(send):
+        import signal
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+        send.send(claim())
+
     try:
-        futures = [pool.submit(worker, a) for a in arg_list]
-        for i in reversed(range(len(futures))):
-            if futures[i].cancel():  # still queued: the caller runs it
-                futures[i] = Future()
-                try:
-                    futures[i].set_result(worker(arg_list[i]))
-                except Exception as exc:  # raised below, in chunk order
-                    futures[i].set_exception(exc)
-        return [future.result() for future in futures]
-    finally:  # on any early exit too: no process goes on with queued chunks
-        pool.shutdown(cancel_futures=True)
+        for _ in range(workers - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            process = ctx.Process(target=child, args=(send,))
+            process.start()
+            children.append((process, recv))
+            send.close()  # the child holds the only send end: its death is EOF here
+        done = claim()
+        for process, recv in children:
+            try:
+                done.update(recv.recv())
+            except (EOFError, OSError):
+                process.join()
+                raise PairClusterError(f"a Monte Carlo worker died, exit status {process.exitcode}")
+    finally:  # on any exit: no child outlives the call
+        for process, recv in children:
+            process.terminate()
+            process.join()
+            recv.close()
+    results, errors = zip(*(done[i] for i in range(len(arg_list))))
+    for exc in filter(None, errors):  # the first failing chunk, in chunk order
+        raise exc
+    return list(results)
 
 
 def _size_table(draw, reps, level, seed, threads, collect, G, block_label, design):

@@ -1,9 +1,13 @@
-import concurrent.futures
+import contextlib
 import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,8 @@ from paircluster import (
     run_size_experiment,
     validate_dataset,
 )
-from paircluster import montecarlo
-from paircluster.errors import ReplicationError, ZeroVariance
+from paircluster import cli, montecarlo
+from paircluster.errors import PairClusterError, ReplicationError, ZeroVariance
 from paircluster.montecarlo import _StratifiedDraw
 from paircluster.variance import unit_sum_stats
 from oracles import (
@@ -47,62 +51,87 @@ def test_thread_count_does_not_change_results():
     assert serial.to_json_dict() == parallel.to_json_dict()
 
 
-class _InlinePool:
-    """Stands in for ``ProcessPoolExecutor`` and starts no process.
-
-    It records its worker count and runs the first chunk submitted to it at
-    once, as a process would take it; every later one stays queued, for the
-    caller to claim.
-    """
-
-    started, futures = [], []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def submit(self, fn, arg):
-        future = concurrent.futures.Future()
-        if not self.futures:
-            future.set_running_or_notify_cancel()
-            future.set_result(fn(arg))
-        self.futures.append(future)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        assert cancel_futures  # an early exit leaves no chunk queued
-
-
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def _record_forks(monkeypatch):
+    """A list that gains one entry per worker process a run starts."""
+    started, start = [], multiprocessing.context.ForkProcess.start
+
+    def recording(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording)
+    return started
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fails the test when the call has not returned within ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"no return within {seconds} s")  # not an Exception: no handler hides it
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_pool_is_capped_at_the_chunk_count(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "started", [])
+    forks, ran, run_chunk = _record_forks(monkeypatch), [], montecarlo._run_chunk
+
+    def slow_chunk(args):  # no worker claims a second chunk before every process has started
+        time.sleep(0.05)
+        ran.append(args[2])  # a forked worker appends to its own copy
+        return run_chunk(args)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", slow_chunk)
     for cpus, reps, forked in [(8, 300, 1), (8, 5 * 256, 4), (2, 5 * 256, 1)]:
         _cpus(monkeypatch, cpus)
-        monkeypatch.setattr(_InlinePool, "futures", [])
+        forks.clear()
+        ran.clear()
         spec = _spec(P=4, reps=reps)
         table = run_size_experiment(spec, threads=500)
         # workers: the chunks (2 or 5) or the CPUs, whichever is fewer; the caller is one
-        assert _InlinePool.started[-1] == forked
-        assert sum(f.cancelled() for f in _InlinePool.futures) >= 1  # chunks the caller ran
+        assert len(forks) == forked
+        assert 1 <= len(ran) < -(-reps // 256)  # chunks the caller ran, and not all of them
         assert table.to_csv_text() == run_size_experiment(spec, threads=1).to_csv_text()
-    assert len(_InlinePool.started) == 3
 
 
 def test_workers_are_capped_by_the_affinity_mask(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "started", [])
-    monkeypatch.setattr(_InlinePool, "futures", [])
+    forks = _record_forks(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _cpus(monkeypatch, 1)  # as under taskset -c 0 on two cores
     spec = _spec(reps=600)
     run_size_experiment(spec, threads=None)
-    assert _InlinePool.started == []  # one worker, the caller: no pool
+    assert forks == []  # one worker, the caller: no fork
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no mask: the CPU count
     run_size_experiment(spec, threads=None)
-    assert _InlinePool.started == [1]
+    assert len(forks) == 1
+
+
+def test_three_workers_run_every_chunk_once_in_order(monkeypatch):
+    _cpus(monkeypatch, 3)  # the caller and two forked workers, even on two cores
+    runs = multiprocessing.get_context("fork").Array("i", 40)  # shared with the forked workers
+
+    def chunk(i):
+        with runs.get_lock():
+            runs[i] += 1
+        time.sleep(0.02)  # long enough for both forked workers to start and claim chunks
+        return i, os.getpid(), signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+
+    results = montecarlo._run_chunks(chunk, range(40), 3)
+    assert list(runs) == [1] * 40
+    assert [i for i, _, _ in results] == list(range(40))
+    ignores_sigint = {pid: ignores for _, pid, ignores in results}
+    assert len(ignores_sigint) == 3
+    assert ignores_sigint == {pid: pid != os.getpid() for pid in ignores_sigint}
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("experiment", ["stratified", "resampled"])
@@ -258,7 +287,7 @@ _RAN = []  # (process id, chunk) of each chunk; a forked worker appends to its o
 
 def _slow_chunk(chunk):
     _RAN.append((os.getpid(), chunk))
-    time.sleep(0.02)  # long enough for the pool's process to take the first chunks
+    time.sleep(0.02)  # long enough for the forked worker to claim chunks too
     if chunk in (1, 7):
         raise ValueError(chunk)
     return chunk
@@ -270,9 +299,91 @@ def test_the_first_failing_chunk_raises_whichever_process_ran_it(monkeypatch):
     with pytest.raises(ValueError) as err:
         montecarlo._run_chunks(_slow_chunk, range(8), 2)
     here = {chunk for pid, chunk in _RAN if pid == os.getpid()}
-    assert 7 in here and 1 not in here  # the caller failed on chunk 7, the worker on chunk 1
+    assert set() < here < set(range(8))  # the caller and the forked worker shared the chunks
     assert err.value.args == (1,)
     assert multiprocessing.active_children() == []
+
+
+def test_a_forked_workers_failure_is_raised_by_the_caller(monkeypatch):
+    _cpus(monkeypatch, 2)
+    caller, ran = os.getpid(), []  # the chunks the caller ran
+
+    def chunk(i):
+        ran.append(i)
+        time.sleep(0.02)
+        if os.getpid() != caller:
+            raise ReplicationError(i, ZeroVariance("zero"))
+        return i
+
+    with pytest.raises(ReplicationError) as err:
+        montecarlo._run_chunks(chunk, range(8), 2)
+    assert err.value.index == min(set(range(8)) - set(ran))  # the worker's first chunk
+    assert isinstance(err.value.cause, ZeroVariance)
+
+
+def test_a_dead_worker_is_a_runtime_error_not_a_hang(monkeypatch, capsys):
+    _cpus(monkeypatch, 2)
+    caller, run_chunk = os.getpid(), montecarlo._run_chunk
+
+    def dying(args):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.05)  # the forked worker claims a chunk meanwhile
+        return run_chunk(args)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", dying)
+    with pytest.raises(PairClusterError, match="worker died, exit status 3"), _deadline(20):
+        run_size_experiment(_spec(reps=600), threads=2)
+    assert multiprocessing.active_children() == []
+    argv = ["simulate", "--design", "paired", "--P", "20", "--n", "2", "--reps", "600",
+            "--seed", "1", "--threads", "2"]
+    with _deadline(20):
+        assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: a Monte Carlo worker died, exit status 3\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupted_caller_ends_every_worker(monkeypatch):
+    _cpus(monkeypatch, 3)
+    caller = os.getpid()
+
+    def chunk(i):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(0.1)  # 40 chunks: the two forked workers alone would take about 2 s
+
+    began = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt), _deadline(20):
+        montecarlo._run_chunks(chunk, range(40), 3)
+    assert time.perf_counter() - began < 1.0
+    assert multiprocessing.active_children() == []
+
+
+# Runs 40 slow chunks on three workers until Ctrl-C reaches its process group.
+_INTERRUPTED = """
+import os, time
+from paircluster import montecarlo
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+print("running", flush=True)
+montecarlo._run_chunks(lambda i: time.sleep(0.1), range(40), 3)
+"""
+
+
+def test_ctrl_c_prints_one_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(montecarlo.__file__).parents[1])}
+    run = subprocess.Popen([sys.executable, "-c", _INTERRUPTED], env=env, text=True,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        assert run.stdout.readline() == "running\n"
+        time.sleep(0.3)  # the forked workers are in their chunks
+        os.killpg(run.pid, signal.SIGINT)  # as Ctrl-C does: to every process of the group
+        _, err = run.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # nothing is left of the group
+            os.killpg(run.pid, signal.SIGKILL)
+    assert run.returncode != 0
+    assert err.count("Traceback") == 1
+    assert err.rstrip().endswith("KeyboardInterrupt")
 
 
 def test_csv_shape():
