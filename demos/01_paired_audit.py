@@ -42,7 +42,7 @@ print(f"dataset: {data.P} pairs, {data.n_units} units, {data.n_total} observatio
 # Both come from one call of the statistics kernel, with the variances.
 # ---------------------------------------------------------------------------
 stats = dataset_stats(data, assignment)
-report = pc.analyze(data, assignment, cluster="both", fe="both")
+report = pc.analyze(data, assignment)
 print(f"\ndifference in means : {stats.tau_nofe:+.4f}")
 print(f"pair fixed effects  : {stats.tau_fe:+.4f}")
 print(f"spread of the per-pair estimates: {report.dataset['pair_effect_spread']:.3f}")

@@ -3,8 +3,9 @@
 ``paircluster analyze`` audits a paired or stratified experiment CSV;
 ``paircluster simulate`` runs the replicated size experiments.  Results
 go to stdout, diagnostics to stderr.  Exit statuses: 0 success, 1 usage
-error, 2 data validation error, 3 runtime/numeric failure (an output that
-cannot be written, or a design too large for the machine, included).
+error, 2 data validation error or a ``--data`` file that cannot be read,
+3 runtime/numeric failure (an output that cannot be written, a design too
+large for the machine, memory that runs out and a failed fork included).
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ def _build_parser() -> _Parser:
     p_an = sub.add_parser("analyze", help="audit a paired or stratified experiment CSV")
     p_an.add_argument("--data", required=True, help="CSV with pair_id,unit_id,treatment,outcome; "
                       "a pair may hold more than 2 units (a stratum)")
-    p_an.add_argument("--cluster", choices=["pair", "unit", "both"], default="both")
-    p_an.add_argument("--fe", choices=["on", "off", "both"], default="both")
     p_an.add_argument("--level", type=float, default=0.05)
     p_an.add_argument("--json-out", help="write the full-precision JSON report here")
 
@@ -71,10 +70,16 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
-    if not 0.0 < args.level < 1.0:
-        raise _UsageError("--level must be in (0, 1)")
-    data, assignment = read_csv(args.data)
-    report = analyze(data, assignment, cluster=args.cluster, fe=args.fe, level=args.level)
+    from .variance import critical_value  # .report has loaded it
+    try:
+        critical_value(args.level)  # before the file is read
+    except ValueError as exc:
+        raise _UsageError(f"--{exc}") from None
+    try:
+        data, assignment = read_csv(args.data)
+    except OSError as exc:
+        raise DataError(f"cannot read {args.data}: {exc.strerror or exc}") from None
+    report = analyze(data, assignment, level=args.level)
     sys.stdout.write(report.to_text())
     if args.json_out:
         _write(args.json_out, json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -130,7 +135,7 @@ def _cmd_simulate(args) -> int:
             raise _UsageError(str(exc)) from None
         try:
             table = run_size_experiment(spec, threads=args.threads)
-        except (MemoryError, ValueError) as exc:  # numpy refuses arrays the machine cannot hold
+        except (MemoryError, OverflowError, ValueError) as exc:  # sizes no array or float holds
             raise PairClusterError(f"G={g}, P={args.P} is too large: {exc}") from None
         tables.append(table)
         cells.extend(table.cells)
@@ -166,11 +171,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, OSError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except PairClusterError as exc:
+    except (PairClusterError, OSError) as exc:  # OSError: e.g. a worker that cannot be forked
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError:  # whose message is empty
+        print("error: memory ran out", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -2,9 +2,9 @@
 
 The report mirrors how paired-experiment results are audited: both point
 estimators, all four clustered variances with their unit/pair ratio, and
-the t-tests the caller selected, for pairs and strata alike.  Every
-reported standard error is the square root of a reported variance; JSON
-output carries full precision and the text rendering rounds for display.
+all four t-tests, for pairs and strata alike.  Every reported standard
+error is the square root of a reported variance; JSON output carries
+full precision and the text rendering rounds for display.
 """
 
 from __future__ import annotations
@@ -121,52 +121,38 @@ class AnalysisReport:
                 bounds = " (per-pair share bounds: {:.6g} to {:.6g})".format(*self.ratio_m_range)
             lines.append("")
             lines.append(f"  unit/{block} variance ratio (FE): {self.ratio:.6g}{bounds}")
-        if self.tests:
-            lines.append("")
-            lines.append(f"  two-sided t-tests of zero effect, level {self.level:g}:")
-            for (cluster, model), res in self.tests.items():
-                if res.t_stat is None:
-                    outcome = "undefined (variance 0)"
-                else:
-                    verdict = "reject" if res.reject else "keep"
-                    outcome = f"t={res.t_stat:+.4f}  p={res.p_value:.4g}  {verdict}"
-                lines.append(row(cluster, model) + outcome)
+        lines.append("")
+        lines.append(f"  two-sided t-tests of zero effect, level {self.level:g}:")
+        for (cluster, model), res in self.tests.items():
+            if res.t_stat is None:
+                outcome = "undefined (variance 0)"
+            else:
+                verdict = "reject" if res.reject else "keep"
+                outcome = f"t={res.t_stat:+.4f}  p={res.p_value:.4g}  {verdict}"
+            lines.append(row(cluster, model) + outcome)
         return "\n".join(lines) + "\n"
 
 
-def analyze(
-    data: ExperimentData,
-    assignment: Assignment,
-    cluster: str = "both",
-    fe: str = "both",
-    level: float = 0.05,
-) -> AnalysisReport:
+def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -> AnalysisReport:
     """Full audit of a paired or stratified experiment.
 
-    ``cluster`` picks the clustering level(s) for the reported t-tests
-    ("pair", "unit", or "both"); ``fe`` picks the model(s) ("on", "off",
-    "both").  Variances and the unit/pair ratio are always reported.  A
-    "pair" is a block of any size, and each diagnostic reduces per block:
-    size ratio, balance, and the block effect (mean of treated minus mean
-    of control unit means).  ``ratio_m_range``, the range of each pair's
-    sum of squared size shares, bounds the FE ratio on pairs only: None on
-    strata.
+    Both estimates, all four variances, the unit/pair ratio and all four
+    t-tests at ``level``, in the order pair_nofe, pair_fe, unit_nofe,
+    unit_fe.  A "pair" is a block of any size, and each diagnostic reduces
+    per block: size ratio, balance, and the block effect (mean of treated
+    minus mean of control unit means).  ``ratio_m_range``, the range of
+    each pair's sum of squared size shares, bounds the FE ratio on pairs
+    only: None on strata.
     """
-    if cluster not in ("pair", "unit", "both"):
-        raise ValueError("cluster must be 'pair', 'unit', or 'both'")
-    if fe not in ("on", "off", "both"):
-        raise ValueError("fe must be 'on', 'off', or 'both'")
     z, level = critical_value(level), float(level)
 
     stats = dataset_stats(data, assignment)  # checks that every block has a contrast
     treated, block, P = assignment.treated, data.unit_pair, data.P
     n_treated = np.bincount(block, treated, P)
     variances = VarianceSet.from_stats(data, stats)
-    clusters = _CLUSTERS if cluster == "both" else (cluster,)
-    models = _MODELS if fe == "both" else (("fe",) if fe == "on" else ("nofe",))
     tests: dict[tuple[str, str], TestResult] = {}
-    for c in clusters:
-        for m in models:
+    for c in _CLUSTERS:
+        for m in _MODELS:
             tau = stats.tau_fe if m == "fe" else stats.tau_nofe
             tests[(c, m)] = _normal_test(tau, variances.value(c, m), z)
 

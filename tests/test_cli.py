@@ -2,6 +2,8 @@ import csv
 import gzip
 import json
 import math
+import multiprocessing
+import os
 import warnings
 
 import pytest
@@ -41,15 +43,24 @@ def test_analyze_minimal(minimal_csv, tmp_path, capsys):
     assert len(report["tests"]) == 4
 
 
-def test_analyze_single_test(minimal_csv, tmp_path):
-    json_path = tmp_path / "r.json"
-    code = main(
-        ["analyze", "--data", str(minimal_csv), "--cluster", "pair", "--fe", "on",
-         "--json-out", str(json_path)]
+def test_analyze_reports_all_four_tests(minimal_csv, tmp_path, capsys):
+    strata = tmp_path / "strata.csv"
+    strata.write_text(
+        "pair_id,unit_id,treatment,outcome\n"
+        "s1,a,1,1.0\ns1,b,0,2.0\ns1,c,0,3.5\ns2,d,1,4.0\ns2,e,0,5.0\ns2,f,1,5.5\n",
+        encoding="utf-8",
     )
-    assert code == 0
-    report = json.loads(json_path.read_text())
-    assert list(report["tests"]) == ["pair_fe"]
+    json_path = tmp_path / "r.json"
+    for path in (minimal_csv, strata):
+        assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 0
+        report = json.loads(json_path.read_text())
+        assert list(report["tests"]) == ["pair_nofe", "pair_fe", "unit_nofe", "unit_fe"]
+    capsys.readouterr()
+    # the test set is fixed: no flag selects part of it
+    for flag, value in [("--cluster", "pair"), ("--fe", "on")]:
+        assert main(["analyze", "--data", str(minimal_csv), flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: unrecognized arguments: {flag} {value}\n"
 
 
 def test_analyze_text_matches_json(minimal_csv, tmp_path, capsys):
@@ -68,7 +79,9 @@ def test_analyze_missing_data_flag(capsys):
 
 
 def test_analyze_missing_file(tmp_path, capsys):
-    assert main(["analyze", "--data", str(tmp_path / "nope.csv")]) == 2
+    path = tmp_path / "nope.csv"
+    assert main(["analyze", "--data", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: cannot read {path}: No such file or directory\n"
 
 
 def test_analyze_bad_treatment(tmp_path, capsys):
@@ -171,8 +184,7 @@ def test_analyze_zero_variance_test_is_undefined(tmp_path, capsys):
     assert report["variances"]["unit_fe"]["variance"] == 0.0
     assert "    cluster=pair  model=fe   undefined (variance 0)\n" in text
     assert "    cluster=unit  model=nofe t=+0.6667  p=0.505  keep\n" in text
-    assert main(["analyze", "--data", str(path), "--fe", "off"]) == 0
-    assert "cluster=pair  model=nofe undefined (variance 0)\n" in capsys.readouterr().out
+    assert "    cluster=pair  model=nofe undefined (variance 0)\n" in text
 
 
 OVERFLOW_CSV = """pair_id,unit_id,treatment,outcome
@@ -311,6 +323,7 @@ def test_simulate_effect_flag(capsys):
         ("--threads", "-2"),
         ("--level", "0"),
         ("--level", "1.5"),
+        ("--level", "1e-300"),
     ],
 )
 def test_simulate_out_of_range_values_are_usage_errors(flag, value, capsys):
@@ -332,8 +345,12 @@ def test_analyze_checks_flags_before_reading(tmp_path, monkeypatch, capsys):
         raise AssertionError("the file was read")
 
     monkeypatch.setattr("paircluster.cli.read_csv", never)
-    assert main(["analyze", "--data", missing, "--level", "0"]) == 1
-    assert "--level" in capsys.readouterr().err
+    capsys.readouterr()
+    for level in ("0", "1e-300"):  # 1 - level/2 rounds to 1 at or below 2**-53
+        assert main(["analyze", "--data", missing, "--level", level]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --level must be in (2**-53, 1), got {float(level)!r}\n"
+        )
 
 
 # Each design needs more than the 128 TiB a process can address, so numpy
@@ -343,9 +360,12 @@ def test_analyze_checks_flags_before_reading(tmp_path, monkeypatch, capsys):
     ["--design", "paired", "--P", "9223372036854775807"],
     ["--design", "paired", "--P", "18446744073709551616"],
     ["--design", "stratified", "--G", "100000000000000", "--P", "2"],
+    # sizes beyond a float and beyond a C long overflow before any array is made
+    ["--design", "paired", "--P", "5", "--n", "1" + "0" * 400],
+    ["--design", "stratified", "--G", "1" + "0" * 400, "--P", "3"],
 ])
 def test_simulate_design_too_large_for_the_machine_is_a_runtime_error(design, capsys):
-    assert main(["simulate", *design, "--n", "1", "--reps", "1", "--seed", "1"]) == 3
+    assert main(["simulate", "--n", "1", "--reps", "1", "--seed", "1", *design]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
@@ -363,3 +383,27 @@ def test_unwritable_output_is_a_runtime_error(minimal_csv, tmp_path, capsys):
         assert main([*argv, flag, path]) == 3
         err = capsys.readouterr().err
         assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_a_failed_fork_is_a_runtime_error(monkeypatch, capsys):
+    # the platform refuses the worker process; the caller forks no other
+    def refuse(self, process_obj):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("multiprocessing.popen_fork.Popen._launch", refuse)
+    argv = ["simulate", "--design", "paired", "--P", "5", "--n", "1", "--reps", "600",
+            "--seed", "1", "--threads", "2"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: [Errno 11] Resource temporarily unavailable\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_analyze_out_of_memory_is_a_runtime_error(minimal_csv, monkeypatch, capsys):
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr("paircluster.cli.read_csv", exhausted)
+    assert main(["analyze", "--data", str(minimal_csv)]) == 3
+    assert capsys.readouterr() == ("", "error: memory ran out\n")

@@ -115,10 +115,15 @@ def test_critical_value_is_the_normal_quantile(level):
             assert (abs(t) > z) == (math.erfc(abs(t) / math.sqrt(2.0)) < level)
 
 
+def test_the_smallest_level_has_a_finite_critical_value():
+    # the next float above 2**-53, where 1 - level/2 no longer rounds to 1
+    assert critical_value(math.nextafter(2.0**-53, 1.0)) == pytest.approx(8.2095, abs=1e-4)
+
+
 @pytest.mark.parametrize("option, message", [
-    ({"cluster": "x"}, "cluster must be"),
-    ({"fe": "x"}, "fe must be"),
-    *(({"level": level}, "level must be in") for level in (0.0, 1.0, -0.5, float("nan"))),
+    # at or below 2**-53 (1e-300 and 2**-53 here), 1 - level/2 rounds to 1, an infinite z
+    *(({"level": level}, "level must be in")
+      for level in (1e-300, 2.0**-53, 0.0, 1.0, -0.5, float("nan"))),
     *(({"level": level}, "level must be a number") for level in ("0.05", None, True)),
 ])
 def test_analyze_refuses_bad_options_before_the_data(option, message):
