@@ -136,7 +136,7 @@ def _cmd_simulate(args) -> int:
         try:
             table = run_size_experiment(spec, threads=args.threads)
         except (MemoryError, OverflowError, ValueError) as exc:  # sizes no array or float holds
-            raise PairClusterError(f"G={g}, P={args.P} is too large: {exc}") from None
+            raise PairClusterError(f"G={g}, P={args.P}, n={args.n} is too large: {exc}") from None
         tables.append(table)
         cells.extend(table.cells)
 

@@ -201,9 +201,8 @@ class Assignment:
         return isinstance(other, Assignment) and np.array_equal(self.treated, other.treated)
 
 
-def check_contrast(unit_pair, treated, pair_ids) -> np.ndarray:
-    """Each pair's treated-unit count; ``DegeneratePair`` names the first
-    pair without a treated and a control unit."""
+def check_contrast(unit_pair, treated, pair_ids) -> None:
+    """``DegeneratePair`` names the first pair without a treated and a control unit."""
     treated_units = np.bincount(unit_pair, weights=treated, minlength=pair_ids.size)
     units = np.bincount(unit_pair, minlength=pair_ids.size)
     degenerate = (treated_units == 0) | (treated_units == units)
@@ -213,4 +212,3 @@ def check_contrast(unit_pair, treated, pair_ids) -> np.ndarray:
             f"pair {pair_ids[p]!r} has no treated/control contrast "
             f"(treatments: {[int(treated_units[p] > 0)]}, units: {units[p]})"
         )
-    return treated_units

@@ -39,7 +39,7 @@ from .data import ExperimentData
 from .dgp import DGPConfig, _count, uniform_to_normal
 from .errors import PairClusterError, ReplicationError, ZeroVariance
 from .randomize import MAX_CHILDREN, ChildStreams, Seed
-from .variance import UnitStats, critical_value, unit_sum_stats
+from .variance import UnitStats, critical_value, overflow_error, software_factors, unit_sum_stats
 
 __all__ = [
     "SizeExperimentSpec",
@@ -65,11 +65,6 @@ def _check_reps(reps) -> int:
     if not 1 <= reps < MAX_CHILDREN:  # replication i is child i of the master seed
         raise ValueError(f"reps must be >= 1 and below 2**32, got {reps}")
     return reps
-
-
-def _software_factor(n_clusters: int, n_obs: int, n_params: int) -> float:
-    """c/(c-1) * (n-1)/(n-K), the adjustment most regression software applies."""
-    return (n_clusters / (n_clusters - 1.0)) * ((n_obs - 1.0) / (n_obs - n_params))
 
 
 def _uniforms(streams, first, count, *shapes):
@@ -135,16 +130,18 @@ def _run_chunk(args):
     draw, seed, start, count, z_crit, factors, collect = args
     streams = ChildStreams(seed, start, count)
     step, stats = max(1, _SUB_BATCH // draw.sizes.size), []
-    for lo in range(0, count, step):
-        sums, treated = draw.batch(streams, lo, min(step, count - lo))
-        rows = unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs)
-        stats.append(np.column_stack(rows))
+    with np.errstate(all="ignore"):  # an overflow fails its replication below, unwarned
+        for lo in range(0, count, step):
+            sums, treated = draw.batch(streams, lo, min(step, count - lo))
+            rows = unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs)
+            stats.append(np.column_stack(rows))
     stats = np.concatenate(stats)
     variances = stats[:, _VAR_COLS]
-    failed = ~(variances > 0).all(axis=1)  # t needs every variance positive
-    if failed.any():
-        cause = ZeroVariance("a clustered variance estimate is zero")
-        raise ReplicationError(start + int(np.argmax(failed)), cause)
+    ok = np.isfinite(stats).all(axis=1) & (variances > 0).all(axis=1)  # t needs both
+    if not ok.all():
+        i = int(np.argmin(ok))  # the first failing replication
+        cause = overflow_error(stats[i]) or ZeroVariance("a clustered variance estimate is zero")
+        raise ReplicationError(start + i, cause)
     t = stats[:, _TAU_COLS] / np.sqrt(variances)
     ratios = np.sqrt(variances[:, 1] / variances[:, 3])  # unit over block, FE
     return {
@@ -176,8 +173,9 @@ class SizeCell:
     """Rejection tally for one (test, G) cell.
 
     ``rejection_rate`` uses the raw cluster-robust variances (the limit
-    theory's convention); ``rejection_rate_dof`` scales each by the software
-    factor c/(c-1)*(n-1)/(n-K).  ``mean_se_ratio`` is the unit/block FE
+    theory's convention); ``rejection_rate_dof`` scales each by its factor
+    in ``variance.software_factors``, c/(c-1)*(n-1)/(n-K), which ``analyze``
+    reports as ``dof_factors``.  ``mean_se_ratio`` is the unit/block FE
     standard-error ratio as software reports it; the raw-variance ratio
     is kept alongside.  Ratios are populated on FE rows only.
     """
@@ -291,10 +289,8 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
     if not isinstance(seed, Seed):
         raise TypeError(f"seed must be a Seed, got {seed!r}")
     z_crit = critical_value(level)
-    n_units, n_blocks, n_obs = draw.sizes.size, draw.n_blocks, draw.n_obs
-    factors = np.array(  # in the order of _INTERNAL_TESTS
-        [_software_factor(c, n_obs, k) for c in (n_units, n_blocks) for k in (2, n_blocks + 1)]
-    )
+    factors = software_factors(draw.sizes.size, draw.n_blocks, draw.n_obs)
+    factors = np.array([factors[f"{c}_{m}".replace("block", "pair")] for c, m in _INTERNAL_TESTS])
     args = [
         (draw, seed, start, min(_CHUNK, reps - start), z_crit, factors, collect)
         for start in range(0, reps, _CHUNK)

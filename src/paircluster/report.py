@@ -72,9 +72,7 @@ class AnalysisReport:
             },
             "pair_small_sample_factor": factor(self.variances.pair_small_sample_factor),
             "unit_pair_ratio_fe": self.ratio,
-            "unit_pair_ratio_m_range": list(self.ratio_m_range)
-            if self.ratio_m_range is not None
-            else None,
+            "unit_pair_ratio_m_range": self.ratio_m_range and list(self.ratio_m_range),
             "level": self.level,
             "tests": {
                 f"{cluster}_{model}": {
@@ -113,7 +111,7 @@ class AnalysisReport:
             v = self.variances.value(cluster, model)
             lines.append(
                 row(cluster, model)
-                + f"var={v:.6g}  se={math.sqrt(v):.6g}  n/(n-K)={self.variances.dof_factors[key]:.6g}"
+                + f"var={v:.6g}  se={math.sqrt(v):.6g}  dof={self.variances.dof_factors[key]:.6g}"
             )
         if self.ratio is not None:
             bounds = ""
@@ -150,11 +148,8 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
     treated, block, P = assignment.treated, data.unit_pair, data.P
     n_treated = np.bincount(block, treated, P)
     variances = VarianceSet.from_stats(data, stats)
-    tests: dict[tuple[str, str], TestResult] = {}
-    for c in _CLUSTERS:
-        for m in _MODELS:
-            tau = stats.tau_fe if m == "fe" else stats.tau_nofe
-            tests[(c, m)] = _normal_test(tau, variances.value(c, m), z)
+    tests = {(c, m): _normal_test(getattr(stats, f"tau_{m}"), variances.value(c, m), z)
+             for c in _CLUSTERS for m in _MODELS}
 
     sizes = data.unit_sizes.astype(float)
     ratio = m_range = None

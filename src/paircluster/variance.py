@@ -7,10 +7,10 @@ by block, each with and without fixed effects) from per-unit outcome
 sums, unit sizes and the assignment, for any number of units per block
 and unequal unit sizes; it checks nothing.  ``dataset_stats`` feeds it a
 dataset, checks the assignment and refuses a statistic that overflows;
-``VarianceSet``/``variance_set`` carry the variances with their
-degrees-of-freedom factors, and ``report.analyze`` and the Monte Carlo
-engine call it.  All estimators are the raw cluster-robust forms, and every
-t-test of both rejects when |t| > ``critical_value(level)``.
+``VarianceSet``/``variance_set`` carry the variances with the small-sample
+factors of ``software_factors``, which the Monte Carlo engine applies too.
+All estimators are the raw cluster-robust forms, and every t-test of
+``report.analyze`` and the engine rejects when |t| > ``critical_value(level)``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from .data import Assignment, ExperimentData, check_contrast
 from .errors import EstimationError
 
-__all__ = ["UnitStats", "unit_sum_stats", "dataset_stats", "VarianceSet", "variance_set",
-           "critical_value"]
+__all__ = ["UnitStats", "unit_sum_stats", "dataset_stats", "software_factors", "VarianceSet",
+           "variance_set", "critical_value"]
 
 # OpenBLAS splits a dot of more than 10,000 elements across its threads, and
 # the rounding then depends on the thread count.  ``row_dot`` adds up dots of
@@ -113,6 +113,12 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
     return UnitStats(tau, tau_fe, unit_nofe, block_nofe, unit_fe, block_fe)
 
 
+def overflow_error(stats) -> EstimationError | None:
+    """An ``EstimationError`` naming the first ``UnitStats`` field not finite, or None."""
+    bad = [name for name, value in zip(UnitStats._fields, stats) if not np.isfinite(value)]
+    return EstimationError(f"{bad[0]} overflows: the outcomes are too large") if bad else None
+
+
 def dataset_stats(data: ExperimentData, assignment: Assignment) -> UnitStats:
     """``unit_sum_stats`` of a dataset under an assignment, as floats; blocks are pairs.
     ``DegeneratePair`` names the first pair without a treated and a control unit, and
@@ -123,19 +129,30 @@ def dataset_stats(data: ExperimentData, assignment: Assignment) -> UnitStats:
         stats = unit_sum_stats(data.centred_unit_sums, data.unit_sizes.astype(float),
                                treated[None], data.unit_pair, data.P, data.n_total)
     stats = UnitStats(*(float(v[0]) for v in stats))
-    if bad := [name for name, value in stats._asdict().items() if not np.isfinite(value)]:
-        raise EstimationError(f"{bad[0]} overflows: the outcomes are too large")
+    if error := overflow_error(stats):
+        raise error
     return stats
+
+
+def software_factors(n_units: int, n_blocks: int, n_obs: int) -> dict:
+    """c/(c-1) * (n-1)/(n-K), regression software's small-sample factor, keyed like the
+    variances of ``VarianceSet``: c clusters (blocks or units), n observations, and K = 2
+    parameters, or ``n_blocks`` + 1 with block fixed effects.  NaN where c <= 1 or n <= K."""
+    def factor(c, n, k):
+        return (c / (c - 1.0)) * ((n - 1.0) / (n - k)) if c > 1 and n > k else float("nan")
+    return {f"{cluster}_{model}": factor(c, n_obs, k)
+            for model, k in (("nofe", 2), ("fe", n_blocks + 1))
+            for cluster, c in (("pair", n_blocks), ("unit", n_units))}
 
 
 @dataclass(frozen=True)
 class VarianceSet:
     """All four clustered variance estimators for one dataset/assignment.
 
-    Values are raw (no degrees-of-freedom factor); ``dof_factors`` carries
-    the n/(n-K) factor of each estimator's model and
-    ``pair_small_sample_factor`` the P/(P-1) pair-level correction, so
-    callers can apply either convention.
+    Values are raw (no small-sample factor); ``dof_factors`` carries each
+    estimator's ``software_factors`` factor, the one ``simulate`` applies for
+    ``rejection_rate_dof``, and ``pair_small_sample_factor`` the P/(P-1)
+    pair-level correction, so callers can apply either convention.
     """
 
     pair_nofe: float
@@ -151,20 +168,13 @@ class VarianceSet:
     @classmethod
     def from_stats(cls, data: ExperimentData, stats: UnitStats) -> "VarianceSet":
         """The four variances of ``dataset_stats(data, ...)`` with their factors."""
-        n, P = data.n_total, data.P
-        dof_nofe, dof_fe = (n / (n - k) if n > k else float("nan") for k in (2, P + 1))
         return cls(
             pair_nofe=stats.block_nofe,
             unit_nofe=stats.unit_nofe,
             pair_fe=stats.block_fe,
             unit_fe=stats.unit_fe,
-            dof_factors={
-                "pair_nofe": dof_nofe,
-                "unit_nofe": dof_nofe,
-                "pair_fe": dof_fe,
-                "unit_fe": dof_fe,
-            },
-            pair_small_sample_factor=P / (P - 1) if P > 1 else float("nan"),
+            dof_factors=software_factors(data.n_units, data.P, data.n_total),
+            pair_small_sample_factor=data.P / (data.P - 1) if data.P > 1 else float("nan"),
         )
 
 

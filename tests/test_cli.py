@@ -4,12 +4,17 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from paircluster import cli
 from paircluster.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MINIMAL_CSV = """pair_id,unit_id,treatment,outcome
 p1,a,1,2.0
@@ -220,13 +225,54 @@ def test_analyze_one_pair_writes_strict_json(tmp_path, capsys):
     path, json_path = tmp_path / "one.csv", tmp_path / "one.json"
     path.write_text("pair_id,unit_id,treatment,outcome\np1,a,1,1\np1,b,0,2\n", encoding="utf-8")
     assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 0
-    assert "n/(n-K)=nan" in capsys.readouterr().out
+    assert "dof=nan" in capsys.readouterr().out
 
     def refuse(token):
         raise ValueError(f"not strict JSON: {token}")
     report = json.loads(json_path.read_text(), parse_constant=refuse)
     assert report["pair_small_sample_factor"] is None
     assert [v["dof_factor"] for v in report["variances"].values()] == [None] * 4
+
+
+def test_analyze_one_pair_of_several_observations_has_unit_factors(tmp_path):
+    # one pair is one cluster: no pair factor; its two units of 3 observations each give
+    # c/(c-1) * (n-1)/(n-K) = 2/1 * 5/4 with K = 2, and K = P + 1 = 2 with pair effects
+    path, json_path = tmp_path / "one.csv", tmp_path / "one.json"
+    rows = [f"p1,{u},{int(u == 'a')},{k + 2 * (u == 'a')}" for u in "ab" for k in range(3)]
+    path.write_text("pair_id,unit_id,treatment,outcome\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 0
+    variances = json.loads(json_path.read_text())["variances"]
+    factors = {key: v["dof_factor"] for key, v in variances.items()}
+    assert factors == {"pair_nofe": None, "unit_nofe": 2.5, "pair_fe": None, "unit_fe": 2.5}
+
+
+def _cli(*argv, warnings_as_errors=False):
+    """``paircluster`` run in a fresh interpreter: (exit status, stdout, stderr)."""
+    flags = ["-W", "error::RuntimeWarning"] if warnings_as_errors else []
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, *flags, "-m", "paircluster.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_simulate_draws_that_overflow_fail_without_a_warning():
+    # an effect of 1e308 is finite, but the statistics of its draws are not
+    code, out, err = _cli("simulate", "--design", "paired", "--P", "5", "--n", "1", "--reps", "5",
+                          "--seed", "1", "--threads", "1", "--effect", "1e308",
+                          warnings_as_errors=True)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: replication 0 failed: ") and err.count("\n") == 1
+    assert "overflows" in err and "Warning" not in err and "Traceback" not in err
+
+
+def test_simulate_too_large_names_the_whole_design():
+    # an --n beyond a float is what overflows here, so the message names it too
+    n = "1" + "0" * 400
+    code, out, err = _cli("simulate", "--design", "paired", "--P", "5", "--n", n, "--reps", "1",
+                          "--seed", "1")
+    assert (code, out) == (3, "") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: G=2, P=5, n={n} is too large: ")
 
 
 def test_simulate_deterministic_csv(capsys):

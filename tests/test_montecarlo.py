@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ from paircluster import (
     validate_dataset,
 )
 from paircluster import cli, montecarlo
-from paircluster.errors import PairClusterError, ReplicationError, ZeroVariance
+from paircluster.errors import EstimationError, PairClusterError, ReplicationError, ZeroVariance
 from paircluster.montecarlo import _StratifiedDraw
-from paircluster.variance import unit_sum_stats
+from paircluster.variance import critical_value, unit_sum_stats, variance_set
 from oracles import (
     diff_in_means,
     fe_estimate,
@@ -263,6 +264,38 @@ def test_zero_variance_data_reports_failing_replication():
         resampling_size_experiment(data, reps=50, level=0.05, seed=Seed(1))
     assert err.value.index == 0
     assert isinstance(err.value.cause, ZeroVariance)
+
+
+def test_analyze_reports_the_factor_simulate_applies():
+    # every dof-adjusted tally counts the replications whose |t|, scaled down by the factor
+    # that variance_set reports for the same dataset, exceeds z
+    sizes = np.array([[1, 4], [2, 2], [3, 1], [5, 2], [1, 6], [4, 3]])
+    data, assignment = validate_dataset(paired_rows(np.random.default_rng(31), sizes))
+    reps, z = 2000, critical_value(0.05)
+    table = resampling_size_experiment(data, reps, 0.05, Seed(12), collect_tstats=True)
+    factors = variance_set(data, assignment).dof_factors
+    fewer = 0
+    for (cluster, model), t in table.t_stats.items():
+        cluster = "pair" if cluster == "block" else cluster
+        cell = table.cell(cluster, model)
+        count = np.count_nonzero(np.abs(t) / np.sqrt(factors[f"{cluster}_{model}"]) > z)
+        assert count == round(cell.rejection_rate_dof * reps)
+        fewer += count < cell.rejections
+    assert fewer > 0  # the factors matter
+
+
+def test_statistics_that_overflow_fail_their_replication_unwarned():
+    # scores near 1e160 square beyond float64 under every assignment
+    rows = [("p1", "a", 1, 1e160), ("p1", "b", 0, 0.0), ("p2", "c", 1, 0.0),
+            ("p2", "d", 0, -1e160), ("p3", "e", 1, 1.0), ("p3", "f", 0, 2.0)]
+    data, _ = validate_dataset(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReplicationError) as err:
+            resampling_size_experiment(data, reps=50, level=0.05, seed=Seed(1))
+    assert err.value.index == 0
+    assert type(err.value.cause) is EstimationError
+    assert str(err.value.cause).endswith(" overflows: the outcomes are too large")
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -259,7 +259,12 @@ def test_variance_set_contents(minimal):
     assert vs.pair_nofe == pytest.approx(0.5)
     assert vs.unit_fe == pytest.approx(0.25)
     assert vs.pair_small_sample_factor == pytest.approx(2.0)
-    assert vs.dof_factors["pair_nofe"] == pytest.approx(4 / 2)
+    # c/(c-1) * (n-1)/(n-K) with n = 4 observations: 2/1 * 3/2 with c = P = 2 pairs and K = 2;
+    # 4/3 * 3/2 with c = 4 units; with pair effects K = P + 1 = 3: 2/1 * 3/1 and 4/3 * 3/1
+    assert vs.dof_factors["pair_nofe"] == pytest.approx(3.0)
+    assert vs.dof_factors["unit_nofe"] == pytest.approx(2.0)
+    assert vs.dof_factors["pair_fe"] == pytest.approx(6.0)
+    assert vs.dof_factors["unit_fe"] == pytest.approx(4.0)
     assert vs.value("unit", "fe") == vs.unit_fe
 
 
