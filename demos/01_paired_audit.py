@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 import paircluster as pc
-from paircluster.variance import dataset_stats
 
 rng = np.random.default_rng(12345)
 
@@ -41,7 +40,7 @@ print(f"dataset: {data.P} pairs, {data.n_units} units, {data.n_total} observatio
 # the fixed-effects estimate reweights pairs by harmonic unit size.
 # Both come from one call of the statistics kernel, with the variances.
 # ---------------------------------------------------------------------------
-stats = dataset_stats(data, assignment)
+stats = pc.variance_set(data, assignment)
 report = pc.analyze(data, assignment)
 print(f"\ndifference in means : {stats.tau_nofe:+.4f}")
 print(f"pair fixed effects  : {stats.tau_fe:+.4f}")
@@ -51,13 +50,12 @@ print(f"spread of the per-pair estimates: {report.dataset['pair_effect_spread']:
 # The four clustered variance estimators.  Within a pair the two
 # treatment indicators are perfectly negatively correlated; clustering
 # by unit ignores that and, with fixed effects, roughly halves the
-# variance estimate.
+# variance estimate.  ``stats`` holds them, each named by its test.
 # ---------------------------------------------------------------------------
-vs = pc.variance_set(data, assignment)
 print("\nvariance estimates (raw cluster-robust):")
 for key in ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe"):
     cluster, model = key.split("_")
-    print(f"  cluster={cluster:<5} model={model:<4}  {vs.value(cluster, model):.6f}")
+    print(f"  cluster={cluster:<5} model={model:<4}  {getattr(stats, key):.6f}")
 
 lo, hi = report.ratio_m_range
 print(f"\nunit/pair variance ratio (FE model): {report.ratio:.4f}")
@@ -72,7 +70,7 @@ print("  balanced pairs give exactly 0.5; a 2:1 size split gives 5/9 = 0.5556")
 print(f"\ntwo-sided t-tests at level {report.level} (truth: no effect):")
 for key in ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe"):
     cluster, model = key.split("_")
-    res = report.tests[(cluster, model)]
+    res = report.tests[key]
     print(f"  cluster={cluster:<5} model={model:<4}  t={res.t_stat:+.3f}  "
           f"p={res.p_value:.3f}  reject={res.reject}")
 

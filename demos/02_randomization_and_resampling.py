@@ -8,7 +8,6 @@ assignment of a fixed dataset imposes a true effect of exactly zero.
 import numpy as np
 
 import paircluster as pc
-from paircluster.variance import dataset_stats
 
 rng = np.random.default_rng(2024)
 
@@ -48,10 +47,11 @@ print(f"unit inclusion frequency over {draws} draws: "
 # experiments have a true effect of exactly zero, whatever the data.
 # ---------------------------------------------------------------------------
 paired, original = pc.validate_dataset(experiment_rows(P=40, G=2, n=10, effect=1.0))
-print(f"\noriginal draw sees the built-in effect: {dataset_stats(paired, original).tau_nofe:+.3f}")
+tau_hat = pc.variance_set(paired, original).tau_nofe
+print(f"\noriginal draw sees the built-in effect: {tau_hat:+.3f}")
 
 taus = np.array([
-    dataset_stats(paired, pc.draw_paired_assignment(paired, pc.Seed(master))).tau_nofe
+    pc.variance_set(paired, pc.draw_paired_assignment(paired, pc.Seed(master))).tau_nofe
     for master in range(400)
 ])
 print(f"resampled estimates center on zero: mean {taus.mean():+.4f}, sd {taus.std():.4f}")

@@ -23,7 +23,7 @@ from .montecarlo import (
 )
 from .randomize import Seed, draw_paired_assignment, draw_stratified_assignment
 from .report import AnalysisReport, analyze
-from .variance import VarianceSet, variance_set
+from .variance import variance_set
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "draw_stratified_assignment",
     "AnalysisReport",
     "analyze",
-    "VarianceSet",
     "variance_set",
     "__version__",
 ]

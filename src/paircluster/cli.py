@@ -20,6 +20,7 @@ from .errors import DataError, PairClusterError
 from .montecarlo import SizeTable, run_size_experiment, SizeExperimentSpec
 from .randomize import Seed
 from .report import analyze
+from .variance import critical_value
 
 __all__ = ["main"]
 
@@ -70,7 +71,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
-    from .variance import critical_value  # .report has loaded it
     try:
         critical_value(args.level)  # before the file is read
     except ValueError as exc:

@@ -49,11 +49,11 @@ __all__ = [
     "resampling_size_experiment",
 ]
 
-# (clustering, model) in output order; "block" is the pair/stratum level.
-_INTERNAL_TESTS = (("unit", "nofe"), ("unit", "fe"), ("block", "nofe"), ("block", "fe"))
+# The tests, named by their ``UnitStats`` variance, in CSV order; a "pair" is the block.
+_TESTS = ("unit_nofe", "unit_fe", "pair_nofe", "pair_fe")
 # Columns of ``UnitStats`` holding each test's estimate and variance.
-_TAU_COLS = [UnitStats._fields.index(f"tau_{model}") for _, model in _INTERNAL_TESTS]
-_VAR_COLS = [UnitStats._fields.index(f"{c}_{model}") for c, model in _INTERNAL_TESTS]
+_TAU_COLS = [UnitStats._fields.index("tau_" + key.split("_")[1]) for key in _TESTS]
+_VAR_COLS = [UnitStats._fields.index(key) for key in _TESTS]
 
 _CHUNK = 256
 _SUB_BATCH = 2**14  # at most this many (replication, unit) elements per kernel call
@@ -290,7 +290,7 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
         raise TypeError(f"seed must be a Seed, got {seed!r}")
     z_crit = critical_value(level)
     factors = software_factors(draw.sizes.size, draw.n_blocks, draw.n_obs)
-    factors = np.array([factors[f"{c}_{m}".replace("block", "pair")] for c, m in _INTERNAL_TESTS])
+    factors = np.array([factors[key] for key in _TESTS])
     args = [
         (draw, seed, start, min(_CHUNK, reps - start), z_crit, factors, collect)
         for start in range(0, reps, _CHUNK)
@@ -301,12 +301,13 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
     ratio_raw = sum(res["ratio_sum"] for res in results) / reps
     ratio_adj = ratio_raw * math.sqrt(factors[1] / factors[3])
     cells = []
-    for j, (cluster, model) in enumerate(_INTERNAL_TESTS):
+    for j, key in enumerate(_TESTS):
+        cluster, model = key.split("_")
         rate = int(rej[j]) / reps
         is_fe = model == "fe"
         cells.append(
             SizeCell(
-                test=block_label if cluster == "block" else cluster,
+                test=block_label if cluster == "pair" else cluster,
                 model=model,
                 G=G,
                 reps=reps,
@@ -321,7 +322,7 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
     table = SizeTable(cells=cells, level=level, seed=seed.master, design=design)
     if collect:
         tstats = np.concatenate([res["tstats"] for res in results])
-        table.t_stats = {key: tstats[:, j] for j, key in enumerate(_INTERNAL_TESTS)}
+        table.t_stats = {(c.test, c.model): tstats[:, j] for j, c in enumerate(cells)}
         table.se_ratios = np.concatenate([res["ratios"] for res in results])
     return table
 

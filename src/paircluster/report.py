@@ -2,9 +2,11 @@
 
 The report mirrors how paired-experiment results are audited: both point
 estimators, all four clustered variances with their unit/pair ratio, and
-all four t-tests, for pairs and strata alike.  Every reported standard
-error is the square root of a reported variance; JSON output carries
-full precision and the text rendering rounds for display.
+all four t-tests, for pairs and strata alike.  Each test is named by the
+``variance.UnitStats`` field of its variance (``pair_nofe``, ``unit_fe``, ...;
+a "pair" is a block), in the JSON and in ``AnalysisReport.tests``.  Every
+reported standard error is the square root of a reported variance; JSON output
+carries full precision and the text rendering rounds for display.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .variance import VarianceSet, critical_value, dataset_stats
+from .variance import UnitStats, critical_value, software_factors, variance_set
 
 __all__ = ["AnalysisReport", "analyze"]
 
-_CLUSTERS = ("pair", "unit")
-_MODELS = ("nofe", "fe")
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -38,7 +38,7 @@ class TestResult:
 
 def _normal_test(tau_hat: float, v_hat: float, z: float) -> TestResult:
     """t = tau_hat / sqrt(v_hat), rejected when |t| > z, with p = erfc(|t| / sqrt(2));
-    ``v_hat`` is finite and not negative, as ``dataset_stats`` gives it."""
+    ``v_hat`` is finite and not negative, as ``variance_set`` gives it."""
     if v_hat == 0.0:  # e.g. FE scores under an exactly constant effect
         return TestResult(None, None, None)
     t = tau_hat / math.sqrt(v_hat)
@@ -47,9 +47,13 @@ def _normal_test(tau_hat: float, v_hat: float, z: float) -> TestResult:
 
 @dataclass
 class AnalysisReport:
-    tau_nofe: float
-    tau_fe: float
-    variances: VarianceSet
+    """``stats`` holds both estimates and the four raw variances; ``dof_factors`` each
+    variance's ``software_factors`` factor, the one ``simulate`` applies for
+    ``rejection_rate_dof``, and ``pair_small_sample_factor`` the P/(P-1) pair-level one."""
+
+    stats: UnitStats
+    dof_factors: dict
+    pair_small_sample_factor: float
     ratio: float | None
     ratio_m_range: tuple[float, float] | None
     tests: dict
@@ -61,26 +65,19 @@ class AnalysisReport:
             return None if math.isnan(value) else value
         return {
             "dataset": self.dataset,
-            "estimates": {"nofe": self.tau_nofe, "fe": self.tau_fe},
+            "estimates": {"nofe": self.stats.tau_nofe, "fe": self.stats.tau_fe},
             "variances": {
-                key: {
-                    "variance": self.variances.value(*key.split("_")),
-                    "std_error": math.sqrt(self.variances.value(*key.split("_"))),
-                    "dof_factor": factor(self.variances.dof_factors[key]),
-                }
-                for key in ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe")
+                key: {"variance": v, "std_error": math.sqrt(v),
+                      "dof_factor": factor(self.dof_factors[key])}
+                for key, v in zip(UnitStats._fields[2:], self.stats[2:])
             },
-            "pair_small_sample_factor": factor(self.variances.pair_small_sample_factor),
+            "pair_small_sample_factor": factor(self.pair_small_sample_factor),
             "unit_pair_ratio_fe": self.ratio,
             "unit_pair_ratio_m_range": self.ratio_m_range and list(self.ratio_m_range),
             "level": self.level,
             "tests": {
-                f"{cluster}_{model}": {
-                    "t_stat": res.t_stat,
-                    "p_value": res.p_value,
-                    "reject": res.reject,
-                }
-                for (cluster, model), res in self.tests.items()
+                key: {"t_stat": res.t_stat, "p_value": res.p_value, "reject": res.reject}
+                for key, res in self.tests.items()
             },
         }
 
@@ -91,7 +88,8 @@ class AnalysisReport:
             else ("paired", "pair", "pairs")
         )
 
-        def row(cluster, model):  # a table row's first columns; the "pair" cluster is the block
+        def row(key):  # a table row's first columns; the "pair" cluster is the block
+            cluster, model = key.split("_")
             label = block if cluster == "pair" else cluster
             return f"    cluster={label:<{len(block) + 1}} model={model:<4} "
 
@@ -101,17 +99,14 @@ class AnalysisReport:
             f"  observations per unit: min {d['unit_size_min']}, max {d['unit_size_max']}",
             f"  max within-{block} size ratio: {d['max_within_pair_size_ratio']:.3f}",
             "",
-            f"  {'effect (diff in means)':<23}: {self.tau_nofe:.6g}",
-            f"  {f'effect ({block} FE)':<23}: {self.tau_fe:.6g}",
+            f"  {'effect (diff in means)':<23}: {self.stats.tau_nofe:.6g}",
+            f"  {f'effect ({block} FE)':<23}: {self.stats.tau_fe:.6g}",
             "",
             "  variance estimates (raw cluster-robust):",
         ]
-        for key in ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe"):
-            cluster, model = key.split("_")
-            v = self.variances.value(cluster, model)
+        for key, v in zip(UnitStats._fields[2:], self.stats[2:]):
             lines.append(
-                row(cluster, model)
-                + f"var={v:.6g}  se={math.sqrt(v):.6g}  dof={self.variances.dof_factors[key]:.6g}"
+                row(key) + f"var={v:.6g}  se={math.sqrt(v):.6g}  dof={self.dof_factors[key]:.6g}"
             )
         if self.ratio is not None:
             bounds = ""
@@ -121,13 +116,13 @@ class AnalysisReport:
             lines.append(f"  unit/{block} variance ratio (FE): {self.ratio:.6g}{bounds}")
         lines.append("")
         lines.append(f"  two-sided t-tests of zero effect, level {self.level:g}:")
-        for (cluster, model), res in self.tests.items():
+        for key, res in self.tests.items():
             if res.t_stat is None:
                 outcome = "undefined (variance 0)"
             else:
                 verdict = "reject" if res.reject else "keep"
                 outcome = f"t={res.t_stat:+.4f}  p={res.p_value:.4g}  {verdict}"
-            lines.append(row(cluster, model) + outcome)
+            lines.append(row(key) + outcome)
         return "\n".join(lines) + "\n"
 
 
@@ -144,17 +139,16 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
     """
     z, level = critical_value(level), float(level)
 
-    stats = dataset_stats(data, assignment)  # checks that every block has a contrast
+    stats = variance_set(data, assignment)  # checks that every block has a contrast
     treated, block, P = assignment.treated, data.unit_pair, data.P
     n_treated = np.bincount(block, treated, P)
-    variances = VarianceSet.from_stats(data, stats)
-    tests = {(c, m): _normal_test(getattr(stats, f"tau_{m}"), variances.value(c, m), z)
-             for c in _CLUSTERS for m in _MODELS}
+    tests = {key: _normal_test(getattr(stats, "tau_" + key.split("_")[1]), getattr(stats, key), z)
+             for key in ("pair_nofe", "pair_fe", "unit_nofe", "unit_fe")}
 
     sizes = data.unit_sizes.astype(float)
     ratio = m_range = None
-    if stats.block_fe > 0.0:
-        ratio = stats.unit_fe / stats.block_fe
+    if stats.pair_fe > 0.0:
+        ratio = stats.unit_fe / stats.pair_fe
         if data.n_units == 2 * P:
             m_b = np.bincount(block, (sizes / np.bincount(block, sizes, P)[block]) ** 2, P)
             m_range = (float(m_b.min()), float(m_b.max()))
@@ -174,9 +168,9 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
         "pair_effect_spread": float(np.ptp(block_effect)),
     }
     return AnalysisReport(
-        tau_nofe=stats.tau_nofe,
-        tau_fe=stats.tau_fe,
-        variances=variances,
+        stats=stats,
+        dof_factors=software_factors(data.n_units, P, data.n_total),
+        pair_small_sample_factor=P / (P - 1) if P > 1 else float("nan"),
         ratio=ratio,
         ratio_m_range=m_range,
         tests=tests,

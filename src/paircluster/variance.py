@@ -2,29 +2,29 @@
 
 Every statistic the package reports or tallies comes from one kernel,
 ``unit_sum_stats``: both fits (the difference in means and the block
-fixed-effects regression) and all four clustered variances (by unit and
-by block, each with and without fixed effects) from per-unit outcome
+fixed-effects regression) and all four clustered variances (by block and
+by unit, each without and with fixed effects) from per-unit outcome
 sums, unit sizes and the assignment, for any number of units per block
-and unequal unit sizes; it checks nothing.  ``dataset_stats`` feeds it a
-dataset, checks the assignment and refuses a statistic that overflows;
-``VarianceSet``/``variance_set`` carry the variances with the small-sample
-factors of ``software_factors``, which the Monte Carlo engine applies too.
-All estimators are the raw cluster-robust forms, and every t-test of
-``report.analyze`` and the engine rejects when |t| > ``critical_value(level)``.
+and unequal unit sizes; it checks nothing.  ``UnitStats`` names each variance
+by its test, the key ``analyze`` reports it under (``pair_fe``: a "pair" is a
+block).  ``variance_set`` feeds the kernel a dataset, checks the assignment and
+refuses a statistic that overflows; ``software_factors``, keyed by those names,
+gives the small-sample factors that ``analyze`` reports and the Monte Carlo
+engine applies.  All estimators are the raw cluster-robust forms, and every
+t-test rejects when |t| > ``critical_value(level)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Assignment, ExperimentData, check_contrast
+from .dgp import _real
 from .errors import EstimationError
 
-__all__ = ["UnitStats", "unit_sum_stats", "dataset_stats", "software_factors", "VarianceSet",
-           "variance_set", "critical_value"]
+__all__ = ["UnitStats", "unit_sum_stats", "variance_set", "software_factors", "critical_value"]
 
 # OpenBLAS splits a dot of more than 10,000 elements across its threads, and
 # the rounding then depends on the thread count.  ``row_dot`` adds up dots of
@@ -37,7 +37,6 @@ def critical_value(level: float) -> float:
     """z with P(|N(0, 1)| > z) = ``level``: a two-sided normal test rejects when |t| > z.
     The one check of a test level: a ``ValueError`` unless it is a number in (2**-53, 1),
     since at or below 2**-53, 1 - level/2 rounds to 1, whose quantile is infinite."""
-    from .dgp import _real  # the package has loaded dgp by now
     level = _real("level", level)
     if not 2.0**-53 < level < 1.0:
         raise ValueError(f"level must be in (2**-53, 1), got {level!r}")
@@ -46,14 +45,15 @@ def critical_value(level: float) -> float:
 
 
 class UnitStats(NamedTuple):
-    """Both effect estimates and the four raw variances; a block is a pair or stratum."""
+    """Both effect estimates and the four raw variances, each named by its test: clustered
+    by pair (a block: a pair or stratum) or by unit, without and with pair fixed effects."""
 
     tau_nofe: float
     tau_fe: float
+    pair_nofe: float
     unit_nofe: float
-    block_nofe: float
+    pair_fe: float
     unit_fe: float
-    block_fe: float
 
 
 def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
@@ -68,7 +68,7 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
     ``treated`` is (rows, units), one assignment per row, with (rows, units)
     ``sums`` or shared (units,) ones; every field is (rows,).  Every block
     of every row must hold a treated and a control unit.  The kernel checks
-    nothing: ``dataset_stats`` checks an assignment from outside, and the
+    nothing: ``variance_set`` checks an assignment from outside, and the
     Monte Carlo engine fails a replication whose variance is not positive.
     """
     tf = treated.astype(float)
@@ -87,14 +87,14 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
             total += row_dot(a[:, k:k + _DOT_UNITS], b[..., k:k + _DOT_UNITS])
         return total
 
-    def variances(base, slope, x, weight, denom):  # of scores weight * residual, in place
+    def variances(base, slope, x, weight, denom):  # block, unit; scores weight * residual
         scores = slope[:, None] * x  # the residual is sums - sizes * (base + slope * x)
         scores += base
         scores *= sizes
         np.subtract(sums, scores, out=scores)
         scores *= weight
         block_scores = block_sums(scores)
-        return row_dot(scores, scores) / denom**2, row_dot(block_scores, block_scores) / denom**2
+        return row_dot(block_scores, block_scores) / denom**2, row_dot(scores, scores) / denom**2
 
     T = row_dot(tf, sizes)
     C = n_obs - T
@@ -102,15 +102,15 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
     alpha = (sums.sum(axis=-1) - sum_t) / C
     tau = sum_t / T - alpha
     x = tf - (T / n_obs)[:, None]
-    unit_nofe, block_nofe = variances(alpha[:, None], tau, tf, x, T * C / n_obs)
+    pair_nofe, unit_nofe = variances(alpha[:, None], tau, tf, x, T * C / n_obs)
 
     size_b = block_sums(sizes)
     x_fe = tf - np.take(block_sums(sizes * tf) / size_b, block, axis=-1)
     denom_fe = row_dot(x_fe * x_fe, sizes)
     tau_fe = row_dot(x_fe, sums) / denom_fe
     mean_b = np.take(block_sums(sums) / size_b, block, axis=-1)
-    unit_fe, block_fe = variances(mean_b, tau_fe, x_fe, x_fe, denom_fe)
-    return UnitStats(tau, tau_fe, unit_nofe, block_nofe, unit_fe, block_fe)
+    pair_fe, unit_fe = variances(mean_b, tau_fe, x_fe, x_fe, denom_fe)
+    return UnitStats(tau, tau_fe, pair_nofe, unit_nofe, pair_fe, unit_fe)
 
 
 def overflow_error(stats) -> EstimationError | None:
@@ -119,8 +119,9 @@ def overflow_error(stats) -> EstimationError | None:
     return EstimationError(f"{bad[0]} overflows: the outcomes are too large") if bad else None
 
 
-def dataset_stats(data: ExperimentData, assignment: Assignment) -> UnitStats:
+def variance_set(data: ExperimentData, assignment: Assignment) -> UnitStats:
     """``unit_sum_stats`` of a dataset under an assignment, as floats; blocks are pairs.
+    The variances are raw: ``software_factors`` and P/(P-1) are the factors to apply.
     ``DegeneratePair`` names the first pair without a treated and a control unit, and
     ``EstimationError`` the first statistic that overflows."""
     treated = assignment.unit_vector(data)
@@ -135,49 +136,11 @@ def dataset_stats(data: ExperimentData, assignment: Assignment) -> UnitStats:
 
 
 def software_factors(n_units: int, n_blocks: int, n_obs: int) -> dict:
-    """c/(c-1) * (n-1)/(n-K), regression software's small-sample factor, keyed like the
-    variances of ``VarianceSet``: c clusters (blocks or units), n observations, and K = 2
-    parameters, or ``n_blocks`` + 1 with block fixed effects.  NaN where c <= 1 or n <= K."""
+    """c/(c-1) * (n-1)/(n-K), regression software's small-sample factor, keyed and ordered
+    like the variances of ``UnitStats``: c clusters (blocks or units), n observations, and
+    K = 2 parameters, or ``n_blocks`` + 1 with block fixed effects.  NaN where c <= 1 or n <= K."""
     def factor(c, n, k):
         return (c / (c - 1.0)) * ((n - 1.0) / (n - k)) if c > 1 and n > k else float("nan")
     return {f"{cluster}_{model}": factor(c, n_obs, k)
             for model, k in (("nofe", 2), ("fe", n_blocks + 1))
             for cluster, c in (("pair", n_blocks), ("unit", n_units))}
-
-
-@dataclass(frozen=True)
-class VarianceSet:
-    """All four clustered variance estimators for one dataset/assignment.
-
-    Values are raw (no small-sample factor); ``dof_factors`` carries each
-    estimator's ``software_factors`` factor, the one ``simulate`` applies for
-    ``rejection_rate_dof``, and ``pair_small_sample_factor`` the P/(P-1)
-    pair-level correction, so callers can apply either convention.
-    """
-
-    pair_nofe: float
-    unit_nofe: float
-    pair_fe: float
-    unit_fe: float
-    dof_factors: dict
-    pair_small_sample_factor: float
-
-    def value(self, cluster: str, model: str) -> float:
-        return getattr(self, f"{cluster}_{model}")
-
-    @classmethod
-    def from_stats(cls, data: ExperimentData, stats: UnitStats) -> "VarianceSet":
-        """The four variances of ``dataset_stats(data, ...)`` with their factors."""
-        return cls(
-            pair_nofe=stats.block_nofe,
-            unit_nofe=stats.unit_nofe,
-            pair_fe=stats.block_fe,
-            unit_fe=stats.unit_fe,
-            dof_factors=software_factors(data.n_units, data.P, data.n_total),
-            pair_small_sample_factor=data.P / (data.P - 1) if data.P > 1 else float("nan"),
-        )
-
-
-def variance_set(data: ExperimentData, assignment: Assignment) -> VarianceSet:
-    """The four clustered variance estimators, for any block size."""
-    return VarianceSet.from_stats(data, dataset_stats(data, assignment))

@@ -212,7 +212,7 @@ def test_analyze_variance_overflow_is_a_runtime_error(tmp_path, capsys):
     assert caught == []
     out, err = capsys.readouterr()
     assert out == "" and "Warning" not in err
-    assert err == "error: unit_nofe overflows: the outcomes are too large\n"
+    assert err == "error: pair_nofe overflows: the outcomes are too large\n"
     assert not json_path.exists()
     path.write_text(OVERFLOW_CSV.replace("e160", "e150"), encoding="utf-8")  # every square fits
     assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 0

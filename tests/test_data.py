@@ -28,7 +28,6 @@ from paircluster.errors import (
     NonBinaryTreatment,
     NotPaired,
 )
-from paircluster.variance import dataset_stats
 from oracles import (
     diff_in_means,
     fe_estimate,
@@ -392,7 +391,7 @@ def test_paired_only_entry_points_share_one_not_paired_error(entry):
 def test_analyze_needs_one_treated_unit_per_pair(treated, bad):
     data, _ = random_paired(np.random.default_rng(5), 4)
     message = f"pair '{bad}' has no treated/control contrast"
-    for entry in (analyze, variance_set, dataset_stats):  # dataset_stats checks for all three
+    for entry in (analyze, variance_set):  # variance_set checks for both
         with pytest.raises(DegeneratePair, match=re.escape(message)) as err:
             entry(data, Assignment(treated))
     # the same check, and message, as for the rows read by validate_dataset

@@ -65,7 +65,7 @@ def _moments(G, P, seed, heterogeneous=False):
     effect = rng.normal(size=P * G) if heterogeneous else 0.7
     stats = _stats(G, P, control, effect)
     factor = P / (P - 1)
-    return np.var(stats.tau_fe), factor * stats.block_fe.mean(), factor * stats.unit_fe.mean()
+    return np.var(stats.tau_fe), factor * stats.pair_fe.mean(), factor * stats.unit_fe.mean()
 
 
 @pytest.mark.parametrize("P", [6, 10, 12])
@@ -126,7 +126,7 @@ def test_pair_clustered_fe_variance_follows_the_pair_weight_law(data, P, effect)
     assume(min(V, E) > 1e-2)  # else the offset's rounding, about 1e-12, shows at TOL
     stats = _paired_stats(sizes, control, effect)
     assert np.var(stats.tau_fe) == pytest.approx(V, rel=TOL)
-    pcve = stats.block_fe.mean()
+    pcve = stats.pair_fe.mean()
     assert pcve == pytest.approx(E, rel=TOL)
     # the range that the pair weights alone, known from the data, give
     base = 1 + np.sum(w**2)
@@ -143,7 +143,7 @@ def test_pair_weight_law_under_heterogeneous_pair_effects(data, P):
     stats = _paired_stats(sizes, control, np.repeat(taus, 2))  # both units of pair p get tau_p
     assert stats.tau_fe.mean() == pytest.approx(np.sum(w * taus), rel=TOL, abs=TOL)
     assert np.var(stats.tau_fe) == pytest.approx(V, rel=TOL)
-    assert stats.block_fe.mean() == pytest.approx(E, rel=TOL)
+    assert stats.pair_fe.mean() == pytest.approx(E, rel=TOL)
 
 
 def test_pair_clustered_fe_variance_is_biased_under_unequal_pair_weights():
@@ -152,8 +152,8 @@ def test_pair_clustered_fe_variance_is_biased_under_unequal_pair_weights():
     control = OFFSET + np.array([[1.0, 0.0]] * 4)
     stats = _paired_stats(sizes, control, 0.7)
     V, P = np.var(stats.tau_fe), len(sizes)
-    assert stats.block_fe.mean() == pytest.approx(_pair_weight_law(sizes, control)[2], rel=TOL)
-    assert stats.block_fe.mean() * P / (P - 1) < 0.9 * V  # about 0.61 V
+    assert stats.pair_fe.mean() == pytest.approx(_pair_weight_law(sizes, control)[2], rel=TOL)
+    assert stats.pair_fe.mean() * P / (P - 1) < 0.9 * V  # about 0.61 V
 
 
 def _c(G):
@@ -175,5 +175,5 @@ def test_unit_to_stratum_ratio_of_expected_fe_variances(G, P, c_G, data, effect)
     strata = control.reshape(P, G)
     assume(np.ptp(strata, axis=1).max() > 1e-3)  # else both expectations are 0
     stats = _stats(G, P, control, effect)
-    ratio = stats.unit_fe.mean() / stats.block_fe.mean()
+    ratio = stats.unit_fe.mean() / stats.pair_fe.mean()
     assert ratio == pytest.approx((G - 1) / G + c_G / (P - 1), rel=TOL)

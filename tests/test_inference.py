@@ -95,9 +95,9 @@ def test_report_tests_equal_the_standard_normal_oracle():
     data, assignment = random_paired(np.random.default_rng(3), 30)
     report = analyze(data, assignment, level=0.1)
     assert len(report.tests) == 4
-    for (cluster, model), res in report.tests.items():
-        tau = report.tau_fe if model == "fe" else report.tau_nofe
-        expected = t_test(tau, report.variances.value(cluster, model), level=0.1)
+    for key, res in report.tests.items():
+        tau = report.stats.tau_fe if key.endswith("_fe") else report.stats.tau_nofe
+        expected = t_test(tau, getattr(report.stats, key), level=0.1)
         assert (res.t_stat, res.p_value, res.reject) == (
             expected.t_stat, expected.p_value, expected.reject
         )

@@ -17,6 +17,7 @@ from paircluster import (
     DGPConfig,
     Seed,
     SizeExperimentSpec,
+    analyze,
     resampling_size_experiment,
     run_size_experiment,
     validate_dataset,
@@ -24,7 +25,7 @@ from paircluster import (
 from paircluster import cli, montecarlo
 from paircluster.errors import EstimationError, PairClusterError, ReplicationError, ZeroVariance
 from paircluster.montecarlo import _StratifiedDraw
-from paircluster.variance import critical_value, unit_sum_stats, variance_set
+from paircluster.variance import UnitStats, critical_value, software_factors, unit_sum_stats
 from oracles import (
     diff_in_means,
     fe_estimate,
@@ -231,8 +232,8 @@ def test_engine_matches_public_estimators():
     )
     fit = diff_in_means(data, assignment)
     fe = fe_estimate(data, assignment)
-    assert stats[0] == pytest.approx(fit.tau_hat, rel=1e-12)
-    assert stats[1] == pytest.approx(fe.tau_hat, rel=1e-12)
+    assert stats.tau_nofe == pytest.approx(fit.tau_hat, rel=1e-12)
+    assert stats.tau_fe == pytest.approx(fe.tau_hat, rel=1e-12)
 
     # paired case: the engine's block formulas are the closed forms
     data2, assign2 = random_paired(np.random.default_rng(2), P=8, max_size=4)
@@ -246,10 +247,10 @@ def test_engine_matches_public_estimators():
     )
     fit2 = diff_in_means(data2, assign2)
     fe2 = fe_estimate(data2, assign2)
-    assert s2[2] == pytest.approx(unit_clustered_variance(data2, assign2, fit2), rel=1e-12)
-    assert s2[3] == pytest.approx(pair_clustered_variance(data2, assign2, fit2), rel=1e-12)
-    assert s2[4] == pytest.approx(unit_clustered_variance(data2, assign2, fe2), rel=1e-12)
-    assert s2[5] == pytest.approx(pair_clustered_variance(data2, assign2, fe2), rel=1e-12)
+    assert s2.unit_nofe == pytest.approx(unit_clustered_variance(data2, assign2, fit2), rel=1e-12)
+    assert s2.pair_nofe == pytest.approx(pair_clustered_variance(data2, assign2, fit2), rel=1e-12)
+    assert s2.unit_fe == pytest.approx(unit_clustered_variance(data2, assign2, fe2), rel=1e-12)
+    assert s2.pair_fe == pytest.approx(pair_clustered_variance(data2, assign2, fe2), rel=1e-12)
 
 
 def test_zero_variance_data_reports_failing_replication():
@@ -268,20 +269,39 @@ def test_zero_variance_data_reports_failing_replication():
 
 def test_analyze_reports_the_factor_simulate_applies():
     # every dof-adjusted tally counts the replications whose |t|, scaled down by the factor
-    # that variance_set reports for the same dataset, exceeds z
+    # that analyze reports for the same dataset, exceeds z
     sizes = np.array([[1, 4], [2, 2], [3, 1], [5, 2], [1, 6], [4, 3]])
     data, assignment = validate_dataset(paired_rows(np.random.default_rng(31), sizes))
     reps, z = 2000, critical_value(0.05)
     table = resampling_size_experiment(data, reps, 0.05, Seed(12), collect_tstats=True)
-    factors = variance_set(data, assignment).dof_factors
+    factors = analyze(data, assignment).dof_factors
     fewer = 0
     for (cluster, model), t in table.t_stats.items():
-        cluster = "pair" if cluster == "block" else cluster
         cell = table.cell(cluster, model)
         count = np.count_nonzero(np.abs(t) / np.sqrt(factors[f"{cluster}_{model}"]) > z)
         assert count == round(cell.rejection_rate_dof * reps)
         fewer += count < cell.rejections
     assert fewer > 0  # the factors matter
+
+
+def test_each_test_has_one_name():
+    # strata of 3 units of unequal sizes: the kernel's record, the factors, the report and
+    # both drivers' t-statistics name the four tests alike, and in one order where it is one
+    rng = np.random.default_rng(5)
+    sizes = [[1, 3, 2], [2, 2, 5], [4, 1, 1], [3, 2, 1]]
+    rows = [(f"s{s}", f"u{u}", int(u == 0), float(rng.normal()))
+            for s, units in enumerate(sizes) for u, n in enumerate(units) for _ in range(n)]
+    data, assignment = validate_dataset(rows)
+    names = list(UnitStats._fields[2:])
+    report = analyze(data, assignment).to_json_dict()
+    assert list(software_factors(data.n_units, data.P, data.n_total)) == names
+    assert list(report["variances"]) == names
+    assert set(report["tests"]) == set(names)
+    paired, _ = validate_dataset(paired_rows(rng, [[1, 4], [2, 2], [3, 1]]))
+    spec = SizeExperimentSpec(DGPConfig(G=3, P=4, n_gp=2), 20, Seed(1))
+    for table in (run_size_experiment(spec, collect_tstats=True),
+                  resampling_size_experiment(paired, 20, 0.05, Seed(1), collect_tstats=True)):
+        assert list(table.t_stats) == [(c.test, c.model) for c in table.cells]
 
 
 def test_statistics_that_overflow_fail_their_replication_unwarned():

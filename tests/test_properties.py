@@ -147,9 +147,9 @@ def test_analyze_matches_sandwich_on_strata(rows):
     report = analyze(data, assignment)
     fit, fe, oracle = _sandwich(data, assignment)
     scale = float(np.abs(data.outcomes).max())
-    assert abs(report.tau_nofe - fit.tau_hat) <= TOL * max(abs(fit.tau_hat), scale)
-    assert abs(report.tau_fe - fe.tau_hat) <= TOL * max(abs(fe.tau_hat), scale)
-    got = {key: getattr(report.variances, key) for key in KEYS}
+    assert abs(report.stats.tau_nofe - fit.tau_hat) <= TOL * max(abs(fit.tau_hat), scale)
+    assert abs(report.stats.tau_fe - fe.tau_hat) <= TOL * max(abs(fe.tau_hat), scale)
+    got = {key: getattr(report.stats, key) for key in KEYS}
     floor = _floor(rows)
     assert all(_close(got[k], oracle[k], floor) for k in KEYS), (got, oracle)
     assert report.ratio_m_range is None  # the m range bounds the FE ratio on pairs only

@@ -14,7 +14,6 @@ PUBLIC = [
     "SizeCell",
     "SizeExperimentSpec",
     "SizeTable",
-    "VarianceSet",
     "__version__",
     "analyze",
     "draw_paired_assignment",

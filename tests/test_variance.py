@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paircluster import Assignment, ExperimentData, validate_dataset, variance_set
+from paircluster import Assignment, ExperimentData, analyze, validate_dataset, variance_set
 from paircluster.errors import DegeneratePair, NotPaired
-from paircluster.variance import dataset_stats, unit_sum_stats
+from paircluster.variance import unit_sum_stats
 from oracles import (
     DegenerateDOF,
     NoVariationInTreatment,
@@ -258,14 +258,15 @@ def test_variance_set_contents(minimal):
     vs = variance_set(data, assignment)
     assert vs.pair_nofe == pytest.approx(0.5)
     assert vs.unit_fe == pytest.approx(0.25)
-    assert vs.pair_small_sample_factor == pytest.approx(2.0)
+    report = analyze(data, assignment)
+    assert report.stats == vs
+    assert report.pair_small_sample_factor == pytest.approx(2.0)
     # c/(c-1) * (n-1)/(n-K) with n = 4 observations: 2/1 * 3/2 with c = P = 2 pairs and K = 2;
     # 4/3 * 3/2 with c = 4 units; with pair effects K = P + 1 = 3: 2/1 * 3/1 and 4/3 * 3/1
-    assert vs.dof_factors["pair_nofe"] == pytest.approx(3.0)
-    assert vs.dof_factors["unit_nofe"] == pytest.approx(2.0)
-    assert vs.dof_factors["pair_fe"] == pytest.approx(6.0)
-    assert vs.dof_factors["unit_fe"] == pytest.approx(4.0)
-    assert vs.value("unit", "fe") == vs.unit_fe
+    assert report.dof_factors["pair_nofe"] == pytest.approx(3.0)
+    assert report.dof_factors["unit_nofe"] == pytest.approx(2.0)
+    assert report.dof_factors["pair_fe"] == pytest.approx(6.0)
+    assert report.dof_factors["unit_fe"] == pytest.approx(4.0)
 
 
 def test_model_mismatch_rejected(minimal):
@@ -358,11 +359,10 @@ def test_kernel_over_many_units_matches_closed_forms():
     assert rel_err(vs.unit_fe, unit_clustered_variance(data, assignment, fe)) <= 1e-10
 
 
-# Prints dataset_stats of a seeded dataset of 30,000 units with a large offset.
+# Prints variance_set of a seeded dataset of 30,000 units with a large offset.
 STATS = """
 import numpy as np
-from paircluster import Assignment, ExperimentData
-from paircluster.variance import dataset_stats
+from paircluster import Assignment, ExperimentData, variance_set
 rng = np.random.default_rng(2019)
 P = 15_000
 sizes = rng.integers(1, 20, 2 * P)
@@ -371,11 +371,11 @@ data = ExperimentData(
     [f"p{j:05d}" for j in range(P)], ["a", "b"] * P,
 )
 first = rng.integers(0, 2, P)
-print(repr(dataset_stats(data, Assignment(np.column_stack([first, 1 - first]).ravel()))))
+print(repr(variance_set(data, Assignment(np.column_stack([first, 1 - first]).ravel()))))
 """
 
 
-def test_dataset_stats_do_not_depend_on_blas_threads():
+def test_variance_set_does_not_depend_on_blas_threads():
     # OpenBLAS splits a dot of more than 10,000 elements across its threads
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = {
@@ -417,12 +417,12 @@ def test_batched_kernel_matches_rows(rows, shared):
         for field, value in zip(one._fields, one):
             assert value.shape == (1,)
             assert rel_err(getattr(batch, field)[r], value[0]) <= 1e-12, field
-    # dataset_stats is the one-row call on a dataset's centred sums, as floats
+    # variance_set is the one-row call on a dataset's centred sums, as floats
     data = ExperimentData(
         np.random.default_rng(rows).normal(size=n_obs), block, sizes.astype(int),
         [f"b{b:02d}" for b in range(n_blocks)], [f"u{u:03d}" for u in range(block.size)],
     )
-    stats = dataset_stats(data, Assignment(treated[-1]))
+    stats = variance_set(data, Assignment(treated[-1]))
     one = unit_sum_stats(data.centred_unit_sums, sizes, treated[-1:], block, n_blocks, n_obs)
     assert all(isinstance(v, float) for v in stats)
     assert stats == tuple(float(v[0]) for v in one)
@@ -436,7 +436,7 @@ def test_batched_kernel_matches_rows(rows, shared):
     ],
 )
 def test_batched_kernel_reports_first_failing_row(spoil, cause):
-    # The kernel checks no contrast; dataset_stats checks it before the kernel runs and
+    # The kernel checks no contrast; variance_set checks it before the kernel runs and
     # reports either row as check_contrast's DegeneratePair, naming the first pair.
     _, sizes, treated, block, n_blocks, n_obs = _ragged_batch(np.random.default_rng(3), 6)
     data = ExperimentData(
@@ -448,7 +448,7 @@ def test_batched_kernel_reports_first_failing_row(spoil, cause):
     failed = []
     for r in range(len(treated)):
         try:
-            stats = dataset_stats(data, Assignment(treated[r]))
+            stats = variance_set(data, Assignment(treated[r]))
         except DegeneratePair as exc:
             failed.append((r, str(exc)))
         else:
@@ -462,9 +462,9 @@ def test_batched_kernel_reports_first_failing_row(spoil, cause):
     assert failed[0][1].startswith(message)
 
 
-def test_dataset_stats_may_hold_a_zero_variance():
+def test_variance_set_may_hold_a_zero_variance():
     # constant outcomes: every residual is 0; the Monte Carlo engine alone fails on this
     rows = [(p, u, int(u in "ac"), 1.0) for p, units in (("p1", "ab"), ("p2", "cde")) for u in units]
-    stats = dataset_stats(*validate_dataset(rows))
+    stats = variance_set(*validate_dataset(rows))
     assert all(isinstance(v, float) for v in stats)
     assert stats[2:] == (0.0, 0.0, 0.0, 0.0)
