@@ -8,6 +8,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -803,3 +804,39 @@ def test_id_ranking_equals_the_oracle(tmp_path, monkeypatch, columns):
             (ids.tolist(), codes.tolist()) for ids, codes in expected]
         assert fallbacks == ([path] if fallback else [])
         assert max(widths) <= dataio._WIDEST  # 0 for an object column
+
+
+# canonicalize's memory: each row-length array it makes is dropped after its last use.
+def _canonical_columns(rng, P):
+    """canonicalize's arguments for shuffled rows of P pairs of units with 1-9 rows each:
+    ids as ``S`` columns, each pair's first unit treated."""
+    unit = rng.permutation(np.repeat(np.arange(2 * P), rng.integers(1, 10, 2 * P)))
+    pairs = np.array([f"p{k // 2:06d}" for k in unit.tolist()], "S")
+    units = np.array([f"u{k:07d}" for k in unit.tolist()], "S")
+    return pairs, units, (unit % 2 == 0).astype(np.int8), rng.normal(size=unit.size)
+
+
+def test_canonicalize_peaks_at_64_bytes_per_row():
+    columns = _canonical_columns(np.random.default_rng(0), 20_000)  # about 200k rows
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dataio.canonicalize(*columns, lambda k: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / columns[0].size <= 64
+
+
+@pytest.mark.parametrize("pack_bits", [dataio._PACK_BITS, 0], ids=["one-sort", "two-sorts"])
+@pytest.mark.parametrize("kind", ["S", "object"])
+def test_canonicalize_leaves_its_arguments_unchanged(monkeypatch, pack_bits, kind):
+    monkeypatch.setattr(dataio, "_PACK_BITS", pack_bits)  # 0 forces the two-sort fallback
+    columns = list(_canonical_columns(np.random.default_rng(1), 50))
+    if kind == "object":  # str ids, sorted as str
+        columns[:2] = [np.array(column.astype(str).tolist(), dtype=object) for column in columns[:2]]
+    before = [column.copy() for column in columns]
+    dataio.canonicalize(*columns, lambda k: None)
+    for column, copy in zip(columns, before):
+        assert column.dtype == copy.dtype and np.array_equal(column, copy)
