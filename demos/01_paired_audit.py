@@ -53,7 +53,7 @@ print(f"spread of the per-pair estimates: {report.dataset['pair_effect_spread']:
 # variance estimate.  ``stats`` holds them, each named by its test.
 # ---------------------------------------------------------------------------
 print("\nvariance estimates (raw cluster-robust):")
-for key in ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe"):
+for key in pc.variance.UnitStats._fields[2:]:
     cluster, model = key.split("_")
     print(f"  cluster={cluster:<5} model={model:<4}  {getattr(stats, key):.6f}")
 
@@ -68,9 +68,8 @@ print("  balanced pairs give exactly 0.5; a 2:1 size split gives 5/9 = 0.5556")
 # t-statistic is about sqrt(2) too big.
 # ---------------------------------------------------------------------------
 print(f"\ntwo-sided t-tests at level {report.level} (truth: no effect):")
-for key in ("pair_nofe", "unit_nofe", "pair_fe", "unit_fe"):
+for key, res in report.tests.items():
     cluster, model = key.split("_")
-    res = report.tests[key]
     print(f"  cluster={cluster:<5} model={model:<4}  t={res.t_stat:+.3f}  "
           f"p={res.p_value:.3f}  reject={res.reject}")
 

@@ -1,11 +1,11 @@
 """Replicated size experiments.
 
-Each replication draws a fresh experiment, fits both models, forms the
-four cluster-robust t-tests, and tallies rejections of the true null.
-Replication i draws from the i-th child of the master seed (seed stream
-v1), in the order of a lone replication; chunks are reduced in fixed
-order, so results are bit-identical for any batching and any worker
-count.  Each chunk derives its replications' streams in bulk with
+Each replication draws a fresh experiment, fits both models, forms the four
+cluster-robust t-tests, and tallies rejections of the true null, one table row
+per test in ``variance.TESTS`` order.  Replication i draws from the i-th child
+of the master seed (seed stream v1), in the order of a lone replication; chunks
+are reduced in fixed order, so results are bit-identical for any batching and
+any worker count.  Each chunk derives its replications' streams in bulk with
 ``randomize.ChildStreams`` and resets one generator per replication.
 
 One chunk worker serves both experiments, a sub-batch at a time: a draw
@@ -39,7 +39,8 @@ from .data import ExperimentData
 from .dgp import DGPConfig, _count, uniform_to_normal
 from .errors import PairClusterError, ReplicationError, ZeroVariance
 from .randomize import MAX_CHILDREN, ChildStreams, Seed
-from .variance import UnitStats, critical_value, overflow_error, software_factors, unit_sum_stats
+from .variance import (TESTS, UnitStats, critical_value, overflow_error, software_factors,
+                       unit_sum_stats)
 
 __all__ = [
     "SizeExperimentSpec",
@@ -48,12 +49,6 @@ __all__ = [
     "run_size_experiment",
     "resampling_size_experiment",
 ]
-
-# The tests, named by their ``UnitStats`` variance, in CSV order; a "pair" is the block.
-_TESTS = ("unit_nofe", "unit_fe", "pair_nofe", "pair_fe")
-# Columns of ``UnitStats`` holding each test's estimate and variance.
-_TAU_COLS = [UnitStats._fields.index("tau_" + key.split("_")[1]) for key in _TESTS]
-_VAR_COLS = [UnitStats._fields.index(key) for key in _TESTS]
 
 _CHUNK = 256
 _SUB_BATCH = 2**14  # at most this many (replication, unit) elements per kernel call
@@ -127,29 +122,28 @@ class _PairedResample:
 
 def _run_chunk(args):
     """Tally replications ``start .. start + count - 1`` of one experiment."""
-    draw, seed, start, count, z_crit, factors, collect = args
+    draw, seed, start, count, z_crit, dof, collect = args
     streams = ChildStreams(seed, start, count)
-    step, stats = max(1, _SUB_BATCH // draw.sizes.size), []
+    step, batches = max(1, _SUB_BATCH // draw.sizes.size), []
     with np.errstate(all="ignore"):  # an overflow fails its replication below, unwarned
         for lo in range(0, count, step):
             sums, treated = draw.batch(streams, lo, min(step, count - lo))
-            rows = unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs)
-            stats.append(np.column_stack(rows))
-    stats = np.concatenate(stats)
-    variances = stats[:, _VAR_COLS]
-    ok = np.isfinite(stats).all(axis=1) & (variances > 0).all(axis=1)  # t needs both
+            batches.append(
+                unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs))
+    stats = UnitStats(*map(np.concatenate, zip(*batches)))
+    variances = np.array([getattr(stats, key) for key in TESTS])  # (tests, replications)
+    ok = np.isfinite(stats).all(axis=0) & (variances > 0).all(axis=0)  # t needs both
     if not ok.all():
         i = int(np.argmin(ok))  # the first failing replication
-        cause = overflow_error(stats[i]) or ZeroVariance("a clustered variance estimate is zero")
+        cause = overflow_error([field[i] for field in stats])
+        cause = cause or ZeroVariance("a clustered variance estimate is zero")
         raise ReplicationError(start + i, cause)
-    t = stats[:, _TAU_COLS] / np.sqrt(variances)
-    ratios = np.sqrt(variances[:, 1] / variances[:, 3])  # unit over block, FE
+    t = np.array([getattr(stats, tau) for tau in TESTS.values()]) / np.sqrt(variances)
     return {
-        "rej": np.count_nonzero(np.abs(t) > z_crit, axis=0),
-        "rej_adj": np.count_nonzero(np.abs(t) / np.sqrt(factors) > z_crit, axis=0),
-        "ratio_sum": float(ratios.sum()),
+        "rej": np.count_nonzero(np.abs(t) > z_crit, axis=1),
+        "rej_adj": np.count_nonzero(np.abs(t) / np.sqrt(dof)[:, None] > z_crit, axis=1),
+        "ratio_sum": float(np.sqrt(stats.unit_fe / stats.pair_fe).sum()),
         "tstats": t if collect else None,
-        "ratios": ratios if collect else None,
     }
 
 
@@ -201,7 +195,6 @@ class SizeTable:
     seed: int
     design: str
     t_stats: Optional[dict] = None
-    se_ratios: Optional[np.ndarray] = None
 
     def to_csv_text(self) -> str:
         lines = [_CSV_HEADER]
@@ -290,18 +283,18 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
         raise TypeError(f"seed must be a Seed, got {seed!r}")
     z_crit = critical_value(level)
     factors = software_factors(draw.sizes.size, draw.n_blocks, draw.n_obs)
-    factors = np.array([factors[key] for key in _TESTS])
+    dof = np.array(list(factors.values()))
     args = [
-        (draw, seed, start, min(_CHUNK, reps - start), z_crit, factors, collect)
+        (draw, seed, start, min(_CHUNK, reps - start), z_crit, dof, collect)
         for start in range(0, reps, _CHUNK)
     ]
     results = _run_chunks(_run_chunk, args, threads)
     rej = sum(res["rej"] for res in results)
     rej_adj = sum(res["rej_adj"] for res in results)
     ratio_raw = sum(res["ratio_sum"] for res in results) / reps
-    ratio_adj = ratio_raw * math.sqrt(factors[1] / factors[3])
+    ratio_adj = ratio_raw * math.sqrt(factors["unit_fe"] / factors["pair_fe"])
     cells = []
-    for j, key in enumerate(_TESTS):
+    for j, key in enumerate(TESTS):
         cluster, model = key.split("_")
         rate = int(rej[j]) / reps
         is_fe = model == "fe"
@@ -321,9 +314,8 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
         )
     table = SizeTable(cells=cells, level=level, seed=seed.master, design=design)
     if collect:
-        tstats = np.concatenate([res["tstats"] for res in results])
-        table.t_stats = {(c.test, c.model): tstats[:, j] for j, c in enumerate(cells)}
-        table.se_ratios = np.concatenate([res["ratios"] for res in results])
+        tstats = np.concatenate([res["tstats"] for res in results], axis=1)
+        table.t_stats = {(c.test, c.model): tstats[j] for j, c in enumerate(cells)}
     return table
 
 

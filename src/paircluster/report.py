@@ -4,9 +4,10 @@ The report mirrors how paired-experiment results are audited: both point
 estimators, all four clustered variances with their unit/pair ratio, and
 all four t-tests, for pairs and strata alike.  Each test is named by the
 ``variance.UnitStats`` field of its variance (``pair_nofe``, ``unit_fe``, ...;
-a "pair" is a block), in the JSON and in ``AnalysisReport.tests``.  Every
-reported standard error is the square root of a reported variance; JSON output
-carries full precision and the text rendering rounds for display.
+a "pair" is a block), in the JSON and in ``AnalysisReport.tests``, and every
+list of them is in ``variance.TESTS`` order.  Every reported standard error is
+the square root of a reported variance; JSON output carries full precision and
+the text rendering rounds for display.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .variance import UnitStats, critical_value, software_factors, variance_set
+from .variance import TESTS, UnitStats, critical_value, software_factors, variance_set
 
 __all__ = ["AnalysisReport", "analyze"]
 
@@ -63,13 +64,14 @@ class AnalysisReport:
     def to_json_dict(self) -> dict:
         def factor(value):  # JSON has no NaN: a factor the dataset is too small for is null
             return None if math.isnan(value) else value
+        variances = {key: getattr(self.stats, key) for key in TESTS}
         return {
             "dataset": self.dataset,
             "estimates": {"nofe": self.stats.tau_nofe, "fe": self.stats.tau_fe},
             "variances": {
                 key: {"variance": v, "std_error": math.sqrt(v),
                       "dof_factor": factor(self.dof_factors[key])}
-                for key, v in zip(UnitStats._fields[2:], self.stats[2:])
+                for key, v in variances.items()
             },
             "pair_small_sample_factor": factor(self.pair_small_sample_factor),
             "unit_pair_ratio_fe": self.ratio,
@@ -104,7 +106,8 @@ class AnalysisReport:
             "",
             "  variance estimates (raw cluster-robust):",
         ]
-        for key, v in zip(UnitStats._fields[2:], self.stats[2:]):
+        for key in TESTS:
+            v = getattr(self.stats, key)
             lines.append(
                 row(key) + f"var={v:.6g}  se={math.sqrt(v):.6g}  dof={self.dof_factors[key]:.6g}"
             )
@@ -130,20 +133,20 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
     """Full audit of a paired or stratified experiment.
 
     Both estimates, all four variances, the unit/pair ratio and all four
-    t-tests at ``level``, in the order pair_nofe, pair_fe, unit_nofe,
-    unit_fe.  A "pair" is a block of any size, and each diagnostic reduces
-    per block: size ratio, balance, and the block effect (mean of treated
-    minus mean of control unit means).  ``ratio_m_range``, the range of
-    each pair's sum of squared size shares, bounds the FE ratio on pairs
-    only: None on strata.
+    t-tests at ``level``, the tests in ``variance.TESTS`` order: pair_nofe,
+    unit_nofe, pair_fe, unit_fe.  A "pair" is a block of any size, and each
+    diagnostic reduces per block: size ratio, balance, and the block effect
+    (mean of treated minus mean of control unit means).  ``ratio_m_range``,
+    the range of each pair's sum of squared size shares, bounds the FE ratio
+    on pairs only: None on strata.
     """
     z, level = critical_value(level), float(level)
 
     stats = variance_set(data, assignment)  # checks that every block has a contrast
     treated, block, P = assignment.treated, data.unit_pair, data.P
     n_treated = np.bincount(block, treated, P)
-    tests = {key: _normal_test(getattr(stats, "tau_" + key.split("_")[1]), getattr(stats, key), z)
-             for key in ("pair_nofe", "pair_fe", "unit_nofe", "unit_fe")}
+    tests = {key: _normal_test(getattr(stats, tau), getattr(stats, key), z)
+             for key, tau in TESTS.items()}
 
     sizes = data.unit_sizes.astype(float)
     ratio = m_range = None

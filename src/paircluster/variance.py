@@ -7,11 +7,11 @@ by unit, each without and with fixed effects) from per-unit outcome
 sums, unit sizes and the assignment, for any number of units per block
 and unequal unit sizes; it checks nothing.  ``UnitStats`` names each variance
 by its test, the key ``analyze`` reports it under (``pair_fe``: a "pair" is a
-block).  ``variance_set`` feeds the kernel a dataset, checks the assignment and
-refuses a statistic that overflows; ``software_factors``, keyed by those names,
-gives the small-sample factors that ``analyze`` reports and the Monte Carlo
-engine applies.  All estimators are the raw cluster-robust forms, and every
-t-test rejects when |t| > ``critical_value(level)``.
+block), in the order ``TESTS`` lists for every output.  ``variance_set`` feeds
+the kernel a dataset, checks the assignment and refuses a statistic that
+overflows; ``software_factors``, keyed by those names, gives the small-sample
+factors that ``analyze`` reports and the Monte Carlo engine applies.  All estimators
+are the raw cluster-robust forms, and every t-test rejects when |t| > ``critical_value(level)``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ class UnitStats(NamedTuple):
     unit_nofe: float
     pair_fe: float
     unit_fe: float
+
+
+# The four tests: each ``UnitStats`` variance, in field order, with the estimate its t divides.
+TESTS = {"pair_nofe": "tau_nofe", "unit_nofe": "tau_nofe", "pair_fe": "tau_fe", "unit_fe": "tau_fe"}
 
 
 def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
@@ -137,10 +141,10 @@ def variance_set(data: ExperimentData, assignment: Assignment) -> UnitStats:
 
 def software_factors(n_units: int, n_blocks: int, n_obs: int) -> dict:
     """c/(c-1) * (n-1)/(n-K), regression software's small-sample factor, keyed and ordered
-    like the variances of ``UnitStats``: c clusters (blocks or units), n observations, and
-    K = 2 parameters, or ``n_blocks`` + 1 with block fixed effects.  NaN where c <= 1 or n <= K."""
-    def factor(c, n, k):
+    like ``TESTS``: c clusters (blocks or units), n observations, and K = 2 parameters,
+    or ``n_blocks`` + 1 with block fixed effects.  NaN where c <= 1 or n <= K."""
+    def factor(key):
+        c = n_blocks if key.startswith("pair") else n_units
+        n, k = n_obs, 2 if key.endswith("nofe") else n_blocks + 1
         return (c / (c - 1.0)) * ((n - 1.0) / (n - k)) if c > 1 and n > k else float("nan")
-    return {f"{cluster}_{model}": factor(c, n_obs, k)
-            for model, k in (("nofe", 2), ("fe", n_blocks + 1))
-            for cluster, c in (("pair", n_blocks), ("unit", n_units))}
+    return {key: factor(key) for key in TESTS}

@@ -59,7 +59,7 @@ def test_analyze_reports_all_four_tests(minimal_csv, tmp_path, capsys):
     for path in (minimal_csv, strata):
         assert main(["analyze", "--data", str(path), "--json-out", str(json_path)]) == 0
         report = json.loads(json_path.read_text())
-        assert list(report["tests"]) == ["pair_nofe", "pair_fe", "unit_nofe", "unit_fe"]
+        assert list(report["tests"]) == ["pair_nofe", "unit_nofe", "pair_fe", "unit_fe"]
     capsys.readouterr()
     # the test set is fixed: no flag selects part of it
     for flag, value in [("--cluster", "pair"), ("--fe", "on")]:
