@@ -54,10 +54,12 @@ class ExperimentData:
     order; ``unit_sizes`` and ``unit_pair`` give each unit's observation
     count and pair index; ``pair_ids`` and ``unit_ids`` are the ids of the
     pairs and of the units (a unit id is unique within its pair only).
-    The per-observation indexes and the per-unit and per-pair totals are
-    derived on first use.  Built directly, the arrays must equal
-    ``dataio.validate_dataset`` of their own rows; ``dataio.canonicalize``
-    uses the private ``_canonical``, which checks only that outcomes are finite.
+    The per-observation indexes and the units per pair are derived on
+    first use; ``centred_unit_sums``, the one per-unit outcome sum every
+    statistic reads, is computed on each access.  Built directly, the
+    arrays must equal ``dataio.validate_dataset`` of their own rows;
+    ``dataio.canonicalize`` uses the private ``_canonical``, which checks
+    only that outcomes are finite.
     """
 
     outcomes: np.ndarray
@@ -125,14 +127,6 @@ class ExperimentData:
     def obs_pair(self) -> np.ndarray:
         """Pair index of each observation."""
         return _frozen(self.unit_pair[self.obs_unit])
-
-    @cached_property
-    def unit_sums(self) -> np.ndarray:
-        return _frozen(np.bincount(self.obs_unit, weights=self.outcomes, minlength=self.n_units))
-
-    @property
-    def unit_means(self) -> np.ndarray:
-        return self.unit_sums / self.unit_sizes
 
     @cached_property
     def pair_unit_counts(self) -> np.ndarray:

@@ -136,9 +136,11 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
     t-tests at ``level``, the tests in ``variance.TESTS`` order: pair_nofe,
     unit_nofe, pair_fe, unit_fe.  A "pair" is a block of any size, and each
     diagnostic reduces per block: size ratio, balance, and the block effect
-    (mean of treated minus mean of control unit means).  ``ratio_m_range``,
-    the range of each pair's sum of squared size shares, bounds the FE ratio
-    on pairs only: None on strata.
+    (mean of treated minus mean of control unit means), read from
+    ``data.centred_unit_sums``: each block's contrast weights sum to zero,
+    so no output depends on a constant added to every outcome.
+    ``ratio_m_range``, the range of each pair's sum of squared size shares,
+    bounds the FE ratio on pairs only: None on strata.
     """
     z, level = critical_value(level), float(level)
 
@@ -159,7 +161,7 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
     largest, smallest = np.maximum.reduceat(sizes, starts), np.minimum.reduceat(sizes, starts)
     n_control = data.pair_unit_counts - n_treated
     contrast = np.where(treated, 1.0 / n_treated[block], -1.0 / n_control[block])
-    block_effect = np.bincount(block, contrast * data.unit_means, P)
+    block_effect = np.bincount(block, contrast * data.centred_unit_sums / sizes, P)
     dataset = {
         "P": P,
         "units": data.n_units,

@@ -103,6 +103,11 @@ def pair_sizes(data: ExperimentData) -> np.ndarray:
     return _frozen(sizes, np.int64)
 
 
+def raw_unit_sums(data: ExperimentData) -> np.ndarray:
+    """Outcome sum of each unit, not centred."""
+    return np.bincount(data.obs_unit, weights=data.outcomes, minlength=data.n_units)
+
+
 def per_pair_counts(data: ExperimentData, assignment: Assignment) -> tuple[np.ndarray, np.ndarray]:
     """(treated, control) observation counts per pair, canonical order."""
     w = assignment.unit_vector(data)
@@ -199,8 +204,9 @@ def diff_in_means(data: ExperimentData, assignment: Assignment) -> FitResult:
     C = data.n_total - T
     if T == 0 or C == 0:
         raise NoVariationInTreatment("need at least one treated and one control observation")
-    sum_treated = float(data.unit_sums[w_unit].sum())
-    sum_control = float(data.unit_sums.sum() - sum_treated)
+    sums = raw_unit_sums(data)
+    sum_treated = float(sums[w_unit].sum())
+    sum_control = float(sums.sum() - sum_treated)
     alpha = sum_control / C
     tau = sum_treated / T - alpha
     w_obs = w_unit[data.obs_unit]
@@ -262,7 +268,7 @@ def pair_effects(data: ExperimentData, assignment: Assignment) -> PairEffects:
     if np.any(w_mat.sum(axis=1) != 1):
         bad = data.pair_ids[int(np.argmax(w_mat.sum(axis=1) != 1))]
         raise DegeneratePair(f"pair {bad!r} does not have exactly one treated unit")
-    means = pair_columns(data, data.unit_means)
+    means = pair_columns(data, raw_unit_sums(data) / data.unit_sizes)
     first_treated = w_mat[:, 0]
     tau_p = np.where(first_treated, means[:, 0] - means[:, 1], means[:, 1] - means[:, 0])
     return PairEffects(tau_p=tau_p, omega_p=omega_p)

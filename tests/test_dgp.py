@@ -3,7 +3,7 @@ import pytest
 
 from paircluster import DGPConfig, Seed
 from paircluster.errors import StratumTooSmall
-from oracles import diff_in_means, null_resample, pair_effects, simulate_strata
+from oracles import diff_in_means, null_resample, pair_effects, raw_unit_sums, simulate_strata
 from helpers import random_paired
 
 
@@ -112,7 +112,7 @@ def test_stratum_shock_is_a_variance():
     # 0.01 must come back as 0.01, not as 0.01^2
     cfg = DGPConfig(G=2, P=1000, n_gp=100, sigma2_gamma=0.01)
     data, _, _ = simulate_strata(cfg, Seed(321))
-    unit_means = (data.unit_sums / data.unit_sizes).reshape(cfg.P, 2)
+    unit_means = (raw_unit_sums(data) / data.unit_sizes).reshape(cfg.P, 2)
     cov = np.cov(unit_means[:, 0], unit_means[:, 1])[0, 1]
     spread = np.sqrt((0.01 + 1.0 / cfg.n_gp) ** 2 + 0.01**2)
     band = 3 * spread / np.sqrt(cfg.P)

@@ -30,6 +30,7 @@ from oracles import (
     diff_in_means,
     fe_estimate,
     pair_clustered_variance,
+    raw_unit_sums,
     simulate_strata,
     subset_pairs,
     unit_clustered_variance,
@@ -222,7 +223,7 @@ def test_engine_matches_public_estimators():
     cfg = DGPConfig(G=4, P=6, n_gp=3, sigma2_gamma=0.4)
     data, assignment, _ = simulate_strata(cfg, Seed(21))
     stats = unit_sum_stats(
-        data.unit_sums,
+        raw_unit_sums(data),
         data.unit_sizes.astype(float),
         assignment.unit_vector(data)[None],
         data.unit_pair,
@@ -237,7 +238,7 @@ def test_engine_matches_public_estimators():
     # paired case: the engine's block formulas are the closed forms
     data2, assign2 = random_paired(np.random.default_rng(2), P=8, max_size=4)
     s2 = unit_sum_stats(
-        data2.unit_sums,
+        raw_unit_sums(data2),
         data2.unit_sizes.astype(float),
         assign2.unit_vector(data2)[None],
         data2.unit_pair,

@@ -1,5 +1,6 @@
-"""Property tests of ``variance_set`` on generated designs, and of the
-Monte Carlo engine's independence from the worker count.
+"""Property tests of ``variance_set`` (and, under a shift, of ``analyze``)
+on generated designs, and of the Monte Carlo engine's independence from
+the worker count.
 
 Outcomes are multiples of 1/8 in [-8, 8], so shifted and scaled copies
 are exact in float64 and every difference below is rounding in the
@@ -11,7 +12,7 @@ or, if both are tiny, to the scale of a mean's variance, var(y)/n.
 import json
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paircluster import (
@@ -72,13 +73,32 @@ def _variances(rows):
     return {key: getattr(vs, key) for key in KEYS}
 
 
+# 3-row units: a mean of three outcomes near 1e9 rounds by up to 6e-8, far above TOL * 8
+_EIGHTHS = [
+    ("p0", "u0", 1, 0.125), ("p0", "u0", 1, -1.0), ("p0", "u0", 1, 2.5),
+    ("p0", "u1", 0, 0.375), ("p0", "u1", 0, -0.75),
+    ("p1", "u0", 0, 1.625), ("p1", "u0", 0, -2.25),
+    ("p1", "u1", 1, 0.875), ("p1", "u1", 1, 3.125), ("p1", "u1", 1, -0.75),
+]
+
+
+def _analysis(rows):
+    report = analyze(*validate_dataset(rows))
+    return report.stats.tau_nofe, report.stats.tau_fe, report.dataset["pair_effect_spread"]
+
+
 @PROPERTY
 @given(designs(), st.integers(-(10**9), 10**9))
+@example(_EIGHTHS, 10**9)
 def test_shift_invariance(rows, shift):
-    base = _variances(rows)
-    shifted = _variances([(p, u, w, y + shift) for p, u, w, y in rows])
+    shifted_rows = [(p, u, w, y + shift) for p, u, w, y in rows]
+    base, shifted = _variances(rows), _variances(shifted_rows)
     floor = _floor(rows)
     assert all(_close(shifted[k], base[k], floor) for k in KEYS), (base, shifted)
+    # the estimates and the block effects' spread of analyze, on the outcomes' scale
+    base, shifted = _analysis(rows), _analysis(shifted_rows)
+    scale = max(abs(r[3]) for r in rows)
+    assert all(_close(a, b, scale) for a, b in zip(shifted, base)), (base, shifted)
 
 
 @PROPERTY
