@@ -5,11 +5,11 @@ to one canonicalizer, ``canonicalize``, which strips ids of surrounding
 whitespace, groups the rows into units and checks the whole dataset at
 once.  It ranks the ids of every entry path one way: as UTF-8 bytes in
 fixed-width ``S`` arrays at most 64 bytes wide (``read_csv`` reads them
-so; lists are encoded), sorted as big-endian integer words, whose order
-is str order; only the distinct ids become str again.  Lists with an id
-wider than 64 bytes are sorted as str.  An id may not hold a NUL
-character, which an ``S`` array would drop from its end.  Each array of
-one entry per row is dropped after its last use (see ``canonicalize``).
+so; lists are encoded), sorted by ``_sort_rows`` as big-endian integer
+words, whose order is str order; only the distinct ids become str again.
+Lists with an id wider than 64 bytes are sorted as str.  An id may not hold
+a NUL character, which an ``S`` array would drop from its end.  Each array
+of one entry per row is dropped after its last use (see ``canonicalize``).
 
 Input is long format, one row per observation, header
 ``pair_id,unit_id,treatment,outcome`` with treatment in {0,1}, in UTF-8
@@ -83,7 +83,7 @@ _REFUSED = b"\x00\x1c\x1d\x1e\x1f"  # bytes _scan sends to the csv pass
 # than the 8-byte pointer plus the str (at least 57 bytes) it replaces.
 # ``read_csv`` makes each id field as wide as its column's widest field, up to this.
 _WIDEST = 64
-_PACK_BITS = 63  # canonicalize sorts unit key and row as one int64 while P·N·n < 2**_PACK_BITS
+_DIGIT_BITS = 64  # the most varying key bits one pass of _sort_rows sorts; tests lower it
 
 
 def _nul_id(pairs: list[str], units: list[str]) -> str | None:
@@ -121,31 +121,58 @@ def _id_column(texts: list[str]) -> np.ndarray:
     return column.view(f"S{width}").ravel()
 
 
+def _sort_rows(keys: np.ndarray, stable: bool = True) -> np.ndarray:
+    """Sort ``keys``, rows of uint64 words with the most significant first, in place, and
+    return the order: sorted row i was row ``order[i]``, equal rows in input order if ``stable``.
+
+    The span of bits that vary in each word is cut into digits of at most 64 - row_bits bits,
+    row_bits = ⌈log2 n⌉, sorted least significant first, each by an in-place value sort of
+    ``(digit << row_bits) | position``; one digit is packed in ``keys`` and unpacked sorted.
+    Unless ``stable``, one word wider than a digit takes ``np.argsort``, faster than two passes."""
+    n, row_bits = len(keys), (len(keys) - 1).bit_length()
+    same, width = np.bitwise_and.reduce(keys, axis=0), min(_DIGIT_BITS, 64 - row_bits)
+    varying = (np.bitwise_or.reduce(keys, axis=0) ^ same).tolist()
+    digits = [(j, shift) for j, bits in reversed(list(enumerate(varying))) if bits
+              for shift in range((bits & -bits).bit_length() - 1, bits.bit_length(), width)]
+    words, order = {j for j, _ in digits}, None if len(digits) == 1 else np.arange(n)
+    if len(words) == 1 < len(digits) and not stable:
+        order, digits = np.argsort(keys[:, min(words)]), []
+    for j, shift in digits:
+        packed = keys[:, j] if order is None else keys[:, j][order]  # one digit: in place
+        packed >>= shift
+        packed <<= row_bits  # bits it pushes out are later passes' or the same in all rows
+        packed |= np.arange(n, dtype=np.uint64)
+        packed.sort()
+        rows = np.bitwise_and(packed, (1 << row_bits) - 1, out=np.empty(n, np.intp))
+        order = rows if order is None else order[rows]
+    if len(digits) == 1:  # the sorted values unpack to the sorted keys: every other bit is same's
+        packed >>= row_bits
+        np.bitwise_or(np.left_shift(packed, shift, out=packed), same[j], out=packed)
+    for j in words if len(digits) != 1 else ():
+        keys[:, j] = keys[:, j][order]
+    return order
+
+
 def _sorted_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct stripped ids of a column in sorted order, and each row's index into them.
 
     ``column`` holds each row's id as UTF-8 bytes in an ``S`` array (no id
     holds a NUL), or as str in an object array.  UTF-8 byte order is code
     point order, which is str order, so the bytes, zero-padded to whole
-    8-byte words and read as big-endian integers, sort as the ids do.  One
-    integer sort groups the rows; only the distinct ids are decoded,
-    stripped and, where one was padded, merged and sorted again.  The
-    word copy, the keys and the sorted keys are dropped after their last use.
+    8-byte words and read as big-endian integers, sort as the ids do, and
+    ``_sort_rows`` sorts them in the copy made to pad them.  Only the distinct
+    ids are decoded, stripped and, where one was padded, merged and sorted again.
     """
     n = column.size
     if column.dtype.kind == "S":
-        words = column.astype(f"S{-(-column.itemsize // 8) * 8}").view(">u8").reshape(n, -1)
-        used = max(int(words.any(axis=0).sum()), 1)  # a zero word ends every id it is in
-        keys = (words[:, 0] if used == 1 else words[:, :used]).astype(np.uint64)
-        del words
+        ranked = column.astype(f"S{-(-column.itemsize // 8) * 8}").view(">u8").reshape(n, -1)
+        ranked = ranked.byteswap(inplace=True).view(ranked.dtype.newbyteorder())  # native, in place
+        order = _sort_rows(ranked, stable=False)
     else:
-        keys = column
-    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    del keys
-    step = ranked[1:] != ranked[:-1]
-    first = np.concatenate(([True], step if step.ndim == 1 else step.any(axis=1)))
-    del ranked, step
+        order = np.argsort(column)
+        ranked = column[order, None]
+    first = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    del ranked
     codes = np.empty(n, np.intp)
     codes[order] = np.cumsum(first) - 1
     texts = column[order[first]].tolist()
@@ -171,34 +198,21 @@ def canonicalize(pair_col, unit_col, treated, outcomes, treatment_value):
     message.  Errors name the offending pair or unit; of the treatment
     errors, the one raised is the one a row-by-row pass would meet first.
 
-    Units are grouped by value sorts (about 4 times faster than argsorts)
-    of distinct int64 keys ``rank * n + row``: with P pairs, N unit ids, n
-    rows and P·N·n < 2**_PACK_BITS, one in-place sort of one array holding
-    ``(pair * N + unit) * n + row`` gives the canonical order (``% n``) and,
-    divided in place, the unit keys (``// n``); else two passes, by unit id
-    and then by pair, sort keys below n².  Each row-length array is dropped
-    after its last use, so the peak, as the dataset is built, holds three:
-    the canonical order, the outcomes in it and the dataset's copy of them.
-    On 200k rows in units of 1-9 rows it is 58 bytes per row above the
-    arguments, all temporaries and the distinct ids included.
+    ``_sort_rows`` groups the rows into units by the keys ``pair * N + unit``
+    (N unit ids), stably, so in canonical order: by pair, unit id and input
+    row.  Each row-length array is dropped after its last use, so the peak,
+    as the dataset is built, holds three: the canonical order, the outcomes
+    in it and the dataset's copy of them.  On 200k rows in units of 1-9 rows
+    it is 58 bytes per row above the arguments, all temporaries and the
+    distinct ids included.
     """
     pair_ids, pair_code = _sorted_codes(pair_col)
     names, name_code = _sorted_codes(unit_col)
     n, N = pair_code.size, len(names)
-    if pair_ids.size * N * n < 2**_PACK_BITS:  # one sort, in place
-        unit_key = pair_code * N
-        unit_key += name_code
-        del pair_code, name_code
-        unit_key *= n
-        unit_key += np.arange(n)
-        unit_key.sort()
-        order = unit_key % n
-        unit_key //= n
-    else:  # two stable passes, by unit id and then by pair
-        order = rows = np.arange(n)
-        for rank in (name_code, pair_code):
-            order = order[np.sort(rank[order] * n + rows) % n]
-        unit_key = (pair_code * N + name_code)[order]
+    unit_key = pair_code * N
+    unit_key += name_code
+    del pair_code, name_code
+    order = _sort_rows(unit_key.view(np.uint64)[:, None])  # and unit_key, in place
     starts = np.flatnonzero(np.concatenate(([True], unit_key[1:] != unit_key[:-1])))
     unit_sizes = np.diff(starts, append=n)
     keys = unit_key[starts]

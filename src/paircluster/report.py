@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .variance import TESTS, UnitStats, critical_value, software_factors, variance_set
+from .variance import TESTS, UnitStats, _variance_set, critical_value, software_factors, variance_set
 
 __all__ = ["AnalysisReport", "analyze"]
 
@@ -144,7 +144,8 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
     """
     z, level = critical_value(level), float(level)
 
-    stats = variance_set(data, assignment)  # checks that every block has a contrast
+    sums = data.centred_unit_sums
+    stats = _variance_set(data, assignment, sums)  # checks that every block has a contrast
     treated, block, P = assignment.treated, data.unit_pair, data.P
     n_treated = np.bincount(block, treated, P)
     tests = {key: _normal_test(getattr(stats, tau), getattr(stats, key), z)
@@ -161,7 +162,7 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
     largest, smallest = np.maximum.reduceat(sizes, starts), np.minimum.reduceat(sizes, starts)
     n_control = data.pair_unit_counts - n_treated
     contrast = np.where(treated, 1.0 / n_treated[block], -1.0 / n_control[block])
-    block_effect = np.bincount(block, contrast * data.centred_unit_sums / sizes, P)
+    block_effect = np.bincount(block, contrast * sums / sizes, P)
     dataset = {
         "P": P,
         "units": data.n_units,

@@ -128,10 +128,15 @@ def variance_set(data: ExperimentData, assignment: Assignment) -> UnitStats:
     The variances are raw: ``software_factors`` and P/(P-1) are the factors to apply.
     ``DegeneratePair`` names the first pair without a treated and a control unit, and
     ``EstimationError`` the first statistic that overflows."""
+    return _variance_set(data, assignment, data.centred_unit_sums)
+
+
+def _variance_set(data: ExperimentData, assignment: Assignment, sums: np.ndarray) -> UnitStats:
+    """``variance_set`` on ``sums``, ``data.centred_unit_sums`` computed by the caller."""
     treated = assignment.unit_vector(data)
     check_contrast(data.unit_pair, treated, data.pair_ids)
     with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
-        stats = unit_sum_stats(data.centred_unit_sums, data.unit_sizes.astype(float),
+        stats = unit_sum_stats(sums, data.unit_sizes.astype(float),
                                treated[None], data.unit_pair, data.P, data.n_total)
     stats = UnitStats(*(float(v[0]) for v in stats))
     if error := overflow_error(stats):

@@ -184,12 +184,12 @@ def _row_by_row(rows):
     return data, Assignment([first[unit] for unit in units])
 
 
-@pytest.mark.parametrize("pack_bits", [dataio._PACK_BITS, 0], ids=["one-sort", "two-sorts"])
+@pytest.mark.parametrize("digit_bits", [dataio._DIGIT_BITS, 1], ids=["one-sort", "several-sorts"])
 @settings(derandomize=True, max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=_shuffled_rows())
-def test_canonical_order_equals_a_row_by_row_oracle(tmp_path, monkeypatch, pack_bits, rows):
-    monkeypatch.setattr(dataio, "_PACK_BITS", pack_bits)  # 0 forces the two-sort fallback
+def test_canonical_order_equals_a_row_by_row_oracle(tmp_path, monkeypatch, digit_bits, rows):
+    monkeypatch.setattr(dataio, "_DIGIT_BITS", digit_bits)  # 1: a sort per varying key bit
     path = tmp_path / "rows.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows([dataio.CSV_HEADER] + rows)

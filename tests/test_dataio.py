@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from paircluster import Assignment, read_csv, validate_dataset, write_csv
@@ -778,6 +778,12 @@ def _id_columns(draw):
 @settings(derandomize=True, max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(columns=_id_columns())
+# one word whose 64 bits all vary, more than a digit holds; a leading word shared by every
+# row, with later words that order the ids differently; a column of one id
+@example(columns=(["éaaaaa0", "baaaaaa1", "éaaaaa1", "baaaaaa0"], ["0", "~", "0", "0"]))
+@example(columns=(["shared:-aaaaaaaaZ", "shared:-aaaaaaabA", "shared:-aaaaaaaaA", "shared:-bé"],
+                  ["unit-id-x1", "unit-id-x2", "unit-id-x1", "unit-id-y\t"]))
+@example(columns=(["p"] * 6, ["a", "b", "a", "c", "b", "a"]))
 def test_id_ranking_equals_the_oracle(tmp_path, monkeypatch, columns):
     pairs, units = columns
     rows = [(p, u, k % 2, float(k)) for k, (p, u) in enumerate(zip(pairs, units))]
@@ -786,8 +792,10 @@ def test_id_ranking_equals_the_oracle(tmp_path, monkeypatch, columns):
         csv.writer(handle).writerows([CSV_HEADER] + rows)
     expected = [sorted_codes(pairs), sorted_codes(units)]
     fast = max(len(text.encode()) for text in pairs + units) < dataio._WIDEST
-    for entry, fallback in ((lambda: read_csv(path), not fast),
-                            (lambda: validate_dataset(rows), False)):
+    for digit_bits, entry, fallback in (
+        (bits, *entry) for bits in (dataio._DIGIT_BITS, 1)  # 1: a sort per varying key bit
+        for entry in ((lambda: read_csv(path), not fast), (lambda: validate_dataset(rows), False))
+    ):
         ranked, widths, rank = [], [], dataio._sorted_codes
 
         def record(column):
@@ -796,6 +804,7 @@ def test_id_ranking_equals_the_oracle(tmp_path, monkeypatch, columns):
             return ranked[-1]
 
         with monkeypatch.context() as patch:
+            patch.setattr(dataio, "_DIGIT_BITS", digit_bits)
             patch.setattr(dataio, "_sorted_codes", record)
             fallbacks = _fallbacks(patch)
             with contextlib.suppress(MixedTreatmentWithinUnit, DegeneratePair):  # only ranks matter
@@ -804,6 +813,35 @@ def test_id_ranking_equals_the_oracle(tmp_path, monkeypatch, columns):
             (ids.tolist(), codes.tolist()) for ids, codes in expected]
         assert fallbacks == ([path] if fallback else [])
         assert max(widths) <= dataio._WIDEST  # 0 for an object column
+
+
+@st.composite
+def _key_rows(draw):
+    """Rows of 1-3 uint64 words drawn from a few distinct rows, each word varying only
+    in the bits of its own mask and equal to a shared word elsewhere."""
+    words = draw(st.integers(1, 3))
+    shared, masks = ([draw(st.integers(0, 2**64 - 1)) for _ in range(words)] for _ in range(2))
+    pool = [[(s & ~m) | (draw(st.integers(0, 2**64 - 1)) & m) for s, m in zip(shared, masks)]
+            for _ in range(draw(st.integers(1, 5)))]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_key_rows())
+@example(rows=[[1 << 61], [1 << 63], [1], [0], [1 << 62], [1 << 60]])  # all 64 bits vary
+def test_sort_rows_equals_a_stable_sort(monkeypatch, rows):
+    expected = sorted(range(len(rows)), key=lambda k: (rows[k], k))
+    for digit_bits, stable in [(bits, stable) for bits in (dataio._DIGIT_BITS, 3)
+                               for stable in (True, False)]:
+        keys = np.array(rows, np.uint64)
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "_DIGIT_BITS", digit_bits)  # 3: a sort per 3 varying bits
+            order = dataio._sort_rows(keys, stable)
+        assert keys.tolist() == [rows[k] for k in expected]  # sorted in place
+        assert [rows[k] for k in order.tolist()] == keys.tolist()
+        if stable:
+            assert order.tolist() == expected
 
 
 # canonicalize's memory: each row-length array it makes is dropped after its last use.
@@ -829,10 +867,10 @@ def test_canonicalize_peaks_at_64_bytes_per_row():
     assert (peak - entry) / columns[0].size <= 64
 
 
-@pytest.mark.parametrize("pack_bits", [dataio._PACK_BITS, 0], ids=["one-sort", "two-sorts"])
+@pytest.mark.parametrize("digit_bits", [dataio._DIGIT_BITS, 1], ids=["one-sort", "several-sorts"])
 @pytest.mark.parametrize("kind", ["S", "object"])
-def test_canonicalize_leaves_its_arguments_unchanged(monkeypatch, pack_bits, kind):
-    monkeypatch.setattr(dataio, "_PACK_BITS", pack_bits)  # 0 forces the two-sort fallback
+def test_canonicalize_leaves_its_arguments_unchanged(monkeypatch, digit_bits, kind):
+    monkeypatch.setattr(dataio, "_DIGIT_BITS", digit_bits)  # 1: a sort per varying key bit
     columns = list(_canonical_columns(np.random.default_rng(1), 50))
     if kind == "object":  # str ids, sorted as str
         columns[:2] = [np.array(column.astype(str).tolist(), dtype=object) for column in columns[:2]]
