@@ -13,7 +13,6 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +53,9 @@ class ExperimentData:
     order; ``unit_sizes`` and ``unit_pair`` give each unit's observation
     count and pair index; ``pair_ids`` and ``unit_ids`` are the ids of the
     pairs and of the units (a unit id is unique within its pair only).
-    The per-observation indexes and the units per pair are derived on
-    first use; ``centred_unit_sums``, the one per-unit outcome sum every
-    statistic reads, is computed on each access.  Built directly, the
+    The per-observation indexes, the units per pair and
+    ``centred_unit_sums``, the one per-unit outcome sum every statistic
+    reads, are computed on each access, never stored.  Built directly, the
     arrays must equal ``dataio.validate_dataset`` of their own rows;
     ``dataio.canonicalize`` uses the private ``_canonical``, which checks
     only that outcomes are finite.
@@ -118,17 +117,17 @@ class ExperimentData:
     def n_total(self) -> int:
         return int(self.outcomes.size)
 
-    @cached_property
+    @property
     def obs_unit(self) -> np.ndarray:
         """Unit index of each observation."""
         return _frozen(np.repeat(np.arange(self.n_units), self.unit_sizes), np.intp)
 
-    @cached_property
+    @property
     def obs_pair(self) -> np.ndarray:
         """Pair index of each observation."""
         return _frozen(self.unit_pair[self.obs_unit])
 
-    @cached_property
+    @property
     def pair_unit_counts(self) -> np.ndarray:
         """Units per pair."""
         return _frozen(np.bincount(self.unit_pair, minlength=self.P), np.int64)

@@ -9,10 +9,11 @@ any worker count.  Each chunk derives its replications' streams in bulk with
 ``randomize.ChildStreams`` and resets one generator per replication.
 
 One chunk worker serves both experiments, a sub-batch at a time: a draw
-object turns the uniforms into unit sums and assignments at once, and one
-call of ``variance.unit_sum_stats`` (which ``analyze`` uses too) gives all
+object, which holds the units' blocks and sizes and no count, turns the
+uniforms into unit sums and assignments at once, and one call of
+``variance.unit_sum_stats`` (which ``analyze`` uses too) gives all
 their statistics.  These depend on the data only through per-unit outcome
-sums, unit sizes and the assignment, so the synthetic generator draws unit
+sums, unit sizes, blocks and the assignment, so the synthetic generator draws unit
 sums directly (the sum of n iid standard normals is sqrt(n) times one),
 with the sampling distribution of an observation-level generator; the
 tests check it against one (``simulate_strata`` in ``tests/oracles.py``).
@@ -79,9 +80,7 @@ class _StratifiedDraw:
         self.taus = np.broadcast_to(cfg.effect, cfg.P) if np.any(cfg.effect) else None
         self.G, self.P, self.n_gp, self.sigma2 = cfg.G, cfg.P, cfg.n_gp, cfg.sigma2_gamma
         self.block = np.repeat(np.arange(cfg.P), cfg.G)
-        self.n_blocks = cfg.P
         self.sizes = np.full(cfg.n_units, float(cfg.n_gp))
-        self.n_obs = cfg.n_obs
         uniform_to_normal(np.empty(0))  # loads scipy here, so forked workers inherit it
 
     def batch(self, streams, first, count):
@@ -111,12 +110,10 @@ class _PairedResample:
         self.sums = data.centred_unit_sums
         self.sizes = data.unit_sizes.astype(float)
         self.block = data.unit_pair
-        self.n_blocks = data.P
-        self.n_obs = data.n_total
 
     def batch(self, streams, first, count):
         """The shared (units,) sums and (count, units) assignments of ``count`` replications."""
-        heads = _uniforms(streams, first, count, (self.n_blocks,))[0] < 0.5
+        heads = _uniforms(streams, first, count, (self.block.size // 2,))[0] < 0.5
         return self.sums, np.stack([heads, ~heads], axis=2).reshape(count, -1)
 
 
@@ -128,8 +125,7 @@ def _run_chunk(args):
     with np.errstate(all="ignore"):  # an overflow fails its replication below, unwarned
         for lo in range(0, count, step):
             sums, treated = draw.batch(streams, lo, min(step, count - lo))
-            batches.append(
-                unit_sum_stats(sums, draw.sizes, treated, draw.block, draw.n_blocks, draw.n_obs))
+            batches.append(unit_sum_stats(sums, draw.sizes, treated, draw.block))
     stats = UnitStats(*map(np.concatenate, zip(*batches)))
     variances = np.array([getattr(stats, key) for key in TESTS])  # (tests, replications)
     ok = np.isfinite(stats).all(axis=0) & (variances > 0).all(axis=0)  # t needs both
@@ -282,7 +278,7 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
     if not isinstance(seed, Seed):
         raise TypeError(f"seed must be a Seed, got {seed!r}")
     z_crit = critical_value(level)
-    factors = software_factors(draw.sizes.size, draw.n_blocks, draw.n_obs)
+    factors = software_factors(draw.sizes, draw.block)
     dof = np.array(list(factors.values()))
     args = [
         (draw, seed, start, min(_CHUNK, reps - start), z_crit, dof, collect)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .variance import TESTS, UnitStats, _variance_set, critical_value, software_factors, variance_set
+from .variance import TESTS, UnitStats, _variance_set, critical_value, software_factors
 
 __all__ = ["AnalysisReport", "analyze"]
 
@@ -175,7 +175,7 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
     }
     return AnalysisReport(
         stats=stats,
-        dof_factors=software_factors(data.n_units, P, data.n_total),
+        dof_factors=software_factors(sizes, block),
         pair_small_sample_factor=P / (P - 1) if P > 1 else float("nan"),
         ratio=ratio,
         ratio_m_range=m_range,

@@ -4,8 +4,9 @@ Every statistic the package reports or tallies comes from one kernel,
 ``unit_sum_stats``: both fits (the difference in means and the block
 fixed-effects regression) and all four clustered variances (by block and
 by unit, each without and with fixed effects) from per-unit outcome
-sums, unit sizes and the assignment, for any number of units per block
-and unequal unit sizes; it checks nothing.  ``UnitStats`` names each variance
+sums, unit sizes, block indexes and the assignment, for any number of units
+per block and unequal unit sizes, deriving every count from the sizes and
+blocks as ``software_factors`` does; it checks nothing.  ``UnitStats`` names each variance
 by its test, the key ``analyze`` reports it under (``pair_fe``: a "pair" is a
 block), in the order ``TESTS`` lists for every output.  ``variance_set`` feeds
 the kernel a dataset, checks the assignment and refuses a statistic that
@@ -60,14 +61,14 @@ class UnitStats(NamedTuple):
 TESTS = {"pair_nofe": "tau_nofe", "unit_nofe": "tau_nofe", "pair_fe": "tau_fe", "unit_fe": "tau_fe"}
 
 
-def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
+def unit_sum_stats(sums, sizes, treated, block) -> UnitStats:
     """Both fits and all four raw clustered variances from unit sums.
 
     ``sums`` and ``sizes`` are each unit's outcome sum and observation
-    count, ``treated`` its treatment, ``block`` its block index in
-    ``range(n_blocks)``, and ``n_obs`` the total observation count.  The
-    fits and the cluster scores depend on the data only through these, so
-    any number of units per block and any unit sizes are handled.
+    count, ``treated`` its treatment and ``block`` its block index, every
+    block from 0 to the largest holding a unit.  The fits and the cluster
+    scores depend on the data only through these, so any number of units
+    per block and any unit sizes are handled.
 
     ``treated`` is (rows, units), one assignment per row, with (rows, units)
     ``sums`` or shared (units,) ones; every field is (rows,).  Every block
@@ -75,7 +76,7 @@ def unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs) -> UnitStats:
     nothing: ``variance_set`` checks an assignment from outside, and the
     Monte Carlo engine fails a replication whose variance is not positive.
     """
-    tf = treated.astype(float)
+    tf, n_blocks, n_obs = treated.astype(float), int(block.max()) + 1, sizes.sum()
     flat = (block + n_blocks * np.arange(len(tf))[:, None]).ravel()  # one bin per (row, block)
 
     def block_sums(values):  # per row of (rows, units) values; shared for (units,) ones
@@ -136,20 +137,21 @@ def _variance_set(data: ExperimentData, assignment: Assignment, sums: np.ndarray
     treated = assignment.unit_vector(data)
     check_contrast(data.unit_pair, treated, data.pair_ids)
     with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
-        stats = unit_sum_stats(sums, data.unit_sizes.astype(float),
-                               treated[None], data.unit_pair, data.P, data.n_total)
+        stats = unit_sum_stats(sums, data.unit_sizes.astype(float), treated[None], data.unit_pair)
     stats = UnitStats(*(float(v[0]) for v in stats))
     if error := overflow_error(stats):
         raise error
     return stats
 
 
-def software_factors(n_units: int, n_blocks: int, n_obs: int) -> dict:
+def software_factors(sizes, block) -> dict:
     """c/(c-1) * (n-1)/(n-K), regression software's small-sample factor, keyed and ordered
-    like ``TESTS``: c clusters (blocks or units), n observations, and K = 2 parameters,
-    or ``n_blocks`` + 1 with block fixed effects.  NaN where c <= 1 or n <= K."""
+    like ``TESTS``, for units of ``sizes`` in blocks ``block`` as ``unit_sum_stats`` takes
+    them: c clusters (blocks or units), n observations, and K = 2 parameters, or the
+    block count + 1 with block fixed effects.  NaN where c <= 1 or n <= K."""
+    n_blocks, n = int(block.max()) + 1, float(sizes.sum())
     def factor(key):
-        c = n_blocks if key.startswith("pair") else n_units
-        n, k = n_obs, 2 if key.endswith("nofe") else n_blocks + 1
+        c = n_blocks if key.startswith("pair") else sizes.size
+        k = 2 if key.endswith("nofe") else n_blocks + 1
         return (c / (c - 1.0)) * ((n - 1.0) / (n - k)) if c > 1 and n > k else float("nan")
     return {key: factor(key) for key in TESTS}

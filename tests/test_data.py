@@ -1,4 +1,5 @@
 import csv
+import os
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from paircluster import (
     Seed,
     analyze,
     draw_paired_assignment,
+    draw_stratified_assignment,
     read_csv,
     resampling_size_experiment,
     validate_dataset,
@@ -19,6 +21,7 @@ from paircluster import (
     write_csv,
 )
 from paircluster import dataio
+from paircluster.data import _FIELDS
 from paircluster.errors import (
     AssignmentMismatch,
     DataError,
@@ -250,6 +253,19 @@ def test_types_immutable():
     ):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
+
+
+def test_a_dataset_stores_nothing_beyond_its_fields(tmp_path, monkeypatch):
+    # every index and count is derived on each access: a dataset holds its five arrays
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    data, assignment = random_paired(np.random.default_rng(8), P=12)
+    analyze(data, assignment)
+    variance_set(data, assignment)
+    write_csv(tmp_path / "data.csv", data, assignment)
+    resampling_size_experiment(data, 600, 0.05, Seed(3), threads=2)
+    draw_stratified_assignment(data, Seed(4))
+    draw_paired_assignment(data, Seed(5))
+    assert sorted(vars(data)) == sorted(name for name, _ in _FIELDS)
 
 
 def test_units_need_finite_outcomes():

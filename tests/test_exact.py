@@ -55,7 +55,7 @@ def _stats(G, P, control, effect):
     treated = _assignments(G, P)
     sums = N_OBS * (control + effect * treated)
     sizes = np.full(P * G, float(N_OBS))
-    return unit_sum_stats(sums, sizes, treated, np.repeat(np.arange(P), G), P, N_OBS * P * G)
+    return unit_sum_stats(sums, sizes, treated, np.repeat(np.arange(P), G))
 
 
 def _moments(G, P, seed, heterogeneous=False):
@@ -95,7 +95,7 @@ def _paired_stats(sizes, control, effect):
     treated = np.stack([first, ~first], axis=2).reshape(2**P, 2 * P)
     n = sizes.ravel().astype(float)
     sums = n * (control.ravel() + effect * treated)
-    return unit_sum_stats(sums, n, treated, np.repeat(np.arange(P), 2), P, int(sizes.sum()))
+    return unit_sum_stats(sums, n, treated, np.repeat(np.arange(P), 2))
 
 
 def _pair_weight_law(sizes, control, taus=0.0):

@@ -128,7 +128,12 @@ def test_three_workers_run_every_chunk_once_in_order(monkeypatch):
         time.sleep(0.02)  # long enough for both forked workers to start and claim chunks
         return i, os.getpid(), signal.getsignal(signal.SIGINT) is signal.SIG_IGN
 
-    results = montecarlo._run_chunks(chunk, range(40), 3)
+    # the caller handles Ctrl-C, even where the shell started pytest with SIGINT ignored
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        results = montecarlo._run_chunks(chunk, range(40), 3)
+    finally:
+        signal.signal(signal.SIGINT, previous)
     assert list(runs) == [1] * 40
     assert [i for i, _, _ in results] == list(range(40))
     ignores_sigint = {pid: ignores for _, pid, ignores in results}
@@ -219,6 +224,20 @@ def test_g2_treated_mask_is_the_partition_rule_ties_included():
     assert treated.reshape(count, P, 2)[ties].all()  # a tie treats both units
 
 
+@pytest.mark.parametrize("G, P, n_gp", [(2, 5, 1), (3, 4, 2), (6, 3, 5)])
+def test_generator_design_is_the_dataset_it_stands_for(G, P, n_gp):
+    # simulate's blocks and sizes are those of the dataset the generator stands for,
+    # so the factor simulate applies is the one analyze reports for that dataset
+    cfg = DGPConfig(G=G, P=P, n_gp=n_gp)
+    draw = _StratifiedDraw(cfg)
+    data, assignment, _ = simulate_strata(cfg, Seed(G))
+    assert np.array_equal(draw.block, data.unit_pair)
+    assert np.array_equal(draw.sizes, data.unit_sizes)
+    factors = analyze(data, assignment).dof_factors
+    assert software_factors(draw.sizes, draw.block) == factors
+    assert software_factors(data.unit_sizes, data.unit_pair) == factors
+
+
 def test_engine_matches_public_estimators():
     cfg = DGPConfig(G=4, P=6, n_gp=3, sigma2_gamma=0.4)
     data, assignment, _ = simulate_strata(cfg, Seed(21))
@@ -227,8 +246,6 @@ def test_engine_matches_public_estimators():
         data.unit_sizes.astype(float),
         assignment.unit_vector(data)[None],
         data.unit_pair,
-        data.P,
-        data.n_total,
     )
     fit = diff_in_means(data, assignment)
     fe = fe_estimate(data, assignment)
@@ -242,8 +259,6 @@ def test_engine_matches_public_estimators():
         data2.unit_sizes.astype(float),
         assign2.unit_vector(data2)[None],
         data2.unit_pair,
-        data2.P,
-        data2.n_total,
     )
     fit2 = diff_in_means(data2, assign2)
     fe2 = fe_estimate(data2, assign2)
@@ -295,7 +310,7 @@ def test_each_test_has_one_name():
     data, assignment = validate_dataset(rows)
     names = list(UnitStats._fields[2:])
     report = analyze(data, assignment)
-    assert list(software_factors(data.n_units, data.P, data.n_total)) == names
+    assert list(software_factors(data.unit_sizes, data.unit_pair)) == names
     assert list(report.to_json_dict()["variances"]) == names
     assert list(report.to_json_dict()["tests"]) == names
     columns = [line.split()[:2] for line in report.to_text().splitlines()
@@ -424,8 +439,9 @@ def test_an_interrupted_caller_ends_every_worker(monkeypatch):
 
 # Runs 40 slow chunks on three workers until Ctrl-C reaches its process group.
 _INTERRUPTED = """
-import os, time
+import os, signal, time
 from paircluster import montecarlo
+signal.signal(signal.SIGINT, signal.default_int_handler)  # undoes an inherited SIG_IGN
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 print("running", flush=True)
 montecarlo._run_chunks(lambda i: time.sleep(0.1), range(40), 3)

@@ -400,30 +400,28 @@ def _ragged_batch(rng, rows):
             k = rng.integers(1, counts[b])  # 1 .. count - 1 treated units
             treated[r, start + rng.permutation(counts[b])[:k]] = True
     sums = rng.normal(size=(rows, block.size)) * sizes + 3.0
-    return sums, sizes, treated, block, counts.size, int(sizes.sum())
+    return sums, sizes, treated, block
 
 
 @pytest.mark.parametrize("rows", [1, 7])
 @pytest.mark.parametrize("shared", [False, True])
 def test_batched_kernel_matches_rows(rows, shared):
-    sums, sizes, treated, block, n_blocks, n_obs = _ragged_batch(np.random.default_rng(rows), rows)
+    sums, sizes, treated, block = _ragged_batch(np.random.default_rng(rows), rows)
     if shared:
         sums = sums[0]
-    batch = unit_sum_stats(sums, sizes, treated, block, n_blocks, n_obs)
+    batch = unit_sum_stats(sums, sizes, treated, block)
     for r in range(rows):
-        one = unit_sum_stats(
-            sums if shared else sums[r:r + 1], sizes, treated[r:r + 1], block, n_blocks, n_obs
-        )
+        one = unit_sum_stats(sums if shared else sums[r:r + 1], sizes, treated[r:r + 1], block)
         for field, value in zip(one._fields, one):
             assert value.shape == (1,)
             assert rel_err(getattr(batch, field)[r], value[0]) <= 1e-12, field
     # variance_set is the one-row call on a dataset's centred sums, as floats
     data = ExperimentData(
-        np.random.default_rng(rows).normal(size=n_obs), block, sizes.astype(int),
-        [f"b{b:02d}" for b in range(n_blocks)], [f"u{u:03d}" for u in range(block.size)],
+        np.random.default_rng(rows).normal(size=int(sizes.sum())), block, sizes.astype(int),
+        [f"b{b:02d}" for b in range(block[-1] + 1)], [f"u{u:03d}" for u in range(block.size)],
     )
     stats = variance_set(data, Assignment(treated[-1]))
-    one = unit_sum_stats(data.centred_unit_sums, sizes, treated[-1:], block, n_blocks, n_obs)
+    one = unit_sum_stats(data.centred_unit_sums, sizes, treated[-1:], block)
     assert all(isinstance(v, float) for v in stats)
     assert stats == tuple(float(v[0]) for v in one)
 
@@ -438,10 +436,10 @@ def test_batched_kernel_matches_rows(rows, shared):
 def test_batched_kernel_reports_first_failing_row(spoil, cause):
     # The kernel checks no contrast; variance_set checks it before the kernel runs and
     # reports either row as check_contrast's DegeneratePair, naming the first pair.
-    _, sizes, treated, block, n_blocks, n_obs = _ragged_batch(np.random.default_rng(3), 6)
+    _, sizes, treated, block = _ragged_batch(np.random.default_rng(3), 6)
     data = ExperimentData(
-        np.random.default_rng(3).normal(size=n_obs), block, sizes.astype(int),
-        [f"b{b:02d}" for b in range(n_blocks)], [f"u{u:03d}" for u in range(block.size)],
+        np.random.default_rng(3).normal(size=int(sizes.sum())), block, sizes.astype(int),
+        [f"b{b:02d}" for b in range(block[-1] + 1)], [f"u{u:03d}" for u in range(block.size)],
     )
     for k in (4, 2):  # row 2 fails first, row 4 later
         spoil(treated[k], block)
@@ -452,9 +450,7 @@ def test_batched_kernel_reports_first_failing_row(spoil, cause):
         except DegeneratePair as exc:
             failed.append((r, str(exc)))
         else:
-            one = unit_sum_stats(
-                data.centred_unit_sums, sizes, treated[r:r + 1], block, n_blocks, n_obs
-            )
+            one = unit_sum_stats(data.centred_unit_sums, sizes, treated[r:r + 1], block)
             assert stats == tuple(float(v[0]) for v in one)
     assert [r for r, _ in failed] == [2, 4]
     treatments = int(cause is DegeneratePair)  # an all-control row, or pair b00 all treated
