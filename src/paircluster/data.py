@@ -31,7 +31,11 @@ def _binary_code(value) -> int:
 
 
 def _frozen(values, dtype=None) -> np.ndarray:
-    arr = np.array(values, dtype=dtype).reshape(-1)
+    return _read_only(np.array(values, dtype=dtype).reshape(-1))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only: for arrays made fresh, which need no copy."""
     arr.setflags(write=False)
     return arr
 
@@ -120,17 +124,18 @@ class ExperimentData:
     @property
     def obs_unit(self) -> np.ndarray:
         """Unit index of each observation."""
-        return _frozen(np.repeat(np.arange(self.n_units), self.unit_sizes), np.intp)
+        return _read_only(np.repeat(np.arange(self.n_units, dtype=np.intp), self.unit_sizes))
 
     @property
     def obs_pair(self) -> np.ndarray:
         """Pair index of each observation."""
-        return _frozen(self.unit_pair[self.obs_unit])
+        return _read_only(np.repeat(self.unit_pair, self.unit_sizes))
 
     @property
     def pair_unit_counts(self) -> np.ndarray:
         """Units per pair."""
-        return _frozen(np.bincount(self.unit_pair, minlength=self.P), np.int64)
+        counts = np.bincount(self.unit_pair, minlength=self.P)
+        return _read_only(counts.astype(np.int64, copy=False))
 
     def require_pairs(self) -> None:
         """The one check of paired-only code: raises ``NotPaired`` naming

@@ -121,9 +121,10 @@ def _id_column(texts: list[str]) -> np.ndarray:
     return column.view(f"S{width}").ravel()
 
 
-def _sort_rows(keys: np.ndarray, stable: bool = True) -> np.ndarray:
+def _sort_rows(keys: np.ndarray, stable: bool = True) -> tuple[np.ndarray, list[int]]:
     """Sort ``keys``, rows of uint64 words with the most significant first, in place, and
-    return the order: sorted row i was row ``order[i]``, equal rows in input order if ``stable``.
+    return the order and the words that vary, in increasing index: sorted row i was row
+    ``order[i]``, equal rows in input order if ``stable``.
 
     The span of bits that vary in each word is cut into digits of at most 64 - row_bits bits,
     row_bits = ⌈log2 n⌉, sorted least significant first, each by an in-place value sort of
@@ -150,7 +151,7 @@ def _sort_rows(keys: np.ndarray, stable: bool = True) -> np.ndarray:
         np.bitwise_or(np.left_shift(packed, shift, out=packed), same[j], out=packed)
     for j in words if len(digits) != 1 else ():
         keys[:, j] = keys[:, j][order]
-    return order
+    return order, sorted(words)
 
 
 def _sorted_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,18 +161,22 @@ def _sorted_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     holds a NUL), or as str in an object array.  UTF-8 byte order is code
     point order, which is str order, so the bytes, zero-padded to whole
     8-byte words and read as big-endian integers, sort as the ids do, and
-    ``_sort_rows`` sorts them in the copy made to pad them.  Only the distinct
+    ``_sort_rows`` sorts them in the copy made to pad them and names the words
+    that vary, the only ones neighbouring rows are compared in.  Only the distinct
     ids are decoded, stripped and, where one was padded, merged and sorted again.
     """
     n = column.size
     if column.dtype.kind == "S":
         ranked = column.astype(f"S{-(-column.itemsize // 8) * 8}").view(">u8").reshape(n, -1)
         ranked = ranked.byteswap(inplace=True).view(ranked.dtype.newbyteorder())  # native, in place
-        order = _sort_rows(ranked, stable=False)
+        order, words = _sort_rows(ranked, stable=False)
     else:
-        order = np.argsort(column)
+        order, words = np.argsort(column), [0]
         ranked = column[order, None]
-    first = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    first = np.zeros(n, bool)
+    first[:1] = True
+    for j in words:  # a row starts an id where a word that varies differs from the last row's
+        first[1:] |= ranked[1:, j] != ranked[:-1, j]
     del ranked
     codes = np.empty(n, np.intp)
     codes[order] = np.cumsum(first) - 1
@@ -212,7 +217,7 @@ def canonicalize(pair_col, unit_col, treated, outcomes, treatment_value):
     unit_key = pair_code * N
     unit_key += name_code
     del pair_code, name_code
-    order = _sort_rows(unit_key.view(np.uint64)[:, None])  # and unit_key, in place
+    order, _ = _sort_rows(unit_key.view(np.uint64)[:, None])  # and unit_key, in place
     starts = np.flatnonzero(np.concatenate(([True], unit_key[1:] != unit_key[:-1])))
     unit_sizes = np.diff(starts, append=n)
     keys = unit_key[starts]

@@ -6,7 +6,11 @@ fixed-effects regression) and all four clustered variances (by block and
 by unit, each without and with fixed effects) from per-unit outcome
 sums, unit sizes, block indexes and the assignment, for any number of units
 per block and unequal unit sizes, deriving every count from the sizes and
-blocks as ``software_factors`` does; it checks nothing.  ``UnitStats`` names each variance
+blocks as ``software_factors`` does; it checks nothing.  A rectangular design
+(G contiguous units in every block, as in every Monte Carlo draw and a paired
+dataset) of at least ``_SLOT_VALUES`` (row, block) values adds its block sums
+slot by slot, any other by ``np.bincount``: both add each block's units in
+order to a 0, so with the same bits.  ``UnitStats`` names each variance
 by its test, the key ``analyze`` reports it under (``pair_fe``: a "pair" is a
 block), in the order ``TESTS`` lists for every output.  ``variance_set`` feeds
 the kernel a dataset, checks the assignment and refuses a statistic that
@@ -32,6 +36,9 @@ __all__ = ["UnitStats", "unit_sum_stats", "variance_set", "software_factors", "c
 # at most this many units, each run on one thread; a row of no more units is
 # one BLAS call, with the bits of a plain ``a @ b``.
 _DOT_UNITS = 8192
+# A rectangular design (G contiguous units a block) of at least this many (row, block) values
+# adds block sums slot by slot; below it an add's fixed cost outweighs what bincount costs.
+_SLOT_VALUES = 1024
 
 
 def critical_value(level: float) -> float:
@@ -77,9 +84,17 @@ def unit_sum_stats(sums, sizes, treated, block) -> UnitStats:
     Monte Carlo engine fails a replication whose variance is not positive.
     """
     tf, n_blocks, n_obs = treated.astype(float), int(block.max()) + 1, sizes.sum()
-    flat = (block + n_blocks * np.arange(len(tf))[:, None]).ravel()  # one bin per (row, block)
+    G = block.size // n_blocks
+    slotted = tf.size >= G * _SLOT_VALUES and np.array_equal(block, np.arange(block.size) // G)
+    flat = None if slotted else (block + n_blocks * np.arange(len(tf))[:, None]).ravel()
 
     def block_sums(values):  # per row of (rows, units) values; shared for (units,) ones
+        if slotted:  # G units a block, added slot by slot in bincount's order: its bits
+            view = values.reshape(*values.shape[:-1], n_blocks, G)
+            total = view[..., 0].copy()
+            for g in range(1, G):
+                total += view[..., g]
+            return total
         if values.ndim == 1:
             return np.bincount(block, values, n_blocks)
         return np.bincount(flat, values.ravel(), len(tf) * n_blocks).reshape(-1, n_blocks)

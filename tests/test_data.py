@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,23 @@ def test_types_immutable():
     ):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
+
+
+def test_an_observation_index_is_made_once():
+    # each access makes the row-length index and freezes it in place, with no copy
+    sizes = np.full(400, 50)
+    data = ExperimentData(np.arange(sizes.sum(), dtype=float), np.repeat(np.arange(200), 2), sizes,
+                          [f"p{p:03d}" for p in range(200)], [f"u{u:03d}" for u in range(400)])
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        index = data.obs_unit
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not index.flags.writeable
+    assert peak - entry <= index.nbytes + 8 * data.n_units + 4096  # and the unit numbers
 
 
 def test_a_dataset_stores_nothing_beyond_its_fields(tmp_path, monkeypatch):

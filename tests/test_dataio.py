@@ -837,8 +837,9 @@ def test_sort_rows_equals_a_stable_sort(monkeypatch, rows):
         keys = np.array(rows, np.uint64)
         with monkeypatch.context() as patch:
             patch.setattr(dataio, "_DIGIT_BITS", digit_bits)  # 3: a sort per 3 varying bits
-            order = dataio._sort_rows(keys, stable)
+            order, words = dataio._sort_rows(keys, stable)
         assert keys.tolist() == [rows[k] for k in expected]  # sorted in place
+        assert words == [j for j, column in enumerate(zip(*rows)) if len(set(column)) > 1]
         assert [rows[k] for k in order.tolist()] == keys.tolist()
         if stable:
             assert order.tolist() == expected

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paircluster import Assignment, ExperimentData, analyze, validate_dataset, variance_set
+from paircluster import variance
 from paircluster.errors import DegeneratePair, NotPaired
 from paircluster.variance import unit_sum_stats
 from oracles import (
@@ -424,6 +425,32 @@ def test_batched_kernel_matches_rows(rows, shared):
     one = unit_sum_stats(data.centred_unit_sums, sizes, treated[-1:], block)
     assert all(isinstance(v, float) for v in stats)
     assert stats == tuple(float(v[0]) for v in one)
+
+
+@pytest.mark.parametrize("G", [2, 3, 5, 10])
+@pytest.mark.parametrize("shared", [False, True])
+def test_rectangular_block_sums_have_bincounts_bits(monkeypatch, G, shared):
+    # G units a block, in order, in a call of at least _SLOT_VALUES (row, block) values: the
+    # kernel adds each block's units slot by slot, as bincount does, and counts no bins.  At
+    # G >= 8 numpy's pairwise .sum(-1) adds in another order and moves bits.
+    rng = np.random.default_rng(G)
+    P = 100
+    rows = -(-variance._SLOT_VALUES // P)
+    block = np.repeat(np.arange(P), G)
+    sizes = rng.integers(1, 30, block.size).astype(float)
+    u = rng.random((rows, P, G))
+    treated = (u <= np.sort(u, axis=-1)[..., G // 2 - 1 : G // 2]).reshape(rows, -1)
+    sums = rng.normal(size=(rows, block.size)) * sizes * 10.0 ** rng.integers(-3, 4, block.size)
+    if shared:
+        sums = sums[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(variance, "_SLOT_VALUES", np.inf)  # every design: one bincount per sum
+        expected = unit_sum_stats(sums, sizes, treated, block)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "bincount", None)  # a rectangular call bins nothing
+        stats = unit_sum_stats(sums, sizes, treated, block)
+    for field, ours, theirs in zip(stats._fields, stats, expected):
+        assert ours.shape == (rows,) and np.all(ours == theirs), field
 
 
 @pytest.mark.parametrize(
