@@ -51,7 +51,7 @@ tau_hat = pc.variance_set(paired, original).tau_nofe
 print(f"\noriginal draw sees the built-in effect: {tau_hat:+.3f}")
 
 taus = np.array([
-    pc.variance_set(paired, pc.draw_paired_assignment(paired, pc.Seed(master))).tau_nofe
+    pc.variance_set(paired, pc.draw_stratified_assignment(paired, pc.Seed(master))).tau_nofe
     for master in range(400)
 ])
 print(f"resampled estimates center on zero: mean {taus.mean():+.4f}, sd {taus.std():.4f}")

@@ -6,8 +6,8 @@ size by simulation, both through one statistics kernel
 (``variance.unit_sum_stats``): validating experiment data, drawing
 paired/stratified assignments, the difference-in-means and fixed-effects
 estimates with all four pair- and unit-clustered variances (``analyze``,
-``variance_set``), and a reproducible Monte Carlo engine for test-size
-experiments (``run_size_experiment``, ``resampling_size_experiment``).
+``variance_set``, in ``report``), and a reproducible Monte Carlo engine for
+test-size experiments (``run_size_experiment``, ``resampling_size_experiment``).
 """
 
 from . import errors
@@ -21,9 +21,8 @@ from .montecarlo import (
     resampling_size_experiment,
     run_size_experiment,
 )
-from .randomize import Seed, draw_paired_assignment, draw_stratified_assignment
-from .report import AnalysisReport, analyze
-from .variance import variance_set
+from .randomize import Seed, draw_stratified_assignment
+from .report import AnalysisReport, analyze, variance_set
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,6 @@ __all__ = [
     "resampling_size_experiment",
     "run_size_experiment",
     "Seed",
-    "draw_paired_assignment",
     "draw_stratified_assignment",
     "AnalysisReport",
     "analyze",

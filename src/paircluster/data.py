@@ -199,8 +199,9 @@ class Assignment:
         return isinstance(other, Assignment) and np.array_equal(self.treated, other.treated)
 
 
-def check_contrast(unit_pair, treated, pair_ids) -> None:
-    """``DegeneratePair`` names the first pair without a treated and a control unit."""
+def check_contrast(unit_pair, treated, pair_ids) -> tuple[np.ndarray, np.ndarray]:
+    """``DegeneratePair`` names the first pair without a treated and a control unit;
+    else each pair's treated units (as floats) and units."""
     treated_units = np.bincount(unit_pair, weights=treated, minlength=pair_ids.size)
     units = np.bincount(unit_pair, minlength=pair_ids.size)
     degenerate = (treated_units == 0) | (treated_units == units)
@@ -210,3 +211,4 @@ def check_contrast(unit_pair, treated, pair_ids) -> None:
             f"pair {pair_ids[p]!r} has no treated/control contrast "
             f"(treatments: {[int(treated_units[p] > 0)]}, units: {units[p]})"
         )
+    return treated_units, units

@@ -6,7 +6,9 @@ draws (seed stream v1).  ``ChildStreams`` is the one place that derives
 these streams; it does so in bulk, for a whole range of children at once.
 Stratum j of an assignment draws from child j, so draws are reproducible
 and independent of how the strata are iterated.  Subset sampling uses a
-seeded shuffle: exact uniformity over subsets, no rejection loop.
+seeded shuffle: exact uniformity over subsets, no rejection loop.  One draw,
+``draw_stratified_assignment``, serves pairs too; code that needs pairs first
+calls ``ExperimentData.require_pairs``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .data import Assignment, ExperimentData
 from .dgp import _count
 
-__all__ = ["Seed", "ChildStreams", "draw_paired_assignment", "draw_stratified_assignment"]
+__all__ = ["Seed", "ChildStreams", "draw_stratified_assignment"]
 
 _MAX_SEED = 2**64
 MAX_CHILDREN = 2**32  # a child index is hashed as one 32-bit spawn-key word
@@ -119,11 +121,3 @@ def draw_stratified_assignment(data: ExperimentData, seed: Seed) -> Assignment:
     ])] = True
     return Assignment(treated)
 
-
-def draw_paired_assignment(data: ExperimentData, seed: Seed) -> Assignment:
-    """Draw one treated unit per pair, each unit with probability 1/2.
-
-    The stratified draw at G = 2, after checking that every pair has two units.
-    """
-    data.require_pairs()
-    return draw_stratified_assignment(data, seed)

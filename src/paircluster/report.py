@@ -1,5 +1,8 @@
 """Analysis reports: estimates, variances, tests, and diagnostics.
 
+Both entry points from a dataset to the kernel, ``variance_set`` and ``analyze``,
+live here: each checks the assignment with ``data.check_contrast``, feeds
+``variance.unit_sum_stats`` the dataset's arrays and refuses an overflow.
 The report mirrors how paired-experiment results are audited: both point
 estimators, all four clustered variances with their unit/pair ratio, and
 all four t-tests, for pairs and strata alike.  Each test is named by the
@@ -17,12 +20,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Assignment, ExperimentData
-from .variance import TESTS, UnitStats, _variance_set, critical_value, software_factors
+from .data import Assignment, ExperimentData, check_contrast
+from .variance import (TESTS, UnitStats, critical_value, overflow_error, software_factors,
+                       unit_sum_stats)
 
-__all__ = ["AnalysisReport", "analyze"]
+__all__ = ["AnalysisReport", "analyze", "variance_set"]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def variance_set(data: ExperimentData, assignment: Assignment) -> UnitStats:
+    """``unit_sum_stats`` of a dataset under an assignment, as floats; blocks are pairs.
+    The variances are raw: ``software_factors`` and P/(P-1) are the factors to apply.
+    ``DegeneratePair`` names the first pair without a treated and a control unit, and
+    ``EstimationError`` the first statistic that overflows."""
+    return _variance_set(data, assignment, data.centred_unit_sums)[0]
+
+
+def _variance_set(data: ExperimentData, assignment: Assignment, sums: np.ndarray) -> tuple:
+    """``variance_set`` on ``sums``, ``data.centred_unit_sums`` computed by the caller, and
+    each pair's treated units and units, as ``check_contrast`` counts them."""
+    treated = assignment.unit_vector(data)
+    counts = check_contrast(data.unit_pair, treated, data.pair_ids)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
+        stats = unit_sum_stats(sums, data.unit_sizes.astype(float), treated[None], data.unit_pair)
+    stats = UnitStats(*(float(v[0]) for v in stats))
+    if error := overflow_error(stats):
+        raise error
+    return stats, counts
 
 
 @dataclass(frozen=True)
@@ -145,9 +170,8 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
     z, level = critical_value(level), float(level)
 
     sums = data.centred_unit_sums
-    stats = _variance_set(data, assignment, sums)  # checks that every block has a contrast
+    stats, (n_treated, block_units) = _variance_set(data, assignment, sums)  # checks contrasts
     treated, block, P = assignment.treated, data.unit_pair, data.P
-    n_treated = np.bincount(block, treated, P)
     tests = {key: _normal_test(getattr(stats, tau), getattr(stats, key), z)
              for key, tau in TESTS.items()}
 
@@ -160,7 +184,7 @@ def analyze(data: ExperimentData, assignment: Assignment, level: float = 0.05) -
             m_range = (float(m_b.min()), float(m_b.max()))
     starts = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first unit
     largest, smallest = np.maximum.reduceat(sizes, starts), np.minimum.reduceat(sizes, starts)
-    n_control = data.pair_unit_counts - n_treated
+    n_control = block_units - n_treated
     contrast = np.where(treated, 1.0 / n_treated[block], -1.0 / n_control[block])
     block_effect = np.bincount(block, contrast * sums / sizes, P)
     dataset = {

@@ -1,6 +1,7 @@
 """Cluster-robust variance estimators for paired and stratified experiments.
 
-Every statistic the package reports or tallies comes from one kernel,
+Array math only, with no dataset type: ``report`` turns a dataset into the
+kernel's arrays.  Every statistic the package reports or tallies comes from one kernel,
 ``unit_sum_stats``: both fits (the difference in means and the block
 fixed-effects regression) and all four clustered variances (by block and
 by unit, each without and with fixed effects) from per-unit outcome
@@ -12,24 +13,23 @@ dataset) of at least ``_SLOT_VALUES`` (row, block) values adds its block sums
 slot by slot, any other by ``np.bincount``: both add each block's units in
 order to a 0, so with the same bits.  ``UnitStats`` names each variance
 by its test, the key ``analyze`` reports it under (``pair_fe``: a "pair" is a
-block), in the order ``TESTS`` lists for every output.  ``variance_set`` feeds
-the kernel a dataset, checks the assignment and refuses a statistic that
-overflows; ``software_factors``, keyed by those names, gives the small-sample
+block), in the order ``TESTS`` lists for every output; ``overflow_error`` names
+one that is not finite.  ``software_factors``, keyed by those names, gives the small-sample
 factors that ``analyze`` reports and the Monte Carlo engine applies.  All estimators
 are the raw cluster-robust forms, and every t-test rejects when |t| > ``critical_value(level)``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import Assignment, ExperimentData, check_contrast
 from .dgp import _real
 from .errors import EstimationError
 
-__all__ = ["UnitStats", "unit_sum_stats", "variance_set", "software_factors", "critical_value"]
+__all__ = ["UnitStats", "unit_sum_stats", "software_factors", "critical_value"]
 
 # OpenBLAS splits a dot of more than 10,000 elements across its threads, and
 # the rounding then depends on the thread count.  ``row_dot`` adds up dots of
@@ -80,7 +80,7 @@ def unit_sum_stats(sums, sizes, treated, block) -> UnitStats:
     ``treated`` is (rows, units), one assignment per row, with (rows, units)
     ``sums`` or shared (units,) ones; every field is (rows,).  Every block
     of every row must hold a treated and a control unit.  The kernel checks
-    nothing: ``variance_set`` checks an assignment from outside, and the
+    nothing: ``report.variance_set`` checks an assignment from outside, and the
     Monte Carlo engine fails a replication whose variance is not positive.
     """
     tf, n_blocks, n_obs = treated.astype(float), int(block.max()) + 1, sizes.sum()
@@ -135,28 +135,8 @@ def unit_sum_stats(sums, sizes, treated, block) -> UnitStats:
 
 def overflow_error(stats) -> EstimationError | None:
     """An ``EstimationError`` naming the first ``UnitStats`` field not finite, or None."""
-    bad = [name for name, value in zip(UnitStats._fields, stats) if not np.isfinite(value)]
+    bad = [name for name, value in zip(UnitStats._fields, stats) if not math.isfinite(value)]
     return EstimationError(f"{bad[0]} overflows: the outcomes are too large") if bad else None
-
-
-def variance_set(data: ExperimentData, assignment: Assignment) -> UnitStats:
-    """``unit_sum_stats`` of a dataset under an assignment, as floats; blocks are pairs.
-    The variances are raw: ``software_factors`` and P/(P-1) are the factors to apply.
-    ``DegeneratePair`` names the first pair without a treated and a control unit, and
-    ``EstimationError`` the first statistic that overflows."""
-    return _variance_set(data, assignment, data.centred_unit_sums)
-
-
-def _variance_set(data: ExperimentData, assignment: Assignment, sums: np.ndarray) -> UnitStats:
-    """``variance_set`` on ``sums``, ``data.centred_unit_sums`` computed by the caller."""
-    treated = assignment.unit_vector(data)
-    check_contrast(data.unit_pair, treated, data.pair_ids)
-    with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
-        stats = unit_sum_stats(sums, data.unit_sizes.astype(float), treated[None], data.unit_pair)
-    stats = UnitStats(*(float(v[0]) for v in stats))
-    if error := overflow_error(stats):
-        raise error
-    return stats
 
 
 def software_factors(sizes, block) -> dict:

@@ -46,7 +46,6 @@ from paircluster import (
     DGPConfig,
     ExperimentData,
     Seed,
-    draw_paired_assignment,
     draw_stratified_assignment,
 )
 from paircluster.data import _frozen
@@ -561,7 +560,8 @@ def null_resample(data: ExperimentData, design: str, seed: Seed) -> Assignment:
     measure size.  ``design`` is "paired" or "stratified".
     """
     if design == "paired":
-        return draw_paired_assignment(data, seed)
+        data.require_pairs()
+        return draw_stratified_assignment(data, seed)
     if design == "stratified":
         return draw_stratified_assignment(data, seed)
     raise ValueError(f"design must be 'paired' or 'stratified', got {design!r}")

@@ -13,7 +13,6 @@ from paircluster import (
     ExperimentData,
     Seed,
     analyze,
-    draw_paired_assignment,
     draw_stratified_assignment,
     read_csv,
     resampling_size_experiment,
@@ -282,7 +281,7 @@ def test_a_dataset_stores_nothing_beyond_its_fields(tmp_path, monkeypatch):
     write_csv(tmp_path / "data.csv", data, assignment)
     resampling_size_experiment(data, 600, 0.05, Seed(3), threads=2)
     draw_stratified_assignment(data, Seed(4))
-    draw_paired_assignment(data, Seed(5))
+    data.require_pairs()
     assert sorted(vars(data)) == sorted(name for name, _ in _FIELDS)
 
 
@@ -402,7 +401,7 @@ PAIRED_ONLY = {
     "pair_clustered_variance": lambda d, a: pair_clustered_variance(d, a, diff_in_means(d, a)),
     "unit_clustered_variance": lambda d, a: unit_clustered_variance(d, a, fe_estimate(d, a)),
     "fe_variance_ratio": lambda d, a: fe_variance_ratio(d, fe_estimate(d, a)),
-    "draw_paired_assignment": lambda d, a: draw_paired_assignment(d, Seed(1)),
+    "require_pairs": lambda d, a: d.require_pairs(),
     "null_resample": lambda d, a: null_resample(d, "paired", Seed(1)),
     "resampling_size_experiment": lambda d, a: resampling_size_experiment(d, 10, 0.05, Seed(1)),
 }

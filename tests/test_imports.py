@@ -2,9 +2,11 @@
 resampling need only numpy.  scipy serves only the synthetic generator's
 normal draws and loads when a size experiment first runs; the process pool
 loads when a multi-worker run starts.  Each test runs its own interpreter,
-since this one has long since loaded everything.
+since this one has long since loaded everything.  The variance module's own
+imports are read from its source: array math needs no dataset type.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from paircluster import Seed, SizeCell, draw_paired_assignment, write_csv
+from paircluster import Seed, SizeCell, draw_stratified_assignment, write_csv
 from test_cli import MINIMAL_CSV
 from test_golden import REPS, RESAMPLE_GOLDEN, SIMULATE_GOLDEN, _tallies, _unbalanced_pairs
 
@@ -95,9 +97,23 @@ def test_size_experiment_after_analyze_loads_scipy(tmp_path, threads):
 def test_resampling_runs_with_scipy_blocked(tmp_path, threads):
     data = _unbalanced_pairs()
     pairs = tmp_path / "pairs.csv"
-    write_csv(pairs, data, draw_paired_assignment(data, Seed(0)))  # resampling redraws it
+    write_csv(pairs, data, draw_stratified_assignment(data, Seed(0)))  # resampling redraws it
     out, _ = _run(RESAMPLE, tmp_path, "blocked", block_scipy=True,
                   pairs=str(pairs), reps=REPS, threads=threads)
     loaded, cells = out.splitlines()[-2:]
     assert loaded == "[]"
     assert _tallies(_cells(cells)) == RESAMPLE_GOLDEN
+
+
+def test_the_variance_module_imports_nothing_from_the_data_model():
+    # variance holds array math only: report turns a dataset into the kernel's arrays
+    tree = ast.parse((SRC / "paircluster" / "variance.py").read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "paircluster." * (node.level > 0) + (node.module or "")
+            modules += [base] if node.module else [base + alias.name for alias in node.names]
+    assert "paircluster.dgp" in modules  # the scan sees relative imports
+    assert not [m for m in modules if m == "paircluster.data" or m.startswith("paircluster.data.")]

@@ -5,7 +5,6 @@ from paircluster import (
     DGPConfig,
     ExperimentData,
     Seed,
-    draw_paired_assignment,
     draw_stratified_assignment,
     validate_dataset,
 )
@@ -31,7 +30,7 @@ def _paired_skeleton(P):
 def test_single_pair_forced():
     data = _paired_skeleton(1)
     for master in (0, 1, 2, 3, 99):
-        assignment = draw_paired_assignment(data, Seed(master))
+        assignment = draw_stratified_assignment(data, Seed(master))
         assert assignment.treated.sum() == 1
 
 
@@ -45,10 +44,10 @@ def test_seed_must_be_a_64_bit_integer(value):
 
 def test_determinism():
     data = _paired_skeleton(50)
-    a1 = draw_paired_assignment(data, Seed(7))
-    a2 = draw_paired_assignment(data, Seed(7))
+    a1 = draw_stratified_assignment(data, Seed(7))
+    a2 = draw_stratified_assignment(data, Seed(7))
     assert a1 == a2
-    a3 = draw_paired_assignment(data, Seed(8))
+    a3 = draw_stratified_assignment(data, Seed(8))
     assert a1 != a3
 
 
@@ -57,7 +56,7 @@ def test_paired_first_unit_frequency():
     # sd 0.5/sqrt(P), so a [0.48, 0.52] band is a 4-sigma check at P=10000
     P = 10000
     data = _paired_skeleton(P)
-    assignment = draw_paired_assignment(data, Seed(314))
+    assignment = draw_stratified_assignment(data, Seed(314))
     first_treated = assignment.treated[0::2].sum()
     assert 0.48 <= first_treated / P <= 0.52
 
@@ -65,7 +64,7 @@ def test_paired_first_unit_frequency():
 def test_not_paired():
     data = _strata_skeleton(3, G=3)
     with pytest.raises(NotPaired):
-        draw_paired_assignment(data, Seed(1))
+        data.require_pairs()
 
 
 def test_stratum_too_small_config():
@@ -104,14 +103,6 @@ def test_exchangeability_g3():
     assert np.all(np.abs(p_hat - 1 / 3) <= band)
 
 
-def test_g2_matches_paired_rule():
-    data = _paired_skeleton(30)
-    a_strat = draw_stratified_assignment(data, Seed(5))
-    w = a_strat.unit_vector(data).reshape(30, 2)
-    assert np.all(w.sum(axis=1) == 1)
-    assert a_strat == draw_paired_assignment(data, Seed(5))
-
-
 def test_assignment_covers_validated_units():
     rows = [
         ("p1", "a", 1, 2.0),
@@ -120,7 +111,7 @@ def test_assignment_covers_validated_units():
         ("p2", "d", 1, 1.0),
     ]
     data, _ = validate_dataset(rows)
-    assignment = draw_paired_assignment(data, Seed(0))
+    assignment = draw_stratified_assignment(data, Seed(0))
     assert assignment.unit_vector(data).reshape(2, 2).sum(axis=1).tolist() == [1, 1]
 
 
@@ -142,8 +133,7 @@ def test_paired_streams_pinned(master):
     def bits(assignment):
         return "".join("1" if t else "0" for t in assignment.treated)
 
-    assert bits(draw_paired_assignment(data, Seed(master))) == drawn
-    assert bits(null_resample(data, "paired", Seed(master))) == drawn
     assert bits(draw_stratified_assignment(data, Seed(master))) == drawn
+    assert bits(null_resample(data, "paired", Seed(master))) == drawn
     _, assignment, _ = simulate_strata(DGPConfig(G=2, P=12, n_gp=2), Seed(master))
     assert bits(assignment) == simulated

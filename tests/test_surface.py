@@ -16,7 +16,6 @@ PUBLIC = [
     "SizeTable",
     "__version__",
     "analyze",
-    "draw_paired_assignment",
     "draw_stratified_assignment",
     "errors",
     "read_csv",
