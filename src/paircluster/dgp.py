@@ -1,13 +1,11 @@
-"""The synthetic stratified generator's parameters.
+"""The synthetic stratified generator's parameters, and the checks of numbers they use.
 
 ``DGPConfig`` describes one synthetic experiment: P strata of G units,
 n_gp observations per unit with iid standard-normal potential outcomes, an
 additive normal stratum shock with variance ``sigma2_gamma`` and a treatment
-effect, one number or one per stratum.  The Monte Carlo engine draws each
-replication's unit outcome sums from it directly.  Normal variates come
-from the inverse CDF (``uniform_to_normal``, scipy's ``ndtri``) applied to
-the seeded uniform stream, so draws are bit-reproducible across platforms.  They
-are scipy's one use, so ``import paircluster``, ``analyze`` and resampling need numpy only.
+effect, one number or one per stratum.  This module holds parameters only: it
+draws no random numbers.  ``randomize.StratifiedDraw`` draws each Monte Carlo
+replication from them.
 """
 
 from __future__ import annotations
@@ -19,15 +17,7 @@ import numpy as np
 
 from .errors import StratumTooSmall
 
-__all__ = ["DGPConfig", "uniform_to_normal"]
-
-_TINY = 2.0**-53
-
-
-def uniform_to_normal(u: np.ndarray) -> np.ndarray:
-    """The inverse normal CDF of uniforms in [0, 1), computed in place in ``u``."""
-    from scipy.special import ndtri  # the package's one use of scipy, loaded on the first call
-    return ndtri(np.clip(u, _TINY, 1.0 - _TINY, out=u), out=u)
+__all__ = ["DGPConfig"]
 
 
 def _count(name: str, value) -> int:

@@ -2,24 +2,20 @@
 
 Each replication draws a fresh experiment, fits both models, forms the four
 cluster-robust t-tests, and tallies rejections of the true null, one table row
-per test in ``variance.TESTS`` order.  Replication i draws from the i-th child
-of the master seed (seed stream v1), in the order of a lone replication; chunks
-are reduced in fixed order, so results are bit-identical for any batching and
-any worker count.  Each chunk derives its replications' streams in bulk with
-``randomize.ChildStreams`` and resets one generator per replication.
+per test in ``variance.TESTS`` order.  Every test rejects when
+|t| > ``variance.critical_value(level)``, as in ``analyze``.
 
-One chunk worker serves both experiments, a sub-batch at a time: a draw
-object, which holds the units' blocks and sizes and no count, turns the
-uniforms into unit sums and assignments at once, and one call of
-``variance.unit_sum_stats`` (which ``analyze`` uses too) gives all
-their statistics.  These depend on the data only through per-unit outcome
-sums, unit sizes, blocks and the assignment, so the synthetic generator draws unit
-sums directly (the sum of n iid standard normals is sqrt(n) times one),
-with the sampling distribution of an observation-level generator; the
-tests check it against one (``simulate_strata`` in ``tests/oracles.py``).
-Every test rejects when |t| > ``variance.critical_value(level)``, as in ``analyze``.
-scipy serves only the generator's normal draws, and ``_StratifiedDraw`` loads it in
-the parent; resampling needs numpy only.
+The engine runs any draw: an object with ``sizes`` and ``block`` (each unit's
+observation count and block index), ``G``, ``label`` and ``design`` (the table's
+block size, block-clustered test name and design string), and
+``batch(streams, first, count)``, the (sums, treated) of the ``count``
+replications from ``first`` of a chunk: ``treated`` is (count, units) and
+``sums`` (count, units) or shared (units,).  ``randomize`` holds the draws and
+the ``ChildStreams`` they read; each chunk builds one for its replications.
+The statistics depend on the data only through unit sums, sizes, blocks and the
+assignment, so one call of ``variance.unit_sum_stats`` (which ``analyze`` uses
+too) gives a sub-batch's statistics.  Chunks are reduced in fixed order, so
+results are bit-identical for any batching and any worker count.
 
 ``threads`` counts the calling process: with w workers it forks w - 1
 processes, and every worker claims the next chunk from one shared counter.
@@ -37,9 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .data import ExperimentData
-from .dgp import DGPConfig, _count, uniform_to_normal
+from .dgp import DGPConfig, _count
 from .errors import PairClusterError, ReplicationError, ZeroVariance
-from .randomize import MAX_CHILDREN, ChildStreams, Seed
+from .randomize import MAX_CHILDREN, ChildStreams, PairedResample, Seed, StratifiedDraw
 from .variance import (TESTS, UnitStats, critical_value, overflow_error, software_factors,
                        unit_sum_stats)
 
@@ -61,60 +57,6 @@ def _check_reps(reps) -> int:
     if not 1 <= reps < MAX_CHILDREN:  # replication i is child i of the master seed
         raise ValueError(f"reps must be >= 1 and below 2**32, got {reps}")
     return reps
-
-
-def _uniforms(streams, first, count, *shapes):
-    """Uniform buffers; row k is filled, in order, from ``streams.rng(first + k)``."""
-    buffers = [np.empty((count, *shape)) for shape in shapes]
-    for k in range(count):
-        rng = streams.rng(first + k)
-        for buffer in buffers:
-            rng.random(out=buffer[k])
-    return buffers
-
-
-class _StratifiedDraw:
-    """Unit sums and a stratified assignment from the synthetic generator."""
-
-    def __init__(self, cfg: DGPConfig):
-        self.taus = np.broadcast_to(cfg.effect, cfg.P) if np.any(cfg.effect) else None
-        self.G, self.P, self.n_gp, self.sigma2 = cfg.G, cfg.P, cfg.n_gp, cfg.sigma2_gamma
-        self.block = np.repeat(np.arange(cfg.P), cfg.G)
-        self.sizes = np.full(cfg.n_units, float(cfg.n_gp))
-        uniform_to_normal(np.empty(0))  # loads scipy here, so forked workers inherit it
-
-    def batch(self, streams, first, count):
-        """(sums, treated) of the ``count`` replications from ``first``, each (count, units)."""
-        P, G, n_gp = self.P, self.G, self.n_gp
-        shock = [(P,)] if self.sigma2 > 0.0 else []
-        u_order, u_sums, *u_shock = _uniforms(streams, first, count, (P, G), (P * G,), *shock)
-        # Each stratum's G // 2 smallest uniforms are treated (ties have probability < G**2 / 2**54).
-        if G == 2:  # the same mask as the partition, ties included, at a fraction of its cost
-            kth = np.minimum(u_order[..., :1], u_order[..., 1:])
-        else:
-            kth = np.partition(u_order, G // 2 - 1, axis=-1)[..., G // 2 - 1 : G // 2]
-        treated = (u_order <= kth).reshape(count, P * G)
-        sums = np.multiply(uniform_to_normal(u_sums), math.sqrt(n_gp), out=u_sums)
-        for u in u_shock:
-            sums += n_gp * (uniform_to_normal(u) * math.sqrt(self.sigma2))[:, self.block]
-        if self.taus is not None:
-            sums += n_gp * self.taus[self.block] * treated
-        return sums, treated
-
-
-class _PairedResample:
-    """Fixed unit sums of a paired dataset under fresh coin-flip assignments."""
-
-    def __init__(self, data: ExperimentData):
-        data.require_pairs()
-        self.sums = data.centred_unit_sums
-        self.sizes = data.unit_sizes.astype(float)
-        self.block = data.unit_pair
-
-    def batch(self, streams, first, count):
-        """The shared (units,) sums and (count, units) assignments of ``count`` replications."""
-        heads = _uniforms(streams, first, count, (self.block.size // 2,))[0] < 0.5
-        return self.sums, np.stack([heads, ~heads], axis=2).reshape(count, -1)
 
 
 def _run_chunk(args):
@@ -271,7 +213,7 @@ def _run_chunks(worker, arg_list, threads):
     return list(results)
 
 
-def _size_table(draw, reps, level, seed, threads, collect, G, block_label, design):
+def _size_table(draw, reps, level, seed, threads, collect):
     """Run ``reps`` replications of ``draw`` in chunks and tabulate them."""
     if threads is not None and _count("threads", threads) < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -296,9 +238,9 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
         is_fe = model == "fe"
         cells.append(
             SizeCell(
-                test=block_label if cluster == "pair" else cluster,
+                test=draw.label if cluster == "pair" else cluster,
                 model=model,
-                G=G,
+                G=draw.G,
                 reps=reps,
                 rejections=int(rej[j]),
                 rejection_rate=rate,
@@ -308,7 +250,7 @@ def _size_table(draw, reps, level, seed, threads, collect, G, block_label, desig
                 mean_se_ratio_raw=ratio_raw if is_fe else None,
             )
         )
-    table = SizeTable(cells=cells, level=level, seed=seed.master, design=design)
+    table = SizeTable(cells=cells, level=level, seed=seed.master, design=draw.design)
     if collect:
         tstats = np.concatenate([res["tstats"] for res in results], axis=1)
         table.t_stats = {(c.test, c.model): tstats[j] for j, c in enumerate(cells)}
@@ -329,11 +271,8 @@ def run_size_experiment(
     ``threads`` (>= 1, None: all) and the CPUs this process may use cap the
     workers, the calling process among them.
     """
-    cfg = spec.dgp
     return _size_table(
-        _StratifiedDraw(cfg), spec.reps, spec.level, spec.master_seed, threads,
-        collect_tstats, cfg.G, "stratum",
-        f"stratified(G={cfg.G},P={cfg.P},n_gp={cfg.n_gp})",
+        StratifiedDraw(spec.dgp), spec.reps, spec.level, spec.master_seed, threads, collect_tstats
     )
 
 
@@ -356,7 +295,4 @@ def resampling_size_experiment(
     reps = _check_reps(reps)
     if data.P < 2:
         raise ValueError(f"need P >= 2 pairs, got {data.P}")
-    return _size_table(
-        _PairedResample(data), reps, float(level), seed, threads, collect_tstats, 2, "pair",
-        f"resampled(P={data.P})",
-    )
+    return _size_table(PairedResample(data), reps, float(level), seed, threads, collect_tstats)

@@ -1,27 +1,36 @@
-"""Treatment assignment draws for paired and stratified designs, and seed streams.
+"""Seed stream v1: every random draw the package makes, and the streams they read.
 
 Every random stream is a child of a master seed: child i of ``Seed(m)``
 draws exactly what ``np.random.default_rng(SeedSequence(m, spawn_key=(i,)))``
-draws (seed stream v1).  ``ChildStreams`` is the one place that derives
-these streams; it does so in bulk, for a whole range of children at once.
-Stratum j of an assignment draws from child j, so draws are reproducible
-and independent of how the strata are iterated.  Subset sampling uses a
-seeded shuffle: exact uniformity over subsets, no rejection loop.  One draw,
-``draw_stratified_assignment``, serves pairs too; code that needs pairs first
-calls ``ExperimentData.require_pairs``.
+draws.  ``ChildStreams`` is the one place that derives these streams, in bulk
+for a range of children.  Monte Carlo replication i reads one row of uniforms
+from child i (``ChildStreams.uniforms``): ``[P*G assignment | P*G unit sums |
+P stratum shocks, when sigma2_gamma > 0]`` for the generator and ``[P coins]``
+for resampling.  Normals are the inverse normal CDF of uniforms clipped to
+[2**-53, 1 - 2**-53] (``uniform_to_normal``: scipy's ``ndtri``, its one use, so
+``import paircluster``, ``analyze`` and resampling need numpy only).
+
+The three assignment rules: ``draw_stratified_assignment`` permutes stratum
+j's units with child j and treats the first floor(G/2) (pairs first call
+``ExperimentData.require_pairs``); ``StratifiedDraw``, the generator, treats
+each stratum's floor(G/2) smallest uniforms; ``PairedResample``, null
+resampling, flips one coin per pair, a uniform below 0.5 treating its first unit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Assignment, ExperimentData
-from .dgp import _count
+from .dgp import DGPConfig, _count
 
-__all__ = ["Seed", "ChildStreams", "draw_stratified_assignment"]
+__all__ = ["Seed", "ChildStreams", "draw_stratified_assignment", "uniform_to_normal",
+           "StratifiedDraw", "PairedResample"]
 
+_TINY = 2.0**-53
 _MAX_SEED = 2**64
 MAX_CHILDREN = 2**32  # a child index is hashed as one 32-bit spawn-key word
 
@@ -103,6 +112,20 @@ class ChildStreams:
         }
         return self._generator
 
+    def uniforms(self, first: int, count: int, width: int) -> np.ndarray:
+        """(count, width) uniforms: row k opens the stream of child ``start + first + k``."""
+        out = np.empty((count, width))
+        for k in range(count):
+            self.rng(first + k).random(out=out[k])
+        return out
+
+
+def uniform_to_normal(u: np.ndarray) -> np.ndarray:
+    """The inverse normal CDF of uniforms in [0, 1), as a new contiguous array."""
+    from scipy.special import ndtri  # the package's one use of scipy, loaded on the first call
+    z = np.clip(u, _TINY, 1.0 - _TINY)
+    return ndtri(z, out=z)
+
 
 def draw_stratified_assignment(data: ExperimentData, seed: Seed) -> Assignment:
     """Draw floor(G/2) treated units per stratum, independently across strata.
@@ -121,3 +144,51 @@ def draw_stratified_assignment(data: ExperimentData, seed: Seed) -> Assignment:
     ])] = True
     return Assignment(treated)
 
+
+
+class StratifiedDraw:
+    """Unit sums and a stratified assignment from the synthetic generator."""
+
+    def __init__(self, cfg: DGPConfig):
+        self.taus = np.broadcast_to(cfg.effect, cfg.P) if np.any(cfg.effect) else None
+        self.G, self.P, self.n_gp, self.sigma2 = cfg.G, cfg.P, cfg.n_gp, cfg.sigma2_gamma
+        self.block = np.repeat(np.arange(cfg.P), cfg.G)
+        self.sizes = np.full(cfg.n_units, float(cfg.n_gp))
+        self.label, self.design = "stratum", f"stratified(G={cfg.G},P={cfg.P},n_gp={cfg.n_gp})"
+        uniform_to_normal(np.empty(0))  # loads scipy here, so forked workers inherit it
+
+    def batch(self, streams, first, count):
+        """(sums, treated) of the ``count`` replications from ``first``, each (count, units)."""
+        P, G, n_gp, units = self.P, self.G, self.n_gp, self.block.size
+        u = streams.uniforms(first, count, 2 * units + (P if self.sigma2 > 0.0 else 0))
+        u_order = u[:, :units].reshape(count, P, G)
+        # Each stratum's G // 2 smallest uniforms are treated (ties have probability < G**2 / 2**54).
+        if G == 2:  # the same mask as the partition, ties included, at a fraction of its cost
+            kth = np.minimum(u_order[..., :1], u_order[..., 1:])
+        else:
+            kth = np.partition(u_order, G // 2 - 1, axis=-1)[..., G // 2 - 1 : G // 2]
+        treated = (u_order <= kth).reshape(count, units)
+        sums = uniform_to_normal(u[:, units : 2 * units])
+        sums *= math.sqrt(n_gp)  # in law, the sum of n_gp iid standard normals
+        if self.sigma2 > 0.0:
+            shocks = uniform_to_normal(u[:, 2 * units :]) * math.sqrt(self.sigma2)
+            sums += n_gp * shocks[:, self.block]
+        if self.taus is not None:
+            sums += n_gp * self.taus[self.block] * treated
+        return sums, treated
+
+
+class PairedResample:
+    """Fixed unit sums of a paired dataset under fresh coin-flip assignments."""
+
+    def __init__(self, data: ExperimentData):
+        data.require_pairs()
+        self.sums = data.centred_unit_sums
+        self.sizes = data.unit_sizes.astype(float)
+        self.block = data.unit_pair
+        self.G, self.label, self.design = 2, "pair", f"resampled(P={data.P})"
+
+    def batch(self, streams, first, count):
+        """The shared (units,) sums and (count, units) assignments of ``count`` replications."""
+        heads = streams.uniforms(first, count, self.block.size // 2) < 0.5
+        return self.sums, np.stack([heads, ~heads], axis=2).reshape(count, -1)

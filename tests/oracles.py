@@ -49,12 +49,12 @@ from paircluster import (
     draw_stratified_assignment,
 )
 from paircluster.data import _frozen
-from paircluster.dgp import uniform_to_normal
 from paircluster.errors import (
     DegeneratePair,
     EstimationError,
     ZeroVariance,
 )
+from paircluster.randomize import uniform_to_normal
 
 
 # -- errors only the oracles raise ---------------------------------------------

@@ -2,8 +2,9 @@
 resampling need only numpy.  scipy serves only the synthetic generator's
 normal draws and loads when a size experiment first runs; the process pool
 loads when a multi-worker run starts.  Each test runs its own interpreter,
-since this one has long since loaded everything.  The variance module's own
-imports are read from its source: array math needs no dataset type.
+since this one has long since loaded everything.  Two boundaries are read
+from the source: the variance module's array math needs no dataset type, and
+seed stream v1 (scipy, the draws, every ``random`` call) lives in ``randomize``.
 """
 
 import ast
@@ -105,9 +106,8 @@ def test_resampling_runs_with_scipy_blocked(tmp_path, threads):
     assert _tallies(_cells(cells)) == RESAMPLE_GOLDEN
 
 
-def test_the_variance_module_imports_nothing_from_the_data_model():
-    # variance holds array math only: report turns a dataset into the kernel's arrays
-    tree = ast.parse((SRC / "paircluster" / "variance.py").read_text(encoding="utf-8"))
+def _imports(tree):
+    """The modules a parsed source imports from, relative ones as ``paircluster.<name>``."""
     modules = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -115,5 +115,39 @@ def test_the_variance_module_imports_nothing_from_the_data_model():
         elif isinstance(node, ast.ImportFrom):
             base = "paircluster." * (node.level > 0) + (node.module or "")
             modules += [base] if node.module else [base + alias.name for alias in node.names]
+    return modules
+
+
+def _within(modules, *packages):
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+def test_the_variance_module_imports_nothing_from_the_data_model():
+    # variance holds array math only: report turns a dataset into the kernel's arrays
+    modules = _imports(ast.parse((SRC / "paircluster" / "variance.py").read_text(encoding="utf-8")))
     assert "paircluster.dgp" in modules  # the scan sees relative imports
-    assert not [m for m in modules if m == "paircluster.data" or m.startswith("paircluster.data.")]
+    assert not _within(modules, "paircluster.data")
+
+
+def test_seed_stream_v1_lives_in_randomize_alone():
+    # scipy's ndtri, every class with a batch method (a draw) and every call of a
+    # generator's random are in randomize; dgp holds parameters and draws nothing
+    found = {}
+    for path in sorted((SRC / "paircluster").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        names |= {n.name for n in nodes if isinstance(n, ast.alias)}
+        draws = [n.name for n in nodes if isinstance(n, ast.ClassDef)
+                 and any(isinstance(f, ast.FunctionDef) and f.name == "batch" for f in n.body)]
+        calls = [n for n in nodes if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Attribute) and n.func.attr == "random"]
+        found[path.stem] = (_within(_imports(tree), "scipy") or "ndtri" in names, draws, calls)
+        if path.stem == "dgp":
+            assert not _within(_imports(tree), "numpy.random", "scipy", "paircluster.randomize")
+            assert "random" not in names  # nor np.random through numpy itself
+    assert [m for m, (scipy, _, _) in found.items() if scipy] == ["randomize"]
+    assert [m for m, (_, draws, _) in found.items() if draws] == ["randomize"]
+    assert [m for m, (_, _, calls) in found.items() if calls] == ["randomize"]
+    assert found["randomize"][1] == ["StratifiedDraw", "PairedResample"]

@@ -24,7 +24,7 @@ from paircluster import (
 )
 from paircluster import cli, montecarlo
 from paircluster.errors import EstimationError, PairClusterError, ReplicationError, ZeroVariance
-from paircluster.montecarlo import _StratifiedDraw
+from paircluster.randomize import StratifiedDraw
 from paircluster.variance import UnitStats, critical_value, software_factors, unit_sum_stats
 from oracles import (
     diff_in_means,
@@ -196,17 +196,6 @@ def test_g2_raw_ratio_is_root_half_every_rep():
     assert cell.mean_se_ratio == pytest.approx(math.sqrt(0.5) * mult, rel=1e-12)
 
 
-class _Replay:
-    """A generator stand-in whose ``random`` hands out the values of ``flat`` in order."""
-
-    def __init__(self, flat):
-        self.flat, self.used = flat, 0
-
-    def random(self, out):
-        out[...] = self.flat[self.used : self.used + out.size].reshape(out.shape)
-        self.used += out.size
-
-
 def test_g2_treated_mask_is_the_partition_rule_ties_included():
     P, count = 100, 64
     rng = np.random.default_rng(4)
@@ -217,9 +206,9 @@ def test_g2_treated_mask_is_the_partition_rule_ties_included():
     expected = (order <= np.partition(order, 0, axis=-1)[..., :1]).reshape(count, 2 * P)
 
     class Streams:
-        rng = staticmethod(lambda k: _Replay(u[k]))
+        uniforms = staticmethod(lambda first, count, width: u[first : first + count, :width])
 
-    _, treated = _StratifiedDraw(DGPConfig(G=2, P=P, n_gp=3)).batch(Streams, 0, count)
+    _, treated = StratifiedDraw(DGPConfig(G=2, P=P, n_gp=3)).batch(Streams, 0, count)
     assert np.array_equal(treated, expected)
     assert treated.reshape(count, P, 2)[ties].all()  # a tie treats both units
 
@@ -229,7 +218,7 @@ def test_generator_design_is_the_dataset_it_stands_for(G, P, n_gp):
     # simulate's blocks and sizes are those of the dataset the generator stands for,
     # so the factor simulate applies is the one analyze reports for that dataset
     cfg = DGPConfig(G=G, P=P, n_gp=n_gp)
-    draw = _StratifiedDraw(cfg)
+    draw = StratifiedDraw(cfg)
     data, assignment, _ = simulate_strata(cfg, Seed(G))
     assert np.array_equal(draw.block, data.unit_pair)
     assert np.array_equal(draw.sizes, data.unit_sizes)

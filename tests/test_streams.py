@@ -64,34 +64,27 @@ def test_child_indexes_beyond_one_spawn_word_rejected():
         ChildStreams(Seed(1), MAX_CHILDREN - 2, 3)
 
 
-def _uniforms_oracle(master, count, *shapes):
-    """The per-replication loop: replication i fills its rows from its own generator."""
-    buffers = [np.empty((count, *shape)) for shape in shapes]
-    for i in range(count):
-        rng = _oracle(master, i)
-        for buffer in buffers:
-            rng.random(out=buffer[i])
-    return buffers
+def _uniforms_oracle(master, count, width):
+    """The per-replication loop: replication i fills its row from its own generator."""
+    return np.stack([_oracle(master, i).random(width) for i in range(count)])
 
 
 def test_engine_uniforms_across_sub_batch_and_chunk_boundaries(monkeypatch):
     P, G, reps, master = 100, 2, 600, 2**40 + 3
     assert max(1, montecarlo._SUB_BATCH // (P * G)) < montecarlo._CHUNK < reps
     drawn = []
-    real = montecarlo._uniforms
+    real = ChildStreams.uniforms
 
     def recording(*args):
-        buffers = real(*args)
-        drawn.append([b.copy() for b in buffers])  # the engine overwrites them in place
-        return buffers
+        drawn.append(real(*args))
+        return drawn[-1]
 
-    monkeypatch.setattr(montecarlo, "_uniforms", recording)
+    monkeypatch.setattr(ChildStreams, "uniforms", recording)
     spec = SizeExperimentSpec(DGPConfig(G=G, P=P, n_gp=3, sigma2_gamma=0.5), reps, Seed(master))
     run_size_experiment(spec, threads=1)
     assert len(drawn) > 2 * -(-reps // montecarlo._CHUNK)  # several sub-batches per chunk
-    expected = _uniforms_oracle(master, reps, (P, G), (P * G,), (P,))
-    for j, oracle in enumerate(expected):
-        assert np.array_equal(np.concatenate([d[j] for d in drawn]), oracle)
+    expected = _uniforms_oracle(master, reps, 2 * P * G + P)
+    assert np.array_equal(np.concatenate(drawn), expected)
 
 
 def test_stratified_assignment_matches_per_stratum_generators():
