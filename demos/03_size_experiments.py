@@ -65,7 +65,7 @@ print(f"\ncollected t-statistics, unit+FE: sd = {t_fe_unit.std(ddof=1):.3f} "
       f"(a standard normal has sd 1; sqrt(2) = {math.sqrt(2):.3f})")
 
 # The size table serializes to CSV/JSON; this is what the command
-#   paircluster simulate --design stratified --scan-G 2..10 ...
+#   paircluster simulate --scan-G 2..10 ...
 # writes for the full sweep.
 print("\nCSV form:")
 print("\n".join(table.to_csv_text().splitlines()[:3]))

@@ -1,11 +1,13 @@
 """Command-line entry points.
 
 ``paircluster analyze`` audits a paired or stratified experiment CSV;
-``paircluster simulate`` runs the replicated size experiments.  Results
-go to stdout, diagnostics to stderr.  Exit statuses: 0 success, 1 usage
-error, 2 data validation error or a ``--data`` file that cannot be read,
-3 runtime/numeric failure (an output that cannot be written, a design too
-large for the machine, memory that runs out and a failed fork included).
+``paircluster simulate`` runs the replicated size experiments on strata
+of ``--G`` units, 2 (pairs) unless given, or on each size of a
+``--scan-G`` range.  Results go to stdout, diagnostics to stderr.  Exit
+statuses: 0 success, 1 usage error, 2 data validation error or a
+``--data`` file that cannot be read, 3 runtime/numeric failure (an output
+that cannot be written, a design too large for the machine, memory that
+runs out and a failed fork included).
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--json-out", help="write the full-precision JSON report here")
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo size experiment")
-    p_sim.add_argument("--design", choices=["paired", "stratified"], required=True)
-    p_sim.add_argument("--G", type=int, help="units per stratum (paired design fixes 2)")
+    # unread; kept while perfbench/opproc.py passes it (ROADMAP items 6 and 12 delete it)
+    p_sim.add_argument("--design", choices=["stratified"], help=argparse.SUPPRESS)
+    p_sim.add_argument("--G", type=int, help="units per stratum (default: 2, pairs)")
     p_sim.add_argument("--scan-G", help="inclusive range a..b of stratum sizes to sweep")
     p_sim.add_argument("--P", type=int, required=True, help="number of pairs/strata")
     p_sim.add_argument("--n", type=int, required=True, help="observations per unit")
@@ -95,7 +98,7 @@ def _write(path: str, text: str) -> None:
         raise PairClusterError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _parse_scan(text: str) -> range:
+def _parse_scan(text: str) -> list[int]:
     try:
         lo_text, hi_text = text.split("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -103,26 +106,21 @@ def _parse_scan(text: str) -> range:
         raise _UsageError(f"--scan-G expects a..b, got {text!r}") from None
     if lo < 2 or hi < lo:
         raise _UsageError(f"--scan-G range must satisfy 2 <= a <= b, got {text!r}")
-    return range(lo, hi + 1)
+    try:
+        return list(range(lo, hi + 1))
+    except OverflowError as exc:  # more sizes than a list can hold
+        raise PairClusterError(f"--scan-G {text} is too large: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise _UsageError("--threads must be >= 1")
-    if args.design == "paired":
-        if args.scan_G:
-            raise _UsageError("--scan-G applies to the stratified design only")
-        if args.G not in (None, 2):
-            raise _UsageError("paired design means G=2")
-        g_values = [2]
-    elif args.scan_G:
-        if args.G is not None:
-            raise _UsageError("give either --G or --scan-G, not both")
-        g_values = list(_parse_scan(args.scan_G))
+    if args.scan_G is None:
+        g_values = [2 if args.G is None else args.G]
+    elif args.G is not None:
+        raise _UsageError("give either --G or --scan-G, not both")
     else:
-        if args.G is None:
-            raise _UsageError("stratified design needs --G or --scan-G")
-        g_values = [args.G]
+        g_values = _parse_scan(args.scan_G)
 
     cells = []
     tables = []

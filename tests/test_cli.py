@@ -1,5 +1,6 @@
 import csv
 import gzip
+import hashlib
 import json
 import math
 import multiprocessing
@@ -258,7 +259,7 @@ def _cli(*argv, warnings_as_errors=False):
 
 def test_simulate_draws_that_overflow_fail_without_a_warning():
     # an effect of 1e308 is finite, but the statistics of its draws are not
-    code, out, err = _cli("simulate", "--design", "paired", "--P", "5", "--n", "1", "--reps", "5",
+    code, out, err = _cli("simulate", "--P", "5", "--n", "1", "--reps", "5",
                           "--seed", "1", "--threads", "1", "--effect", "1e308",
                           warnings_as_errors=True)
     assert (code, out) == (3, "")
@@ -269,15 +270,14 @@ def test_simulate_draws_that_overflow_fail_without_a_warning():
 def test_simulate_too_large_names_the_whole_design():
     # an --n beyond a float is what overflows here, so the message names it too
     n = "1" + "0" * 400
-    code, out, err = _cli("simulate", "--design", "paired", "--P", "5", "--n", n, "--reps", "1",
-                          "--seed", "1")
+    code, out, err = _cli("simulate", "--P", "5", "--n", n, "--reps", "1", "--seed", "1")
     assert (code, out) == (3, "") and err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"error: G=2, P=5, n={n} is too large: ")
 
 
 def test_simulate_deterministic_csv(capsys):
     argv = [
-        "simulate", "--design", "paired", "--P", "20", "--n", "2",
+        "simulate", "--P", "20", "--n", "2",
         "--reps", "60", "--seed", "123", "--threads", "1",
     ]
     assert main(argv) == 0
@@ -294,7 +294,7 @@ def test_simulate_scan_outputs(tmp_path, capsys):
     csv_path = tmp_path / "table.csv"
     json_path = tmp_path / "table.json"
     argv = [
-        "simulate", "--design", "stratified", "--scan-G", "2..4", "--P", "15",
+        "simulate", "--scan-G", "2..4", "--P", "15",
         "--n", "2", "--reps", "40", "--seed", "9", "--threads", "1",
         "--csv-out", str(csv_path), "--json-out", str(json_path),
     ]
@@ -313,18 +313,51 @@ def test_simulate_scan_outputs(tmp_path, capsys):
 
 
 def test_simulate_usage_errors(capsys):
-    base = ["simulate", "--design", "stratified", "--P", "10", "--n", "1", "--seed", "1"]
+    base = ["simulate", "--P", "10", "--n", "1", "--seed", "1"]
     assert main(base + ["--reps", "0", "--G", "3"]) == 1
-    assert main(base + ["--reps", "5"]) == 1  # neither --G nor --scan-G
     assert main(base + ["--reps", "5", "--G", "1"]) == 1
     assert main(base + ["--reps", "5", "--scan-G", "5"]) == 1
+    assert main(base + ["--reps", "5", "--scan-G", ""]) == 1
     assert main(base + ["--reps", "5", "--G", "3", "--scan-G", "3..4"]) == 1
+    assert main(base + ["--reps", "5", "--G", "2", "--scan-G", "2..3"]) == 1  # 2 is the default
     assert main(base + ["--reps", "5", "--scan-G", "5..3"]) == 1
-    paired = ["simulate", "--design", "paired", "--P", "10", "--n", "1", "--seed", "1"]
-    assert main(paired + ["--reps", "5", "--G", "3"]) == 1
-    assert main(paired + ["--reps", "5", "--scan-G", "2..3"]) == 1
     assert main(["simulate", "--design", "nope", "--P", "1", "--n", "1",
                  "--reps", "1", "--seed", "1"]) == 1
+
+
+# stdout and --json-out of `simulate --design paired --P 20 --n 2 --reps 600 --seed 1
+# --threads 1`, the spelling that a run without --G replaced
+PAIRS_P20_CSV = """\
+test,model,G,reps,rejection_rate,mc_se,mean_se_ratio
+stratum,nofe,2,600,0.058333333333333334,0.00956822480536102,
+unit,nofe,2,600,0.055,0.009307255234493142,
+stratum,fe,2,600,0.058333333333333334,0.00956822480536102,0.697982440452113
+unit,fe,2,600,0.19,0.016015617378046968,0.697982440452113
+"""
+PAIRS_P20_JSON_SHA256 = "596a82ad319dd2cff28a0b1f94f0021dc06e8ac44f8e45d9e138295ae12a8208"
+
+
+def _simulate(tmp_path, capsys, *flags):
+    """(stdout, --json-out bytes) of one in-process P = 20, n = 2, 600-rep run."""
+    path = tmp_path / "table.json"
+    assert main(["simulate", *flags, "--P", "20", "--n", "2", "--reps", "600", "--seed", "1",
+                 "--threads", "1", "--json-out", str(path)]) == 0
+    return capsys.readouterr().out, path.read_bytes()
+
+
+def test_simulate_without_g_runs_pairs_byte_for_byte(tmp_path, capsys):
+    out, payload = _simulate(tmp_path, capsys)
+    assert out == PAIRS_P20_CSV
+    assert hashlib.sha256(payload).hexdigest() == PAIRS_P20_JSON_SHA256
+    assert _simulate(tmp_path, capsys, "--G", "2") == (out, payload)
+
+
+def test_simulate_keeps_the_stratified_spelling_and_refuses_paired(tmp_path, capsys):
+    assert (_simulate(tmp_path, capsys, "--design", "stratified", "--G", "5")
+            == _simulate(tmp_path, capsys, "--G", "5"))
+    code, out, err = _cli("simulate", "--design", "paired", "--P", "5", "--n", "1",
+                          "--reps", "5", "--seed", "1")
+    assert (code, out) == (1, "") and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_simulate_reps_beyond_seed_words_start_no_replication(monkeypatch):
@@ -332,7 +365,7 @@ def test_simulate_reps_beyond_seed_words_start_no_replication(monkeypatch):
         raise AssertionError("a replication started")
 
     monkeypatch.setattr(cli, "run_size_experiment", unreachable)
-    argv = ["simulate", "--design", "paired", "--P", "10", "--n", "1", "--seed", "1"]
+    argv = ["simulate", "--P", "10", "--n", "1", "--seed", "1"]
     assert main(argv + ["--reps", str(2**32)]) == 1
 
 
@@ -342,7 +375,7 @@ def test_help_exits_zero():
 
 def test_simulate_effect_flag(capsys):
     argv = [
-        "simulate", "--design", "paired", "--P", "30", "--n", "5",
+        "simulate", "--P", "30", "--n", "5",
         "--reps", "200", "--seed", "77", "--effect", "2.0", "--threads", "1",
     ]
     assert main(argv) == 0
@@ -375,7 +408,7 @@ def test_simulate_effect_flag(capsys):
 def test_simulate_out_of_range_values_are_usage_errors(flag, value, capsys):
     args = {"--P": "10", "--n": "1", "--seed": "1", "--sigma2-gamma": "0", "--threads": "1"}
     args[flag] = value
-    argv = ["simulate", "--design", "paired", "--reps", "5"]
+    argv = ["simulate", "--reps", "5"]
     for name, text in args.items():
         argv += [name, text]
     assert main(argv) == 1
@@ -402,13 +435,15 @@ def test_analyze_checks_flags_before_reading(tmp_path, monkeypatch, capsys):
 # Each design needs more than the 128 TiB a process can address, so numpy
 # refuses its first array before it touches memory.
 @pytest.mark.parametrize("design", [
-    ["--design", "paired", "--P", "100000000000000"],
-    ["--design", "paired", "--P", "9223372036854775807"],
-    ["--design", "paired", "--P", "18446744073709551616"],
-    ["--design", "stratified", "--G", "100000000000000", "--P", "2"],
+    ["--P", "100000000000000"],
+    ["--P", "9223372036854775807"],
+    ["--P", "18446744073709551616"],
+    ["--G", "100000000000000", "--P", "2"],
     # sizes beyond a float and beyond a C long overflow before any array is made
-    ["--design", "paired", "--P", "5", "--n", "1" + "0" * 400],
-    ["--design", "stratified", "--G", "1" + "0" * 400, "--P", "3"],
+    ["--P", "5", "--n", "1" + "0" * 400],
+    ["--G", "1" + "0" * 400, "--P", "3"],
+    # more stratum sizes than a list can index
+    ["--scan-G", "2..99999999999999999999", "--P", "2"],
 ])
 def test_simulate_design_too_large_for_the_machine_is_a_runtime_error(design, capsys):
     assert main(["simulate", "--n", "1", "--reps", "1", "--seed", "1", *design]) == 3
@@ -420,9 +455,9 @@ def test_unwritable_output_is_a_runtime_error(minimal_csv, tmp_path, capsys):
     missing = tmp_path / "missing"
     for flag, argv in [
         ("--json-out", ["analyze", "--data", str(minimal_csv)]),
-        ("--csv-out", ["simulate", "--design", "paired", "--P", "5", "--n", "1", "--reps", "5",
+        ("--csv-out", ["simulate", "--P", "5", "--n", "1", "--reps", "5",
                        "--seed", "1", "--threads", "1"]),
-        ("--json-out", ["simulate", "--design", "paired", "--P", "5", "--n", "1", "--reps", "5",
+        ("--json-out", ["simulate", "--P", "5", "--n", "1", "--reps", "5",
                         "--seed", "1", "--threads", "1"]),
     ]:
         path = str(missing / "out")
@@ -438,7 +473,7 @@ def test_a_failed_fork_is_a_runtime_error(monkeypatch, capsys):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr("multiprocessing.popen_fork.Popen._launch", refuse)
-    argv = ["simulate", "--design", "paired", "--P", "5", "--n", "1", "--reps", "600",
+    argv = ["simulate", "--P", "5", "--n", "1", "--reps", "600",
             "--seed", "1", "--threads", "2"]
     assert main(argv) == 3
     out, err = capsys.readouterr()

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from paircluster import (
     DGPConfig,
@@ -194,6 +195,26 @@ def test_g2_raw_ratio_is_root_half_every_rep():
     U, P, n, K = 80, 40, 400, 41
     mult = math.sqrt((U / (U - 1)) / (P / (P - 1)))
     assert cell.mean_se_ratio == pytest.approx(math.sqrt(0.5) * mult, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma2_gamma", [0.0, 0.5])
+@pytest.mark.parametrize("P", [3, 4, 8, 100])
+def test_g2_size_table_is_the_exact_t_tail(P, sigma2_gamma):
+    # On balanced pairs of normal outcomes the paired t statistic t_p is exactly t(P-1),
+    # whatever the pair shock.  The pair rows' t is t_p * sqrt(P/(P-1)), and, since
+    # PCVE_FE = 2 UCVE_FE there, the unit-FE row's is t_p * sqrt(2P/(P-1)).  A factor f
+    # divides t by sqrt(f).  Each rate lies within 4 Monte Carlo SEs of its exact value.
+    reps, n_gp = 20000, 2
+    table = run_size_experiment(
+        _spec(P=P, n_gp=n_gp, reps=reps, seed=2019, sigma2_gamma=sigma2_gamma), threads=1)
+    factors = software_factors(np.full(2 * P, float(n_gp)), np.repeat(np.arange(P), 2))
+    z, T = critical_value(0.05), stats.t(P - 1)
+    for test, model, scale in [("stratum", "nofe", 1), ("stratum", "fe", 1), ("unit", "fe", 2)]:
+        cell = table.cell(test, model)
+        factor = factors[f"{'pair' if test == 'stratum' else 'unit'}_{model}"]
+        for f, rate in [(1.0, cell.rejection_rate), (factor, cell.rejection_rate_dof)]:
+            exact = 2 * T.sf(z * math.sqrt(f * (P - 1) / (scale * P)))
+            assert abs(rate - exact) <= 4 * math.sqrt(exact * (1 - exact) / reps), (test, model, f)
 
 
 def test_g2_treated_mask_is_the_partition_rule_ties_included():
@@ -402,7 +423,7 @@ def test_a_dead_worker_is_a_runtime_error_not_a_hang(monkeypatch, capsys):
     with pytest.raises(PairClusterError, match="worker died, exit status 3"), _deadline(20):
         run_size_experiment(_spec(reps=600), threads=2)
     assert multiprocessing.active_children() == []
-    argv = ["simulate", "--design", "paired", "--P", "20", "--n", "2", "--reps", "600",
+    argv = ["simulate", "--P", "20", "--n", "2", "--reps", "600",
             "--seed", "1", "--threads", "2"]
     with _deadline(20):
         assert cli.main(argv) == 3
