@@ -2,8 +2,8 @@
 
 ``paircluster analyze`` audits a paired or stratified experiment CSV;
 ``paircluster simulate`` runs the replicated size experiments on strata
-of ``--G`` units, 2 (pairs) unless given, or on each size of a
-``--scan-G`` range.  Results go to stdout, diagnostics to stderr.  Exit
+of ``--G`` units, 2 (pairs) unless given, or on each size of a ``--G a..b``
+range.  Results go to stdout, diagnostics to stderr.  Exit
 statuses: 0 success, 1 usage error, 2 data validation error or a
 ``--data`` file that cannot be read, 3 runtime/numeric failure (an output
 that cannot be written, a design too large for the machine, memory that
@@ -54,8 +54,8 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo size experiment")
     # unread; kept while perfbench/opproc.py passes it (ROADMAP items 6 and 12 delete it)
     p_sim.add_argument("--design", choices=["stratified"], help=argparse.SUPPRESS)
-    p_sim.add_argument("--G", type=int, help="units per stratum (default: 2, pairs)")
-    p_sim.add_argument("--scan-G", help="inclusive range a..b of stratum sizes to sweep")
+    p_sim.add_argument("--G", default="2", help="units per stratum, or an inclusive range a..b "
+                       "of them to sweep (default: 2, pairs)")
     p_sim.add_argument("--P", type=int, required=True, help="number of pairs/strata")
     p_sim.add_argument("--n", type=int, required=True, help="observations per unit")
     p_sim.add_argument("--sigma2-gamma", type=float, default=0.0,
@@ -99,28 +99,24 @@ def _write(path: str, text: str) -> None:
 
 
 def _parse_scan(text: str) -> list[int]:
+    """The stratum sizes of ``--G``: one size, which ``DGPConfig`` checks, or a range a..b."""
+    lo_text, is_range, hi_text = text.partition("..")
     try:
-        lo_text, hi_text = text.split("..")
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = int(lo_text), int(hi_text if is_range else lo_text)
     except ValueError:
-        raise _UsageError(f"--scan-G expects a..b, got {text!r}") from None
-    if lo < 2 or hi < lo:
-        raise _UsageError(f"--scan-G range must satisfy 2 <= a <= b, got {text!r}")
+        raise _UsageError(f"--G expects a size or a range a..b, got {text!r}") from None
+    if is_range and not 2 <= lo <= hi:
+        raise _UsageError(f"--G range must satisfy 2 <= a <= b, got {text!r}")
     try:
         return list(range(lo, hi + 1))
     except OverflowError as exc:  # more sizes than a list can hold
-        raise PairClusterError(f"--scan-G {text} is too large: {exc}") from None
+        raise PairClusterError(f"--G {text} is too large: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise _UsageError("--threads must be >= 1")
-    if args.scan_G is None:
-        g_values = [2 if args.G is None else args.G]
-    elif args.G is not None:
-        raise _UsageError("give either --G or --scan-G, not both")
-    else:
-        g_values = _parse_scan(args.scan_G)
+    g_values = _parse_scan(args.G)
 
     cells = []
     tables = []

@@ -121,15 +121,14 @@ def _id_column(texts: list[str]) -> np.ndarray:
     return column.view(f"S{width}").ravel()
 
 
-def _sort_rows(keys: np.ndarray, stable: bool = True) -> tuple[np.ndarray, list[int]]:
+def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Sort ``keys``, rows of uint64 words with the most significant first, in place, and
     return the order and the words that vary, in increasing index: sorted row i was row
-    ``order[i]``, equal rows in input order if ``stable``.
+    ``order[i]``, equal rows in input order.
 
     The span of bits that vary in each word is cut into digits of at most 64 - row_bits bits,
     row_bits = ⌈log2 n⌉, sorted least significant first, each by an in-place value sort of
-    ``(digit << row_bits) | position``; one digit is packed in ``keys`` and unpacked sorted.
-    Unless ``stable``, one word wider than a digit takes ``np.argsort``, faster than two passes."""
+    ``(digit << row_bits) | position``; one digit is packed in ``keys`` and unpacked sorted."""
     n, row_bits = len(keys), (len(keys) - 1).bit_length()
     width, cols = min(_DIGIT_BITS, 64 - row_bits), range(keys.shape[1])  # per column: 3x faster
     same = np.array([np.bitwise_and.reduce(keys[:, j]) for j in cols], np.uint64)
@@ -137,8 +136,6 @@ def _sort_rows(keys: np.ndarray, stable: bool = True) -> tuple[np.ndarray, list[
     digits = [(j, shift) for j, bits in reversed(list(enumerate(varying))) if bits
               for shift in range((bits & -bits).bit_length() - 1, bits.bit_length(), width)]
     words, order = {j for j, _ in digits}, None if len(digits) == 1 else np.arange(n)
-    if len(words) == 1 < len(digits) and not stable:
-        order, digits = np.argsort(keys[:, min(words)]), []
     for j, shift in digits:
         packed = keys[:, j] if order is None else keys[:, j][order]  # one digit: in place
         packed >>= shift
@@ -170,7 +167,7 @@ def _sorted_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if column.dtype.kind == "S":
         ranked = column.astype(f"S{-(-column.itemsize // 8) * 8}").view(">u8").reshape(n, -1)
         ranked = ranked.byteswap(inplace=True).view(ranked.dtype.newbyteorder())  # native, in place
-        order, words = _sort_rows(ranked, stable=False)
+        order, words = _sort_rows(ranked)
     else:
         order, words = np.argsort(column), [0]
         ranked = column[order, None]

@@ -294,7 +294,7 @@ def test_simulate_scan_outputs(tmp_path, capsys):
     csv_path = tmp_path / "table.csv"
     json_path = tmp_path / "table.json"
     argv = [
-        "simulate", "--scan-G", "2..4", "--P", "15",
+        "simulate", "--G", "2..4", "--P", "15",
         "--n", "2", "--reps", "40", "--seed", "9", "--threads", "1",
         "--csv-out", str(csv_path), "--json-out", str(json_path),
     ]
@@ -316,11 +316,11 @@ def test_simulate_usage_errors(capsys):
     base = ["simulate", "--P", "10", "--n", "1", "--seed", "1"]
     assert main(base + ["--reps", "0", "--G", "3"]) == 1
     assert main(base + ["--reps", "5", "--G", "1"]) == 1
-    assert main(base + ["--reps", "5", "--scan-G", "5"]) == 1
-    assert main(base + ["--reps", "5", "--scan-G", ""]) == 1
-    assert main(base + ["--reps", "5", "--G", "3", "--scan-G", "3..4"]) == 1
-    assert main(base + ["--reps", "5", "--G", "2", "--scan-G", "2..3"]) == 1  # 2 is the default
-    assert main(base + ["--reps", "5", "--scan-G", "5..3"]) == 1
+    assert main(base + ["--reps", "5", "--G", ""]) == 1
+    assert main(base + ["--reps", "5", "--G", "2..x"]) == 1
+    assert main(base + ["--reps", "5", "--G", "5..3"]) == 1
+    assert main(base + ["--reps", "5", "--G", "1..3"]) == 1
+    assert main(base + ["--reps", "5", "--scan-G", "2..3"]) == 1  # not an option: --G takes ranges
     assert main(["simulate", "--design", "nope", "--P", "1", "--n", "1",
                  "--reps", "1", "--seed", "1"]) == 1
 
@@ -358,6 +358,32 @@ def test_simulate_keeps_the_stratified_spelling_and_refuses_paired(tmp_path, cap
     code, out, err = _cli("simulate", "--design", "paired", "--P", "5", "--n", "1",
                           "--reps", "5", "--seed", "1")
     assert (code, out) == (1, "") and err.startswith("error: ") and "Traceback" not in err
+
+
+# sha256 of the stdout (and --csv-out) and of the --json-out of `simulate --scan-G 2..4
+# --P 15 --n 2 --reps 40 --seed 9 --threads 1`, the spelling that --G 2..4 replaced
+SCAN_P15_CSV_SHA256 = "14ff8a41fbc0f2b932d204657b9e1bdc771d5e1210991ad5b328573155ba4d45"
+SCAN_P15_JSON_SHA256 = "ab2d40dd56220073d565d6d6be15368a66fd96d8cdb11a4ee0a4fee7d6a87fba"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_g_range_runs_the_scan_byte_for_byte(threads, tmp_path, capsys):
+    csv_path, json_path = tmp_path / "table.csv", tmp_path / "table.json"
+    assert main(["simulate", "--G", "2..4", "--P", "15", "--n", "2", "--reps", "40",
+                 "--seed", "9", "--threads", threads, "--csv-out", str(csv_path),
+                 "--json-out", str(json_path)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert csv_path.read_bytes() == out
+    assert hashlib.sha256(out).hexdigest() == SCAN_P15_CSV_SHA256
+    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == SCAN_P15_JSON_SHA256
+
+
+def test_simulate_g_range_of_one_size_is_that_size_and_scan_g_is_gone(tmp_path, capsys):
+    assert _simulate(tmp_path, capsys, "--G", "5..5") == _simulate(tmp_path, capsys, "--G", "5")
+    code, out, err = _cli("simulate", "--scan-G", "2..3", "--P", "5", "--n", "1",
+                          "--reps", "5", "--seed", "1")
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_simulate_reps_beyond_seed_words_start_no_replication(monkeypatch):
@@ -443,7 +469,7 @@ def test_analyze_checks_flags_before_reading(tmp_path, monkeypatch, capsys):
     ["--P", "5", "--n", "1" + "0" * 400],
     ["--G", "1" + "0" * 400, "--P", "3"],
     # more stratum sizes than a list can index
-    ["--scan-G", "2..99999999999999999999", "--P", "2"],
+    ["--G", "2..99999999999999999999", "--P", "2"],
 ])
 def test_simulate_design_too_large_for_the_machine_is_a_runtime_error(design, capsys):
     assert main(["simulate", "--n", "1", "--reps", "1", "--seed", "1", *design]) == 3

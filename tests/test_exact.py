@@ -21,7 +21,13 @@ is its mean.  Under a constant effect:
 - with equal unit sizes, the ratio of the expected unit- and
   block-clustered FE variances is (G-1)/G + c_G/(P-1), whatever the
   outcomes, where c_G = (G-2)/G for even G and (G-2)/G - 4/(G(G^2-1))
-  for odd G.
+  for odd G;
+- under a constant effect the FE estimate is unbiased on pairs and on even
+  G, of any unit sizes, and on odd G when the units of each stratum share
+  one size.  On odd G with unequal sizes in a stratum it is biased: its
+  denominator depends on the assignment, and only an even G gives every
+  assignment a complement with the same denominator and the opposite
+  numerator.
 """
 
 import functools
@@ -177,3 +183,34 @@ def test_unit_to_stratum_ratio_of_expected_fe_variances(G, P, c_G, data, effect)
     stats = _stats(G, P, control, effect)
     ratio = stats.unit_fe.mean() / stats.pair_fe.mean()
     assert ratio == pytest.approx((G - 1) / G + c_G / (P - 1), rel=TOL)
+
+
+def _sized_stats(sizes, control, effect):
+    """The statistics of every assignment of strata with (P, G) unit ``sizes`` and ``control``
+    means."""
+    P, G = sizes.shape
+    n = sizes.ravel().astype(float)
+    treated = _assignments(G, P)
+    return unit_sum_stats(n * (control.ravel() + effect * treated), n, treated,
+                          np.repeat(np.arange(P), G))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("G, P, equal_within", [(2, 8, False), (4, 3, False), (3, 4, True)])
+def test_fe_estimate_is_unbiased_on_even_strata_and_on_sizes_equal_within_strata(
+        G, P, equal_within, seed):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 12, (P, G))
+    if equal_within:
+        sizes[:] = sizes[:, :1]
+    assert equal_within or np.any(sizes != sizes[:, :1])  # else this is the equal-size law
+    control = OFFSET + rng.normal(size=(P, G))
+    stats = _sized_stats(sizes, control, 0.7)
+    assert stats.tau_fe.mean() == pytest.approx(0.7, abs=TOL)
+
+
+def test_fe_estimate_is_biased_on_odd_strata_with_unequal_sizes():
+    sizes = np.array([[1, 2, 4], [1, 2, 4]])
+    control = OFFSET + np.array([[1.0, 0.0, 0.0]] * 2)
+    stats = _sized_stats(sizes, control, 0.7)
+    assert abs(stats.tau_fe.mean() - 0.7) > 1e-3 * np.std(stats.tau_fe)  # about 0.18 SD
